@@ -200,24 +200,13 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_csv_text(sweep) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(extremal.CSV_HEADER) + "\n")
-    for pt, val in zip(sweep.grid, sweep.values):
-        p2 = repr(float(pt[1])) if len(pt) > 1 else ""
-        rho = "" if val is None else repr(val)
-        feas = "true" if val is not None else "false"
-        buf.write(f"{float(pt[0])!r},{p2},{rho},{feas}\n")
-    return buf.getvalue()
-
-
 def _emit_sweep(sweep, cfg: RunConfig) -> None:
     if cfg.output:
         extremal.write_sweep(sweep, cfg.output)
         print(f"wrote {cfg.output} and {cfg.output}.json")
         print(f"argmax {sweep.argmax} -> rho_{sweep.n} = {sweep.max_value!r}")
     else:
-        sys.stdout.write(_sweep_csv_text(sweep))
+        extremal.write_sweep_csv(sweep, sys.stdout)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -62,15 +62,10 @@ def t_star():
     the isosceles apex position is a local max vs. local min of rho_2.
     """
     with mp.workprec(_WORK_BITS):
-        c4 = mp.mpf(999) / 64
-
-        def poly(x):
-            return (((c4 * x - 93) * x - 664) * x - 5376) * x - 9216
-
         lo, hi = mp.mpf(1), mp.mpf(64)
         for _ in range(_WORK_BITS + 16):
             mid = (lo + hi) / 2
-            if poly(mid) > 0:
+            if t_star_poly(mid) > 0:
                 hi = mid
             else:
                 lo = mid
@@ -281,17 +276,22 @@ def write_sweep(sweep: SweepResult, csv_path) -> None:
     family, N, precision, and argmax.  Floats are written as repr so the pair
     of files round-trips exactly."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for pt, val in zip(sweep.grid, sweep.values):
-            p1 = repr(float(pt[0]))
-            p2 = repr(float(pt[1])) if len(pt) > 1 else ""
-            writer.writerow([p1, p2,
-                             "" if val is None else repr(val),
-                             "true" if val is not None else "false"])
+        write_sweep_csv(sweep, fh)
     with open(str(csv_path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar_dict(sweep), fh, indent=2)
         fh.write("\n")
+
+
+def write_sweep_csv(sweep: SweepResult, fh) -> None:
+    """The CSV half of write_sweep, to an open text handle (csv line ends)."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for pt, val in zip(sweep.grid, sweep.values):
+        p1 = repr(float(pt[0]))
+        p2 = repr(float(pt[1])) if len(pt) > 1 else ""
+        writer.writerow([p1, p2,
+                         "" if val is None else repr(val),
+                         "true" if val is not None else "false"])
 
 
 def sidecar_dict(sweep: SweepResult) -> dict:

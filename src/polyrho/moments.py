@@ -1,11 +1,18 @@
 """Boundary-integral moments of simple polygons.
 
 c[m][n] = integral of z^m conj(z)^n dA over the polygon and I[m][n] = integral
-of x^m y^n dx dy.  Green's theorem turns both into per-edge integrals of
-polynomials in the edge parameter, which are expanded binomially and summed
-termwise, so every entry is exact up to roundoff at the working precision.
-Working precision carries maxdeg + 32 guard bits above the requested
-precision because the binomial expansion can cancel up to ~maxdeg bits.
+of x^m y^n dx dy.  Green's theorem turns both into the same sum over edges
+(a0, da, b0, db),
+    da * integral_0^1 (a0 + t da)^m (b0 + t db)^(n+1) dt,
+which differs between the two kinds only in the edge tuple and a prefactor
+(P. J. Davis, J. Approx. Theory 19, 1977).  One kernel, _edge_sums, computes
+the sum for every entry of a table; a second, _edge_sum, computes one entry
+and is the independent reference the table is checked against.  Both expand
+the integrand binomially and sum termwise, so every entry is exact up to
+roundoff at the working precision.  Callers build the edge tuples inside their
+working precision and apply the prefactor.  Working precision carries
+maxdeg + 32 guard bits above the requested precision because the binomial
+expansion can cancel up to ~maxdeg bits.
 """
 
 from __future__ import annotations
@@ -59,25 +66,38 @@ class MomentTable:
     real_entries: dict
 
     def c(self, m: int, n: int):
-        try:
-            return self.complex_entries[(m, n)]
-        except KeyError:
-            raise InsufficientMoments(
-                f"c[{m}][{n}] not in table (maxdeg {self.maxdeg})") from None
+        return self._entry(self.complex_entries, "c", m, n)
 
     def real(self, m: int, n: int):
+        return self._entry(self.real_entries, "I", m, n)
+
+    def _entry(self, entries, name, m, n):
         try:
-            return self.real_entries[(m, n)]
+            return entries[(m, n)]
         except KeyError:
             raise InsufficientMoments(
-                f"I[{m}][{n}] not in table (maxdeg {self.maxdeg})") from None
+                f"{name}[{m}][{n}] not in table (maxdeg {self.maxdeg})") from None
 
 
-def _edge_complex(verts, i):
-    x0, y0 = verts[i]
-    x1, y1 = verts[(i + 1) % len(verts)]
-    v = mp.mpc(x0, y0)
-    return v, mp.mpc(x1, y1) - v
+# ---- Green's-theorem kernel ------------------------------------------------------
+
+def _complex_edges(p: geometry.Polygon):
+    """(v, d, conj v, conj d) per edge, for
+    c[m][n] = (1 / (2i(n+1))) closed-integral of z^m conj(z)^(n+1) dz."""
+    zs = [mp.mpc(x, y) for x, y in p.vertices]
+    out = []
+    for v, w in zip(zs, zs[1:] + zs[:1]):
+        d = w - v
+        out.append((v, d, mp.conj(v), mp.conj(d)))
+    return out
+
+
+def _real_edges(p: geometry.Polygon):
+    """(x0, dx, y0, dy) per edge, for
+    I[m][n] = -(1/(n+1)) closed-integral of x^m y^(n+1) dx."""
+    vs = list(p.vertices)
+    return [(x0, x1 - x0, y0, y1 - y0)
+            for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
 
 
 def _powers(base, count):
@@ -87,6 +107,54 @@ def _powers(base, count):
     return out
 
 
+def _edge_sum(edges, m: int, n: int):
+    """The edge sum for one (m, n), by direct binomial expansion."""
+    acc = 0
+    for a0, da, b0, db in edges:
+        ap, dap = _powers(a0, m), _powers(da, m)
+        bp, dbp = _powers(b0, n + 1), _powers(db, n + 1)
+        s = 0
+        for j in range(m + 1):
+            aj = comb(m, j) * ap[m - j] * dap[j]
+            t = 0
+            for k in range(n + 2):
+                t += comb(n + 1, k) * bp[n + 1 - k] * dbp[k] / (j + k + 1)
+            s += aj * t
+        acc += da * s
+    return acc
+
+
+def _edge_sums(edges, keys):
+    """The edge sum for every (m, n) in keys.  Per edge, the inner sums
+    over the b-factor are precomputed once per n and reused for every m, which
+    makes a full table roughly cubic rather than quartic in the degree."""
+    maxdeg = max(m + n for m, n in keys)
+    inv = [mp.mpf(1) / q for q in range(1, maxdeg + 3)]
+    acc = dict.fromkeys(keys, 0)
+    for a0, da, b0, db in edges:
+        ap, dap = _powers(a0, maxdeg + 1), _powers(da, maxdeg + 1)
+        bp, dbp = _powers(b0, maxdeg + 1), _powers(db, maxdeg + 1)
+        arows = [[comb(m, j) * ap[m - j] * dap[j] for j in range(m + 1)]
+                 for m in range(maxdeg + 1)]
+        # inner[n][j] = sum_k C(n+1, k) b0^(n+1-k) db^k / (j+k+1)
+        inner = {}
+        for n in {n for _, n in keys}:
+            bn = [comb(n + 1, k) * bp[n + 1 - k] * dbp[k] for k in range(n + 2)]
+            row = []
+            for j in range(maxdeg - n + 1):
+                t = 0
+                for k, bk in enumerate(bn):
+                    t += bk * inv[j + k]
+                row.append(t)
+            inner[n] = row
+        for m, n in keys:
+            s = 0
+            for a, b in zip(arows[m], inner[n]):
+                s += a * b
+            acc[(m, n)] += da * s
+    return acc
+
+
 def complex_moment(p: geometry.Polygon, m: int, n: int,
                    precision_bits: int = DEFAULT_PRECISION_BITS):
     """Single entry c[m][n]; for many entries build a moment_table instead."""
@@ -94,23 +162,7 @@ def complex_moment(p: geometry.Polygon, m: int, n: int,
     if m < 0 or n < 0:
         raise ValueError("moment orders must be nonnegative")
     with mp.workprec(precision_bits + m + n + 32):
-        acc = mp.mpc(0)
-        for i in range(len(p.vertices)):
-            v, d = _edge_complex(p.vertices, i)
-            cv, cd = mp.conj(v), mp.conj(d)
-            vp = _powers(v, m)
-            dp = _powers(d, m)
-            cvp = _powers(cv, n + 1)
-            cdp = _powers(cd, n + 1)
-            s = mp.mpc(0)
-            for j in range(m + 1):
-                aj = comb(m, j) * vp[m - j] * dp[j]
-                t = mp.mpc(0)
-                for k in range(n + 2):
-                    t += comb(n + 1, k) * cvp[n + 1 - k] * cdp[k] / (j + k + 1)
-                s += aj * t
-            acc += d * s
-        val = acc / (mp.mpc(0, 2) * (n + 1))
+        val = _edge_sum(_complex_edges(p), m, n) / (mp.mpc(0, 2) * (n + 1))
         if m == n:
             val = mp.mpc(val.real)  # diagonal entries are squared norms, real
     with mp.workprec(precision_bits):
@@ -119,31 +171,12 @@ def complex_moment(p: geometry.Polygon, m: int, n: int,
 
 def real_moment(p: geometry.Polygon, m: int, n: int,
                 precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Single entry I[m][n] via the boundary form -(1/(n+1)) closed-integral of
-    x^m y^(n+1) dx."""
+    """Single entry I[m][n]."""
     _check_precision(precision_bits)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be nonnegative")
     with mp.workprec(precision_bits + m + n + 32):
-        acc = mp.mpf(0)
-        verts = p.vertices
-        for i in range(len(verts)):
-            x0, y0 = verts[i]
-            x1, y1 = verts[(i + 1) % len(verts)]
-            dx, dy = x1 - x0, y1 - y0
-            xp = _powers(x0, m)
-            dxp = _powers(dx, m)
-            yp = _powers(y0, n + 1)
-            dyp = _powers(dy, n + 1)
-            s = mp.mpf(0)
-            for j in range(m + 1):
-                aj = comb(m, j) * xp[m - j] * dxp[j]
-                t = mp.mpf(0)
-                for k in range(n + 2):
-                    t += comb(n + 1, k) * yp[n + 1 - k] * dyp[k] / (j + k + 1)
-                s += aj * t
-            acc += dx * s
-        val = -acc / (n + 1)
+        val = -_edge_sum(_real_edges(p), m, n) / (n + 1)
     with mp.workprec(precision_bits):
         return +val
 
@@ -153,88 +186,17 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
     """All c[m][n] and I[m][n] with m + n <= maxdeg.
 
     Complex entries are computed for m >= n and filled by conjugation, so
-    Hermitian symmetry holds exactly.  Per edge, the inner sums over the
-    conjugate factor are precomputed once per n and reused for every m, which
-    makes the table roughly cubic rather than quartic in maxdeg.
+    Hermitian symmetry holds exactly.
     """
     if maxdeg < 2:
         raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
     _check_precision(precision_bits)
-    verts = p.vertices
-    nv = len(verts)
-    binom = [[comb(q, j) for j in range(q + 1)] for q in range(maxdeg + 2)]
+    complex_keys = [(m, n) for m in range(maxdeg + 1)
+                    for n in range(min(m, maxdeg - m) + 1)]
+    real_keys = [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
     with mp.workprec(precision_bits + maxdeg + 32):
-        inv = [mp.mpf(0)] + [mp.mpf(1) / q for q in range(1, 2 * maxdeg + 5)]
-
-        acc_c = {}
-        for m in range(maxdeg + 1):
-            for n in range(min(m, maxdeg - m) + 1):
-                acc_c[(m, n)] = mp.mpc(0)
-        for i in range(nv):
-            v, d = _edge_complex(verts, i)
-            cv, cd = mp.conj(v), mp.conj(d)
-            vp = _powers(v, maxdeg + 1)
-            dp = _powers(d, maxdeg + 1)
-            cvp = _powers(cv, maxdeg + 1)
-            cdp = _powers(cd, maxdeg + 1)
-            arows = [[binom[m][j] * vp[m - j] * dp[j] for j in range(m + 1)]
-                     for m in range(maxdeg + 1)]
-            brows = [[binom[q][k] * cvp[q - k] * cdp[k] for k in range(q + 1)]
-                     for q in range(maxdeg + 2)]
-            # inner[n][j] = sum_k brows[n+1][k] / (j+k+1)
-            inner = []
-            for n in range(maxdeg + 1):
-                bn = brows[n + 1]
-                row = []
-                for j in range(maxdeg - n + 1):
-                    t = mp.mpc(0)
-                    for k, bk in enumerate(bn):
-                        t += bk * inv[j + k + 1]
-                    row.append(t)
-                inner.append(row)
-            for m in range(maxdeg + 1):
-                am = arows[m]
-                for n in range(min(m, maxdeg - m) + 1):
-                    row = inner[n]
-                    s = mp.mpc(0)
-                    for j in range(m + 1):
-                        s += am[j] * row[j]
-                    acc_c[(m, n)] += d * s
-
-        acc_r = {}
-        for m in range(maxdeg + 1):
-            for n in range(maxdeg - m + 1):
-                acc_r[(m, n)] = mp.mpf(0)
-        for i in range(nv):
-            x0, y0 = verts[i]
-            x1, y1 = verts[(i + 1) % nv]
-            dx, dy = x1 - x0, y1 - y0
-            xp = _powers(x0, maxdeg + 1)
-            dxp = _powers(dx, maxdeg + 1)
-            yp = _powers(y0, maxdeg + 1)
-            dyp = _powers(dy, maxdeg + 1)
-            arows = [[binom[m][j] * xp[m - j] * dxp[j] for j in range(m + 1)]
-                     for m in range(maxdeg + 1)]
-            brows = [[binom[q][k] * yp[q - k] * dyp[k] for k in range(q + 1)]
-                     for q in range(maxdeg + 2)]
-            inner = []
-            for n in range(maxdeg + 1):
-                bn = brows[n + 1]
-                row = []
-                for j in range(maxdeg - n + 1):
-                    t = mp.mpf(0)
-                    for k, bk in enumerate(bn):
-                        t += bk * inv[j + k + 1]
-                    row.append(t)
-                inner.append(row)
-            for m in range(maxdeg + 1):
-                am = arows[m]
-                for n in range(maxdeg - m + 1):
-                    row = inner[n]
-                    s = mp.mpf(0)
-                    for j in range(m + 1):
-                        s += am[j] * row[j]
-                    acc_r[(m, n)] += dx * s
+        acc_c = _edge_sums(_complex_edges(p), complex_keys)
+        acc_r = _edge_sums(_real_edges(p), real_keys)
 
     complex_entries = {}
     real_entries = {}

@@ -33,10 +33,12 @@ def test_real_moments_match_area_and_centroid(triangle):
 def test_single_entry_matches_table(any_polygon):
     t = moments.moment_table(any_polygon, 6)
     with mp.workprec(300):
-        for m, n in ((0, 3), (2, 2), (4, 1), (3, 0)):
+        # total degree 6 = maxdeg is where the table truncates its inner
+        # rows; (1, 5) and (2, 4) come from the table by conjugation
+        for m, n in ((0, 3), (2, 2), (4, 1), (3, 0), (6, 0), (1, 5), (2, 4), (3, 3)):
             assert abs(moments.complex_moment(any_polygon, m, n) - t.c(m, n)) \
                 < mp.mpf("1e-70")
-        for m, n in ((1, 2), (5, 0), (0, 6)):
+        for m, n in ((1, 2), (5, 0), (0, 6), (2, 4), (3, 3), (6, 0)):
             assert abs(moments.real_moment(any_polygon, m, n) - t.real(m, n)) \
                 < mp.mpf("1e-70")
 

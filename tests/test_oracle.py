@@ -46,14 +46,3 @@ def test_oracle_rho_reports_its_own_breakdown(triangle):
         oracle.oracle_rho_n(triangle, 25)
     with pytest.raises(ValueError):
         oracle.oracle_rho_n(triangle, -1)
-
-
-def test_mc_moment_sanity(square):
-    area = oracle.mc_moment(square, 0, 0, samples=50_000, seed=3)
-    assert abs(area - 1.0) < 1e-9  # constant integrand: exact up to roundoff
-    c11 = oracle.mc_moment(square, 1, 1, samples=200_000, seed=3)
-    assert abs(c11 - 1 / 6) < 5e-3
-    again = oracle.mc_moment(square, 1, 1, samples=200_000, seed=3)
-    assert c11 == again
-    other = oracle.mc_moment(square, 1, 1, samples=200_000, seed=4)
-    assert c11 != other
