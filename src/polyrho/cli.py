@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -23,33 +22,16 @@ from .errors import GeometryError, NumericalError
 ENV_PRECISION = "POLYRHO_PRECISION_BITS"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    polygon_path: str = None
-    family: str = None
-    n: int = 1
-    precision_bits: int = None
-    output: str = None
-    fmt: str = "json"
-    parallelism: int = 1
-    moment_cache: str = None
-    param: str = None
-    sweep_range: tuple = None
-    steps: int = 0
-    theta_range: tuple = None
-    phi_range: tuple = None
-    maxdeg: int = 4
-    long_checks: bool = False
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"--n must be >= 0, got {self.n}")
-        if self.parallelism < 1:
-            raise ValueError(f"--parallelism must be >= 1, got {self.parallelism}")
-        if self.command in ("rho", "moments"):
-            if bool(self.polygon_path) == bool(self.family):
-                raise ValueError("give exactly one of --polygon or --family")
+def _int_at_least(low: int):
+    """argparse type for an integer option with a lower bound; a value below
+    it is a usage error (exit 2) like any other bad argument."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def _parse_range(text: str) -> tuple:
@@ -80,7 +62,7 @@ def _parse_family(text: str, free_names=()) -> geometry.FamilySpec:
     return geometry.FamilySpec(kind, fixed, tuple(free_names))
 
 
-def _default_precision(cfg: RunConfig, fallback: int) -> int:
+def _default_precision(cfg: argparse.Namespace, fallback: int) -> int:
     if cfg.precision_bits:
         return cfg.precision_bits
     env = os.environ.get(ENV_PRECISION)
@@ -92,8 +74,8 @@ def _default_precision(cfg: RunConfig, fallback: int) -> int:
     return fallback
 
 
-def _load_polygon(cfg: RunConfig) -> geometry.Polygon:
-    if cfg.polygon_path:
+def _load_polygon(cfg: argparse.Namespace) -> geometry.Polygon:
+    if cfg.polygon_path is not None:
         return geometry.read_polygon(cfg.polygon_path)
     return _parse_family(cfg.family).build()
 
@@ -124,8 +106,6 @@ def _certified_digits(v1, v2, prec: int) -> int:
     if diff == 0:
         return cap
     rel = diff / max(abs(v1), mp.mpf(2) ** (-prec))
-    if rel <= 0:
-        return cap
     return max(1, min(cap, int(-mp.log10(rel))))
 
 
@@ -137,7 +117,7 @@ def _write_text(path, text) -> None:
         sys.stdout.write(text)
 
 
-def cmd_rho(cfg: RunConfig) -> int:
+def cmd_rho(cfg: argparse.Namespace) -> int:
     poly = _load_polygon(cfg)
     prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     t0 = time.perf_counter()
@@ -167,14 +147,14 @@ def cmd_rho(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: argparse.Namespace) -> int:
     if cfg.maxdeg < 2:
         raise ValueError(f"--maxdeg must be >= 2, got {cfg.maxdeg}")
     poly = _load_polygon(cfg)
     prec = _default_precision(cfg, moments.DEFAULT_PRECISION_BITS)
     table = _get_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
     dps = _digits_for_bits(prec)
-    keys = sorted(k for k in table.complex_entries if k[0] + k[1] <= table.maxdeg)
+    keys = sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)
     if cfg.fmt == "csv":
         buf = io.StringIO()
         buf.write("m,n,c_re,c_im,I\n")
@@ -186,7 +166,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     else:
         doc = {
             "fingerprint": table.fingerprint,
-            "maxdeg": table.maxdeg,
+            "maxdeg": cfg.maxdeg,
             "precision_bits": table.precision_bits,
             "entries": [
                 {"m": m, "n": n,
@@ -200,7 +180,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def _emit_sweep(sweep, cfg: RunConfig) -> None:
+def _emit_sweep(sweep, cfg: argparse.Namespace) -> None:
     if cfg.output:
         extremal.write_sweep(sweep, cfg.output)
         print(f"wrote {cfg.output} and {cfg.output}.json")
@@ -209,9 +189,9 @@ def _emit_sweep(sweep, cfg: RunConfig) -> None:
         extremal.write_sweep_csv(sweep, sys.stdout)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.family or not cfg.param or not cfg.sweep_range or cfg.steps < 3:
-        raise ValueError("sweep needs --family, --param, --range lo:hi, --steps >= 3")
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    if cfg.steps < 3:
+        raise ValueError(f"sweep needs --steps >= 3, got {cfg.steps}")
     spec = _parse_family(cfg.family, free_names=(cfg.param,))
     prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     sweep = extremal.sweep_family(spec, cfg.sweep_range[0], cfg.sweep_range[1],
@@ -220,9 +200,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pentagon_grid(cfg: RunConfig) -> int:
-    if not cfg.theta_range or not cfg.phi_range or cfg.steps < 2:
-        raise ValueError("pentagon-grid needs --theta lo:hi, --phi lo:hi, --steps >= 2")
+def cmd_pentagon_grid(cfg: argparse.Namespace) -> int:
+    if cfg.steps < 2:
+        raise ValueError(f"pentagon-grid needs --steps >= 2, got {cfg.steps}")
     prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     sweep = extremal.pentagon_grid(cfg.theta_range, cfg.phi_range, cfg.steps,
                                    cfg.n, prec, cfg.parallelism)
@@ -391,10 +371,11 @@ def verify_checks(long_checks: bool = False):
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    checks = verify_checks(cfg.long_checks)
     failures = 0
     t_start = time.perf_counter()
-    for name, fn in verify_checks(cfg.long_checks):
+    for name, fn in checks:
         t0 = time.perf_counter()
         try:
             ok, detail = fn()
@@ -405,8 +386,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             failures += 1
         print(f"{status:4s} {name:24s} {detail}  ({time.perf_counter() - t0:.2f}s)")
     total = time.perf_counter() - t_start
-    n = len(verify_checks(cfg.long_checks))
-    print(f"{n - failures} passed, {failures} failed in {total:.1f}s")
+    print(f"{len(checks) - failures} passed, {failures} failed in {total:.1f}s")
     return 1 if failures else 0
 
 
@@ -418,41 +398,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Polynomial Bergman content rho_N of simple polygons")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        p.add_argument("--precision-bits", type=int, default=None,
-                       help=f"working precision (default: policy, or ${ENV_PRECISION})")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-        p.add_argument("--output", default=None, help="write results to this file")
-        p.add_argument("--moment-cache", default=None,
-                       help="JSON moment-table cache file to reuse/create")
-        p.add_argument("--parallelism", type=int, default=1)
-        if with_n:
-            p.add_argument("--n", type=int, default=1, help="polynomial degree N")
+    # option sets shared through parents=; each subcommand takes only the
+    # sets its handler reads
+    result = argparse.ArgumentParser(add_help=False)
+    result.add_argument("--precision-bits", type=int, default=None,
+                        help=f"working precision (default: policy, or ${ENV_PRECISION})")
+    result.add_argument("--output", default=None, help="write results to this file")
 
-    rho = sub.add_parser("rho", help="compute rho_N for one polygon")
-    rho.add_argument("--polygon", dest="polygon_path", help="polygon file (x y per line)")
-    rho.add_argument("--family", help="family spec, e.g. windmill:2 or triangle-base:3,1.5")
-    common(rho)
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--n", type=_int_at_least(0), default=1, help="polynomial degree N")
 
-    mom = sub.add_parser("moments", help="dump a moment table")
-    mom.add_argument("--polygon", dest="polygon_path")
-    mom.add_argument("--family")
+    one_polygon = argparse.ArgumentParser(add_help=False)
+    source = one_polygon.add_mutually_exclusive_group(required=True)
+    source.add_argument("--polygon", dest="polygon_path", help="polygon file (x y per line)")
+    source.add_argument("--family", help="family spec, e.g. windmill:2 or triangle-base:3,1.5")
+    one_polygon.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
+    one_polygon.add_argument("--moment-cache", default=None,
+                             help="JSON moment-table cache file to reuse/create")
+
+    many_polygons = argparse.ArgumentParser(add_help=False)
+    many_polygons.add_argument("--parallelism", type=_int_at_least(1), default=1)
+
+    sub.add_parser("rho", parents=[one_polygon, degree, result],
+                   help="compute rho_N for one polygon")
+
+    mom = sub.add_parser("moments", parents=[one_polygon, result], help="dump a moment table")
     mom.add_argument("--maxdeg", type=int, default=4)
-    common(mom, with_n=False)
 
-    swp = sub.add_parser("sweep", help="1-D parameter sweep of rho_N")
+    swp = sub.add_parser("sweep", parents=[degree, result, many_polygons],
+                         help="1-D parameter sweep of rho_N")
     swp.add_argument("--family", required=True,
                      help="family with the swept parameter omitted, e.g. triangle-base:3")
     swp.add_argument("--param", required=True, help="name of the swept parameter")
     swp.add_argument("--range", dest="sweep_range", type=_parse_range, required=True)
     swp.add_argument("--steps", type=int, required=True)
-    common(swp)
 
-    pg = sub.add_parser("pentagon-grid", help="rho_N over a (theta, phi) degree grid")
+    pg = sub.add_parser("pentagon-grid", parents=[degree, result, many_polygons],
+                        help="rho_N over a (theta, phi) degree grid")
     pg.add_argument("--theta", dest="theta_range", type=_parse_range, required=True)
     pg.add_argument("--phi", dest="phi_range", type=_parse_range, required=True)
     pg.add_argument("--steps", type=int, required=True, help="grid steps per axis")
-    common(pg)
 
     ver = sub.add_parser("verify", help="run the built-in verification suite")
     ver.add_argument("--long", dest="long_checks", action="store_true",
@@ -476,9 +461,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(command=args.command,
-                        **{k: v for k, v in vars(args).items() if k != "command"})
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3

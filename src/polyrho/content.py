@@ -78,7 +78,7 @@ def _cholesky(matrix, dim):
             for k in range(j):
                 s -= lower[i][k] * mp.conj(lower[j][k])
             if i == j:
-                piv = s.real if hasattr(s, "real") else s
+                piv = s.real
                 if not piv > 0:
                     raise GramNotPD(
                         f"Gram pivot {i} is {mp.nstr(piv, 6)}; polygon degenerate "
@@ -103,13 +103,20 @@ def _resolve(p, n, precision_bits, table):
         raise ValueError(f"polynomial degree must be >= 0, got {n}")
     if table is not None:
         prec = precision_bits or table.precision_bits
+        if table.fingerprint != moments.table_fingerprint(p, prec):
+            raise ValueError(
+                f"moment table {table.fingerprint} was not built for this polygon "
+                f"at {prec} bits")
         return prec, table
     prec = precision_bits or moments.precision_for_degree(n)
     return prec, moments.moment_table(p, 2 * n + 2, prec)
 
 
 def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoResult:
-    """rho_N via Cholesky: c[1][1] - rhs* G^{-1} rhs."""
+    """rho_N via Cholesky: c[1][1] - rhs* G^{-1} rhs.
+
+    A given table must have been built for p at the working precision
+    (precision_bits, else the table's own); ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
     gram = build_gram(table, n)
     dim = n + 1

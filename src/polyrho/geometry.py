@@ -113,13 +113,13 @@ def _check_simple(verts):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 
-def polygon_new(points, precision_bits=None) -> Polygon:
+def polygon_new(points) -> Polygon:
     """Validate a vertex list and normalize it to counterclockwise order.
 
     Accepts (x, y) pairs of anything mp.mpf() understands (float, int, str,
     mpf).  Raises TooFewVertices, DegenerateVertex, or NotSimple.
     """
-    with mp.workprec(precision_bits or _wp()):
+    with mp.workprec(_wp()):
         verts = [(mp.mpf(x), mp.mpf(y)) for x, y in points]
         if len(verts) < 3:
             raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")

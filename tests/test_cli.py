@@ -104,6 +104,30 @@ def test_moments_json_stdout(capsys):
     assert abs(float(entries[(0, 0)]["I"]) - 1.0) < 1e-12
 
 
+def test_moments_output_ignores_cache_degree(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    assert run_cli("moments", "--family", "regular-ngon:3", "--maxdeg", "6",
+                   "--moment-cache", str(cache)) == 0
+    capsys.readouterr()
+    docs = []
+    for extra in ((), ("--moment-cache", str(cache))):  # cold, then warm from degree 6
+        assert run_cli("moments", "--family", "regular-ngon:3", "--maxdeg", "2", *extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    cold, warm = docs
+    assert warm["maxdeg"] == cold["maxdeg"] == 2
+    cold_entries = {(e["m"], e["n"]): e for e in cold["entries"]}
+    warm_entries = {(e["m"], e["n"]): e for e in warm["entries"]}
+    assert warm_entries.keys() == cold_entries.keys()
+    # values agree to the table precision; zero entries carry roundoff that
+    # depends on the degree the table was built to
+    with mp.workprec(cold["precision_bits"]):
+        tol = mp.mpf(2) ** (16 - cold["precision_bits"])
+        for key, e in cold_entries.items():
+            w = warm_entries[key]
+            for got, want in zip([*w["c"], w["I"]], [*e["c"], e["I"]]):
+                assert abs(mp.mpf(got) - mp.mpf(want)) <= tol
+
+
 def test_sweep_writes_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--family", "triangle-base:3", "--param", "lambda",
@@ -157,6 +181,15 @@ def test_exit_codes_for_bad_input():
                    "--range", "1:2", "--steps", "2", "--n", "1") == 2
     assert run_cli("pentagon-grid", "--theta", "165:172", "--phi", "165:172",
                    "--steps", "3", "--n", "1") == 2  # empty feasible set
+    assert run_cli("sweep", "--family", "windmill", "--param", "a",
+                   "--range", "1:2", "--steps", "5", "--parallelism", "0") == 2
+    assert run_cli("rho", "--polygon", "/does/not/exist", "--family", "windmill:1") == 2
+    # options a subcommand does not read are unknown to it
+    assert run_cli("rho", "--family", "windmill:1", "--parallelism", "2") == 2
+    assert run_cli("sweep", "--family", "windmill", "--param", "a",
+                   "--range", "1:2", "--steps", "5", "--format", "csv") == 2
+    assert run_cli("pentagon-grid", "--theta", "104:112", "--phi", "104:112",
+                   "--steps", "3", "--moment-cache", "x.json") == 2
 
 
 def test_exit_code_for_numerical_failure():

@@ -140,8 +140,15 @@ def test_degree_zero(square):
         content.rho_n(square, -1)
 
 
-def test_explicit_precision_respected(square):
+def test_explicit_precision_respected(square, triangle):
     r = content.rho_n(square, 2, precision_bits=512)
     assert r.precision_bits == 512
     t, _, _ = content.rho_n_telescoping(square, 2, precision_bits=512)
     assert t.precision_bits == 512
+    # a table only serves the polygon and precision it was built for
+    table_256 = moments.moment_table(triangle, 6, 256)
+    for solve in (content.rho_n, content.rho_n_telescoping):
+        with pytest.raises(ValueError):
+            solve(square, 2, table=table_256)
+        with pytest.raises(ValueError):
+            solve(triangle, 2, precision_bits=1024, table=table_256)
