@@ -63,7 +63,7 @@ def _parse_family(text: str, free_names=()) -> geometry.FamilySpec:
 
 
 def _default_precision(cfg: argparse.Namespace, fallback: int) -> int:
-    if cfg.precision_bits:
+    if cfg.precision_bits is not None:
         return cfg.precision_bits
     env = os.environ.get(ENV_PRECISION)
     if env:
@@ -201,8 +201,6 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_pentagon_grid(cfg: argparse.Namespace) -> int:
-    if cfg.steps < 2:
-        raise ValueError(f"pentagon-grid needs --steps >= 2, got {cfg.steps}")
     prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     sweep = extremal.pentagon_grid(cfg.theta_range, cfg.phi_range, cfg.steps,
                                    cfg.n, prec, cfg.parallelism)

@@ -19,8 +19,6 @@ from .errors import AreaNotNormalized, GramNotPD, InsufficientMoments
 
 METHOD_CHOLESKY = "gram-cholesky"
 METHOD_TELESCOPING = "gram-schmidt-telescoping"
-METHOD_CLOSED_1 = "closed-form-rho1"
-METHOD_CLOSED_2 = "closed-form-rho2"
 
 AREA_TOLERANCE = mp.mpf("1e-10")
 
@@ -102,13 +100,13 @@ def _resolve(p, n, precision_bits, table):
     if n < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n}")
     if table is not None:
-        prec = precision_bits or table.precision_bits
+        prec = table.precision_bits if precision_bits is None else precision_bits
         if table.fingerprint != moments.table_fingerprint(p, prec):
             raise ValueError(
                 f"moment table {table.fingerprint} was not built for this polygon "
                 f"at {prec} bits")
         return prec, table
-    prec = precision_bits or moments.precision_for_degree(n)
+    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
     return prec, moments.moment_table(p, 2 * n + 2, prec)
 
 

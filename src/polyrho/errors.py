@@ -57,7 +57,7 @@ class NonpositiveParameter(GeometryError):
 
 
 class EmptyFeasibleSet(GeometryError):
-    """Requested grid contains no feasible parameter pair."""
+    """Requested grid contains no feasible parameter point."""
 
 
 # ---- numerical failures ------------------------------------------------------

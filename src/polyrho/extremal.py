@@ -109,24 +109,12 @@ class CriticalPointReport:
 
 
 def _eval_point(args):
-    kind, fixed, free, vals, n, prec, skip_infeasible = args
-    spec = geometry.FamilySpec(kind, fixed, free)
+    family, vals, n, prec = args
     try:
-        poly = spec.build(*vals)
+        poly = family.build(*vals)
     except _INFEASIBLE:
-        if skip_infeasible:
-            return None
-        raise
+        return None
     return float(content.rho_n(poly, n, prec).value)
-
-
-def _run_points(family, build_points, n, prec, parallelism, skip_infeasible):
-    args = [(family.kind, family.fixed, family.free, vals, n, prec, skip_infeasible)
-            for vals in build_points]
-    if parallelism and parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(_eval_point, args))
-    return [_eval_point(a) for a in args]
 
 
 def _linspace(lo: float, hi: float, steps: int):
@@ -136,7 +124,21 @@ def _linspace(lo: float, hi: float, steps: int):
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
-def _assemble(family, grid, values, n, prec) -> SweepResult:
+def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
+    """rho_N at each point of grid (tuples of the family's free values), run
+    serially or, for parallelism > 1, on a process pool.
+
+    Points where the family raises ConstraintViolated, ApexDegenerate or
+    AngleOutOfRange come back as None values, not errors; a grid with no
+    feasible point raises EmptyFeasibleSet.
+    """
+    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
+    args = [(family, vals, n, prec) for vals in grid]
+    if parallelism and parallelism > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            values = list(pool.map(_eval_point, args))
+    else:
+        values = [_eval_point(a) for a in args]
     best = None
     for pt, val in zip(grid, values):
         if val is not None and (best is None or val > best[1]):
@@ -148,13 +150,12 @@ def _assemble(family, grid, values, n, prec) -> SweepResult:
 
 def sweep_family(family: geometry.FamilySpec, lo, hi, steps: int, n: int,
                  precision_bits=None, parallelism: int = 1) -> SweepResult:
-    """rho_N over a 1-D grid of the family's single free parameter."""
+    """rho_N over a 1-D grid of the family's single free parameter; infeasible
+    points are None values, as in every sweep (see _sweep)."""
     if len(family.free) != 1:
         raise ValueError(f"1-D sweep needs exactly one free parameter, got {family.free}")
-    prec = precision_bits or moments.precision_for_degree(n)
-    xs = _linspace(lo, hi, steps)
-    values = _run_points(family, [(x,) for x in xs], n, prec, parallelism, False)
-    return _assemble(family, [(x,) for x in xs], values, n, prec)
+    grid = [(x,) for x in _linspace(lo, hi, steps)]
+    return _sweep(family, grid, n, precision_bits, parallelism)
 
 
 def sweep_fixed_base(a, lam_range, steps: int, n: int,
@@ -179,20 +180,12 @@ def sweep_fixed_angle(theta, a_range, steps: int, n: int,
 
 def pentagon_grid(theta_range, phi_range, steps_per_axis: int, n: int,
                   precision_bits=None, parallelism: int = 1) -> SweepResult:
-    """rho_N over a (theta, phi) degree grid of equilateral pentagons.
-
-    Grid points outside the feasibility region come back as None values, not
-    errors; a grid with no feasible point raises EmptyFeasibleSet.
-    """
-    if steps_per_axis < 2:
-        raise ValueError(f"need at least 2 steps per axis, got {steps_per_axis}")
-    prec = precision_bits or moments.precision_for_degree(n)
+    """rho_N over a (theta, phi) degree grid of equilateral pentagons."""
     family = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
     thetas = _linspace(theta_range[0], theta_range[1], steps_per_axis)
     phis = _linspace(phi_range[0], phi_range[1], steps_per_axis)
     grid = [(th, ph) for th in thetas for ph in phis]
-    values = _run_points(family, grid, n, prec, parallelism, True)
-    return _assemble(family, grid, values, n, prec)
+    return _sweep(family, grid, n, precision_bits, parallelism)
 
 
 def _golden_max(f, a, b, tol):
@@ -221,7 +214,7 @@ def maximize_1d(family: geometry.FamilySpec, lo, hi, n: int, tol=1e-6,
         raise ValueError(f"need exactly one free parameter, got {family.free}")
     if steps < 5:
         raise ValueError(f"coarse scan needs at least 5 steps, got {steps}")
-    prec = precision_bits or moments.precision_for_degree(n)
+    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
     cache = {}
 
     def f(x):

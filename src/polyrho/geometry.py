@@ -483,5 +483,7 @@ def build_family(kind: str, params: dict) -> Polygon:
             ph = mp.mpf(params["phi_deg"]) * mp.pi / 180
         return make_equilateral_pentagon(th, ph)
     if kind == "regular-ngon":
+        if not float(params["n"]).is_integer():
+            raise GeometryError(f"regular-ngon takes an integer n, got {params['n']}")
         return make_regular_ngon(int(params["n"]))
     raise ValueError(f"unknown family {kind!r}")

@@ -23,7 +23,6 @@ class TriMesh:
     """Positively oriented, interior-disjoint triangles covering one polygon."""
 
     triangles: tuple  # of ((x,y), (x,y), (x,y)) float triples
-    parent_fingerprint: str
 
 
 def _cross(o, a, b) -> float:
@@ -80,7 +79,7 @@ def triangulate(p: geometry.Polygon) -> TriMesh:
     if abs(total - target) > 1e-12 * abs(target):
         raise TriangulationFailed(
             f"triangle areas sum to {total!r}, polygon area is {target!r}")
-    return TriMesh(tuple(tris), geometry.fingerprint(p))
+    return TriMesh(tuple(tris))
 
 
 @lru_cache(maxsize=None)

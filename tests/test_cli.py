@@ -190,11 +190,16 @@ def test_exit_codes_for_bad_input():
                    "--range", "1:2", "--steps", "5", "--format", "csv") == 2
     assert run_cli("pentagon-grid", "--theta", "104:112", "--phi", "104:112",
                    "--steps", "3", "--moment-cache", "x.json") == 2
+    assert run_cli("pentagon-grid", "--theta", "104:112", "--phi", "104:112",
+                   "--steps", "1", "--n", "1") == 2
+    assert run_cli("rho", "--family", "regular-ngon:4.7", "--n", "1") == 2
 
 
 def test_exit_code_for_numerical_failure():
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
                    "--precision-bits", "32") == 3
+    assert run_cli("rho", "--family", "windmill:1", "--n", "1",
+                   "--precision-bits", "0") == 3
 
 
 def test_argparse_errors_become_exit_2(capsys):

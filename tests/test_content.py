@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 from polyrho import content, geometry, moments
-from polyrho.errors import AreaNotNormalized, GramNotPD, InsufficientMoments
+from polyrho.errors import AreaNotNormalized, GramNotPD, InsufficientMoments, PrecisionTooLow
 
 
 def test_build_gram_layout(square):
@@ -152,3 +152,6 @@ def test_explicit_precision_respected(square, triangle):
             solve(square, 2, table=table_256)
         with pytest.raises(ValueError):
             solve(triangle, 2, precision_bits=1024, table=table_256)
+    # 0 is an explicit precision like any other, not a request for the default
+    with pytest.raises(PrecisionTooLow):
+        content.rho_n(square, 2, precision_bits=0)

@@ -76,6 +76,11 @@ def test_pentagon_grid_marks_infeasible_points():
     assert any(v is not None for v in sweep.values)
     feasible = [v for v in sweep.values if v is not None]
     assert sweep.max_value == max(feasible)
+    # a 1-D sweep marks infeasible points the same way
+    spec = geometry.FamilySpec("pentagon", (("theta_deg", 108.0),), ("phi_deg",))
+    line = extremal.sweep_family(spec, 60, 170, 6, 1)
+    assert any(v is None for v in line.values)
+    assert any(isinstance(v, float) for v in line.values)
 
 
 def test_pentagon_grid_swap_symmetry():
