@@ -116,11 +116,14 @@ def _check_simple(verts):
 def polygon_new(points) -> Polygon:
     """Validate a vertex list and normalize it to counterclockwise order.
 
-    Accepts (x, y) pairs of anything mp.mpf() understands (float, int, str,
-    mpf).  Raises TooFewVertices, DegenerateVertex, or NotSimple.
+    Accepts (x, y) pairs of finite values mp.mpf() understands (float, int,
+    str, mpf).  Raises GeometryError, TooFewVertices, DegenerateVertex, or NotSimple.
     """
     with mp.workprec(_wp()):
         verts = [(mp.mpf(x), mp.mpf(y)) for x, y in points]
+        for i, (x, y) in enumerate(verts):
+            if not (mp.isfinite(x) and mp.isfinite(y)):
+                raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
         if len(verts) < 3:
             raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")
         n = len(verts)

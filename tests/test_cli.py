@@ -168,7 +168,7 @@ def test_pentagon_grid_cli(tmp_path):
     assert sweep.argmax == (108.0, 108.0)
 
 
-def test_exit_codes_for_bad_input():
+def test_exit_codes_for_bad_input(tmp_path):
     assert run_cli("rho", "--family", "windmill:-1", "--n", "1") == 2
     assert run_cli("rho", "--family", "nosuch:1", "--n", "1") == 2
     assert run_cli("rho", "--family", "windmill:1,9", "--n", "1") == 2
@@ -193,6 +193,9 @@ def test_exit_codes_for_bad_input():
     assert run_cli("pentagon-grid", "--theta", "104:112", "--phi", "104:112",
                    "--steps", "1", "--n", "1") == 2
     assert run_cli("rho", "--family", "regular-ngon:4.7", "--n", "1") == 2
+    nan_file = tmp_path / "nan.txt"
+    nan_file.write_text("0 0\n1 0\nnan 1\n")
+    assert run_cli("rho", "--polygon", str(nan_file), "--n", "1") == 2
 
 
 def test_exit_code_for_numerical_failure():

@@ -8,6 +8,7 @@ from polyrho.errors import (
     ConstraintViolated,
     DegenerateFamilyParameter,
     DegenerateVertex,
+    GeometryError,
     NonpositiveBase,
     NonpositiveScale,
     NotSimple,
@@ -34,6 +35,16 @@ def test_polygon_new_rejects_bad_input():
         geometry.polygon_new([(0, 0), (1, 0), (2, 0)])  # collinear
     with pytest.raises(NotSimple):
         geometry.polygon_new([(0, 0), (2, 0), (1, 0), (1, 1)])  # boundary spike
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_polygon_new_rejects_non_finite_coordinates(bad):
+    # bad input, named by vertex: nan passes every geometric comparison and
+    # would surface only as a numerical failure of the Gram solve
+    with pytest.raises(GeometryError, match="vertex 2 is not finite"):
+        geometry.polygon_new([(0, 0), (1, 0), (bad, 1)])
+    with pytest.raises(GeometryError, match="vertex 1 is not finite"):
+        geometry.polygon_new([(0, 0), (0.5, bad), (0, 1)])
 
 
 def test_area_and_centroid_of_square(square):

@@ -33,14 +33,40 @@ def test_real_moments_match_area_and_centroid(triangle):
 def test_single_entry_matches_table(any_polygon):
     t = moments.moment_table(any_polygon, 6)
     with mp.workprec(300):
-        # total degree 6 = maxdeg is where the table truncates its inner
-        # rows; (1, 5) and (2, 4) come from the table by conjugation
+        # total degree 6 = maxdeg is the top anti-diagonal the table walks,
+        # whose integrals reach one degree past maxdeg; (1, 5) and (2, 4)
+        # come from the table by conjugation
         for m, n in ((0, 3), (2, 2), (4, 1), (3, 0), (6, 0), (1, 5), (2, 4), (3, 3)):
             assert abs(moments.complex_moment(any_polygon, m, n) - t.c(m, n)) \
                 < mp.mpf("1e-70")
         for m, n in ((1, 2), (5, 0), (0, 6), (2, 4), (3, 3), (6, 0)):
             assert abs(moments.real_moment(any_polygon, m, n) - t.real(m, n)) \
                 < mp.mpf("1e-70")
+
+
+@pytest.mark.parametrize("name", ["far-triangle", "square", "windmill-20"])
+def test_table_matches_binomial_reference_entrywise(name):
+    # short edges far from the origin; axis-aligned edges (dx = 0 and
+    # dy = 0, so walks start from both ends of the anti-diagonals); edges of
+    # length 20 with vertices from 0.02 to 20 away from the origin
+    poly = {
+        "far-triangle": lambda: geometry.polygon_new(
+            [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+        "square": lambda: geometry.polygon_new(
+            [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]),
+        "windmill-20": lambda: geometry.make_windmill(20),
+    }[name]()
+    bits, maxdeg = 256, 10
+    t = moments.moment_table(poly, maxdeg, bits)
+    with mp.workprec(bits + 64):
+        for entries, single in ((t.complex_entries, moments.complex_moment),
+                                (t.real_entries, moments.real_moment)):
+            scale = {}
+            for (m, n), val in entries.items():
+                scale[m + n] = max(scale.get(m + n, 1), abs(val))
+            for (m, n), val in entries.items():
+                ref = single(poly, m, n, bits)
+                assert abs(val - ref) <= mp.mpf(2) ** (32 - bits) * scale[m + n], (m, n)
 
 
 def test_hermitian_symmetry_is_exact(triangle):
