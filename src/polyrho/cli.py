@@ -155,25 +155,34 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     table = _get_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
     dps = _digits_for_bits(prec)
     keys = sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)
+    # a part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)
+    # is zero up to roundoff and prints as 0, not as roundoff digits
+    scale = {}
+    for m, n in keys:
+        scale[m + n] = max(scale.get(m + n, 1), abs(table.c(m, n)), abs(table.real(m, n)))
+    roundoff = mp.mpf(2) ** (16 - prec)
+
+    def parts(m, n):
+        c = table.c(m, n)
+        return ["0" if abs(x) < roundoff * scale[m + n] else mp.nstr(x, dps)
+                for x in (c.real, c.imag, table.real(m, n))]
+
     if cfg.fmt == "csv":
         buf = io.StringIO()
         buf.write("m,n,c_re,c_im,I\n")
         for m, n in keys:
-            c = table.c(m, n)
-            buf.write(f"{m},{n},{mp.nstr(c.real, dps)},{mp.nstr(c.imag, dps)},"
-                      f"{mp.nstr(table.real(m, n), dps)}\n")
+            buf.write(",".join([str(m), str(n), *parts(m, n)]) + "\n")
         payload = buf.getvalue()
     else:
+        entries = []
+        for m, n in keys:
+            c_re, c_im, i_part = parts(m, n)
+            entries.append({"m": m, "n": n, "c": [c_re, c_im], "I": i_part})
         doc = {
             "fingerprint": table.fingerprint,
             "maxdeg": cfg.maxdeg,
             "precision_bits": table.precision_bits,
-            "entries": [
-                {"m": m, "n": n,
-                 "c": [mp.nstr(table.c(m, n).real, dps), mp.nstr(table.c(m, n).imag, dps)],
-                 "I": mp.nstr(table.real(m, n), dps)}
-                for m, n in keys
-            ],
+            "entries": entries,
         }
         payload = json.dumps(doc, indent=2) + "\n"
     _write_text(cfg.output, payload)

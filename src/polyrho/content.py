@@ -2,10 +2,14 @@
 
 Two independent paths compute the same number: a Hermitian Cholesky solve of
 the monomial Gram system, and Gram-Schmidt orthonormalization with termwise
-telescoping of the projection.  Their agreement is the built-in self-check;
-neither is trusted alone.  Monomial Gram matrices are catastrophically
-ill-conditioned in double precision for N beyond ~12, so everything here runs
-in mpmath arithmetic at the moments precision policy.
+telescoping of the projection.  Both read the table through build_gram and
+share no other arithmetic.  Their agreement is the built-in self-check;
+neither is trusted alone.  Both cost O(N^3): Gram-Schmidt keeps each basis
+polynomial's Gram product <z^i, p_j> instead of re-integrating p_j against
+the table for every projection.  orthonormality_residual does re-integrate,
+as the independent check of the basis.  Monomial Gram matrices are
+catastrophically ill-conditioned in double precision for N beyond ~12, so
+everything here runs in mpmath arithmetic at the moments precision policy.
 """
 
 from __future__ import annotations
@@ -154,39 +158,44 @@ def _poly_ip(pa, pb, table):
 
 def rho_n_telescoping(p: geometry.Polygon, n: int, precision_bits=None, table=None):
     """rho_N via Gram-Schmidt; returns (RhoResult, BergmanBasis, partials) where
-    partials[k] = rho_k for every k <= N (non-increasing)."""
+    partials[k] = rho_k for every k <= N (non-increasing).
+
+    Modified Gram-Schmidt on the monomials, O(N^3) in all: each finished p_j
+    keeps its Gram product u_j[i] = <z^i, p_j> (i <= N), so a projection
+    coefficient <q, p_j> = sum_i q_i u_j[i] costs O(k), and one product
+    v = G conj(q) per degree gives both ||q||^2 = sum_i q_i v_i and
+    u_k = v / ||q||.  No arithmetic is shared with the Cholesky path."""
     prec, table = _resolve(p, n, precision_bits, table)
-    if table.maxdeg < 2 * n + 2:
-        raise InsufficientMoments(
-            f"degree-{n} content needs moments to degree {2 * n + 2}, table has {table.maxdeg}")
+    gram = build_gram(table, n)
     dim = n + 1
     with mp.workprec(prec + 32):
-        target = table.c(1, 1).real
+        # rows[i][l] = c[i][l] = <z^i, z^l>; gram.matrix is its transpose
+        rows = list(zip(*gram.matrix))
         basis = []
+        products = []
         norms = []
         partials = []
         acc = mp.mpf(0)
         for k in range(dim):
             q = [mp.mpc(0)] * (k + 1)
             q[k] = mp.mpc(1)
-            for prev in basis:
-                r = _poly_ip(q, prev, table)
+            for prev, u in zip(basis, products):
+                r = mp.fdot(q, u)  # <q, p_j>; zip in fdot stops at len(q)
                 for j in range(len(prev)):
                     q[j] -= r * prev[j]
-            nrm2 = _poly_ip(q, q, table).real
+            v = [mp.fdot(row, q, conjugate=True) for row in rows]
+            nrm2 = mp.fdot(q, v).real
             if not nrm2 > 0:
                 raise GramNotPD(
                     f"Gram-Schmidt norm^2 of degree {k} is {mp.nstr(nrm2, 6)}; "
                     "precision exhausted")
             nrm = mp.sqrt(nrm2)
             basis.append([qi / nrm for qi in q])
+            products.append([vi / nrm for vi in v])
             norms.append(nrm)
             # <conj(z), p_k> = sum_j conj(p_k[j]) c[0][j+1]
-            t = mp.mpc(0)
-            for j, cj in enumerate(basis[-1]):
-                t += mp.conj(cj) * table.c(0, j + 1)
-            acc += abs(t) ** 2
-            partials.append(target - acc)
+            acc += abs(mp.fdot(gram.rhs, basis[-1], conjugate=True)) ** 2
+            partials.append(gram.target_norm - acc)
         value = partials[-1]
         if not value >= 0:
             raise GramNotPD(

@@ -104,6 +104,16 @@ def test_moments_json_stdout(capsys):
     assert abs(float(entries[(0, 0)]["I"]) - 1.0) < 1e-12
 
 
+def test_moments_prints_roundoff_zeros_as_zero(capsys):
+    # 5-fold symmetry makes c[m][n] vanish unless m = n (mod 5); at 256 bits
+    # the table holds c[0][1] as roundoff near 1e-91
+    assert run_cli("moments", "--family", "regular-ngon:5", "--maxdeg", "12") == 0
+    entries = {(e["m"], e["n"]): e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert entries[(0, 1)]["c"] == ["0", "0"]
+    assert entries[(0, 5)]["c"][1] == "0"
+    assert float(entries[(0, 5)]["c"][0]) > 1e-3
+
+
 def test_moments_output_ignores_cache_degree(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     assert run_cli("moments", "--family", "regular-ngon:3", "--maxdeg", "6",

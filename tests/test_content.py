@@ -53,6 +53,41 @@ def test_dual_paths_agree(any_polygon):
             assert abs(partials[k] - lower.value) <= tol * (1 + abs(lower.value))
 
 
+@pytest.mark.parametrize("n", [2, 10, 20])
+def test_equilateral_triangle_exact_value(n):
+    # the unit-area equilateral triangle has a cubic torsion function, so the
+    # projection of conj(z) is exact from degree 2 on: rho_N = sqrt(3)/15
+    tri = geometry.make_regular_ngon(3)
+    prec = moments.precision_for_degree(n)
+    table = moments.moment_table(tri, 2 * n + 2, prec)
+    direct = content.rho_n(tri, n, prec, table=table)
+    telescoped, _, partials = content.rho_n_telescoping(tri, n, prec, table=table)
+    with mp.workprec(prec + 32):
+        exact = mp.sqrt(3) / 15
+        # vertices are stored at 320 bits, which bounds the accuracy above that
+        tol = mp.mpf(2) ** (16 - min(prec, 320)) * exact
+        for value in (direct.value, telescoped.value, *partials[2:]):
+            assert abs(value - exact) <= tol
+
+
+@pytest.mark.parametrize("name, n", [("pentagon", 18), ("windmill-20", 12)])
+def test_telescoping_high_degree(name, n):
+    # windmill(20) at N=12 has condition estimate 8.5e25
+    poly = {
+        "pentagon": lambda: geometry.make_regular_ngon(5),
+        "windmill-20": lambda: geometry.make_windmill(20),
+    }[name]()
+    prec = moments.precision_for_degree(n)
+    table = moments.moment_table(poly, 2 * n + 2, prec)
+    _, basis, partials = content.rho_n_telescoping(poly, n, prec, table=table)
+    with mp.workprec(prec + 16):
+        tol = mp.mpf(2) ** (-(prec // 2))
+        for k in range(n + 1):
+            lower = content.rho_n(poly, k, prec, table=table).value
+            assert abs(partials[k] - lower) <= tol * (1 + abs(lower)), k
+    assert content.orthonormality_residual(basis, table) <= mp.mpf(2) ** (-(prec // 4))
+
+
 def test_partials_non_increasing(any_polygon):
     result, _, partials = content.rho_n_telescoping(any_polygon, 10)
     with mp.workprec(result.precision_bits + 16):
