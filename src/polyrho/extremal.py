@@ -1,9 +1,10 @@
 """Parameter sweeps and critical points of rho_N over the polygon families.
 
 Values are computed by content.rho_n; the closed forms in the sweep parameter
-live here as well.  Optimization is derivative-free: a coarse scan locates
-every interior local extremum, golden-section refines each one, and the
-classification comes from a second difference at the refined point.
+live here as well.  Critical points come from a coarse scan that brackets
+every interior local extremum and one Newton loop per bracket on
+central-difference derivatives, whose last second derivative gives the
+classification.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 _WORK_BITS = 288
+_NEWTON_CAP = 32  # Newton from a scan point settles in a few steps, not this many
 
 CLASS_LOCAL_MAX = "local-max"
 CLASS_LOCAL_MIN = "local-min"
@@ -188,32 +190,33 @@ def pentagon_grid(theta_range, phi_range, steps_per_axis: int, n: int,
     return _sweep(family, grid, n, precision_bits, parallelism)
 
 
-def _golden_max(f, a, b, tol):
-    invphi = (mp.sqrt(5) - 1) / 2
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
 def maximize_1d(family: geometry.FamilySpec, lo, hi, n: int, tol=1e-6,
                 steps: int = 33, precision_bits=None) -> CriticalPointReport:
     """Locate and classify every interior critical point of rho_N over one free
-    parameter: coarse scan, golden-section refinement of each interior
-    extremum, second-difference classification."""
+    parameter: a coarse scan of `steps` points brackets each interior extremum,
+    then one Newton loop per bracket, from its scan point, runs on central
+    differences with h = 2^-floor(p/3) at rho precision p (good to about 2p/3
+    bits).  `tol` bounds the last Newton step (floored at h^2; quadratic
+    convergence puts the point far closer).  The class is the sign of the last
+    f'' and first_derivative_residual is the last |f'|, taken before that step.
+    NoBracketFound: the scan finds no extremum, or an iterate leaves its
+    bracket or has not settled after a fixed number of steps."""
+    points = [CriticalPoint(float(x), CLASS_LOCAL_MAX if d2 < 0 else
+                            CLASS_LOCAL_MIN if d2 > 0 else CLASS_UNKNOWN, float(abs(d1)))
+              for x, d1, d2 in _newton_points(family, lo, hi, n, tol, steps, precision_bits)]
+    return CriticalPointReport(family, n, tuple(points))
+
+
+def _newton_points(family, lo, hi, n, tol, steps, precision_bits):
+    """maximize_1d's critical points as (x, f', f'') at working precision."""
     if len(family.free) != 1:
         raise ValueError(f"need exactly one free parameter, got {family.free}")
     if steps < 5:
         raise ValueError(f"coarse scan needs at least 5 steps, got {steps}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
     cache = {}
 
@@ -222,41 +225,37 @@ def maximize_1d(family: geometry.FamilySpec, lo, hi, n: int, tol=1e-6,
             cache[x] = content.rho_n(family.build(x), n, prec).value
         return cache[x]
 
-    with mp.workprec(_WORK_BITS):
-        tol = mp.mpf(tol)
+    # x, and the polygons built from it, carry 32 bits above rho's precision:
+    # at _WORK_BITS alone f'' turns to noise at high N (N=16 never settles)
+    with mp.workprec(max(_WORK_BITS, prec + 32)):
+        h = mp.ldexp(1, -(prec // 3))
+        stop = max(mp.mpf(tol), h * h)
         lo, hi = mp.mpf(float(lo)), mp.mpf(float(hi))
         xs = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
         ys = [f(x) for x in xs]
-        found = []
-        for i in range(1, steps - 1):
-            if ys[i] > ys[i - 1] and ys[i] > ys[i + 1]:
-                found.append((i, True))
-            elif ys[i] < ys[i - 1] and ys[i] < ys[i + 1]:
-                found.append((i, False))
+        found = [i for i in range(1, steps - 1)
+                 if (ys[i] - ys[i - 1]) * (ys[i] - ys[i + 1]) > 0]  # strict extrema
         if not found:
             raise NoBracketFound(
                 f"no interior extremum of rho_{n} in [{float(lo)}, {float(hi)}] "
                 f"at {steps} samples")
         points = []
-        for i, is_max in found:
-            # refine to tol/4 so the reported derivative residual sits below tol
-            if is_max:
-                x = _golden_max(f, xs[i - 1], xs[i + 1], tol / 4)
+        for i in found:
+            a, b, x = xs[i - 1], xs[i + 1], xs[i]
+            for _ in range(_NEWTON_CAP):
+                fm, f0, fp = f(x - h), f(x), f(x + h)
+                d1, d2 = (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / (h * h)
+                step = d1 / d2 if d2 else 0
+                x -= step
+                if not a <= x <= b:
+                    raise NoBracketFound(f"Newton on rho_{n} left [{float(a)}, {float(b)}]")
+                if abs(step) <= stop:
+                    break
             else:
-                x = _golden_max(lambda u: -f(u), xs[i - 1], xs[i + 1], tol / 4)
-            h = max(tol, mp.mpf("1e-8")) * 2
-            fm, f0, fp = f(x - h), f(x), f(x + h)
-            second = fp - 2 * f0 + fm
-            if second < 0:
-                kind = CLASS_LOCAL_MAX
-            elif second > 0:
-                kind = CLASS_LOCAL_MIN
-            else:
-                kind = CLASS_UNKNOWN
-            resid = abs(fp - fm) / (2 * h)
-            points.append(CriticalPoint(float(x), kind, float(resid)))
-        points.sort(key=lambda cp: cp.param)
-    return CriticalPointReport(family, n, tuple(points))
+                raise NoBracketFound(f"Newton on rho_{n} did not settle in "
+                                     f"[{float(a)}, {float(b)}] after {_NEWTON_CAP} steps")
+            points.append((x, d1, d2))
+    return sorted(points)
 
 
 # ---- sweep serialization ---------------------------------------------------------

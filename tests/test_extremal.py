@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp
 
-from polyrho import content, extremal, geometry
+from polyrho import content, extremal, geometry, moments
 from polyrho.errors import EmptyFeasibleSet, NoBracketFound, NonpositiveParameter
 
 
@@ -107,6 +109,131 @@ def test_maximize_finds_windmill_minimum():
     expected = float((mp.mpf(4) / 27) ** mp.mpf("0.25"))
     assert abs(cp.param - expected) < 1e-7
     assert cp.first_derivative_residual < 1e-6
+
+
+def _closed(expr):
+    with mp.workprec(320):
+        return expr()
+
+
+CLOSED_FORM_POINTS = [
+    # (family, lo, hi, N, expected critical point, expected sign of f'')
+    *[(geometry.FamilySpec("triangle-angle", (("theta", th),), ("a",)), 0.9, 2.8, n,
+       _closed(lambda th=th: mp.sqrt(2 / mp.sin(th))), -1)
+      for th in (0.8, 1.6) for n in (1, 2)],
+    (geometry.FamilySpec("triangle-base", (("a", 1.0),), ("lambda",)), -0.5, 1.5, 2,
+     mp.mpf("0.5"), -1),
+    (geometry.FamilySpec("windmill", (), ("a",)), 0.3, 1.5, 1,
+     _closed(lambda: (mp.mpf(4) / 27) ** mp.mpf("0.25")), 1),
+]
+
+
+@pytest.mark.parametrize("spec, lo, hi, n, expected, sign", CLOSED_FORM_POINTS)
+def test_newton_points_match_closed_forms_to_30_digits(spec, lo, hi, n, expected, sign):
+    points = extremal._newton_points(spec, lo, hi, n, 1e-30, 33, None)
+    x, d1, d2 = min(points, key=lambda pt: abs(pt[0] - expected))
+    with mp.workprec(320):
+        assert abs(x - expected) <= mp.mpf("1e-30") * expected
+    assert mp.sign(d2) == sign
+    assert abs(d1) <= mp.mpf("1e-30")
+
+
+def test_newton_points_keep_30_digits_above_work_bits():
+    # at N=16 rho runs at 448 bits: x must carry more than _WORK_BITS, or the
+    # second difference is noise and the loop does not settle
+    spec = geometry.FamilySpec("triangle-angle", (("theta", 1.6),), ("a",))
+    (x, _, d2), = extremal._newton_points(spec, 1.2, 1.7, 16, 1e-30, 5, None)
+    with mp.workprec(480):
+        assert abs(x - mp.sqrt(2 / mp.sin(mp.mpf(1.6)))) <= mp.mpf("1e-30")
+    assert d2 < 0
+
+
+def test_apex_bifurcation_maxima_to_30_digits():
+    spec = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    points = extremal._newton_points(spec, 0.0, 3.0, 2, 1e-30, 33, None)
+    assert [mp.sign(d2) for _, _, d2 in points] == [-1, 1, -1]
+    (left, _, _), (mid, _, _), (right, _, _) = points
+    with mp.workprec(320):
+        eps = mp.mpf("1e-30")
+        assert abs(left + right - 3) <= eps
+        assert abs(mid - mp.mpf("1.5")) <= eps
+        assert abs(left - mp.mpf("0.634918846502124432725511375701")) <= eps
+
+
+def test_maximize_rejects_bad_tol_and_range_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(content, "rho_n", lambda *args: calls.append(args))
+    spec = geometry.FamilySpec("triangle-base", (("a", 1.0),), ("lambda",))
+    for tol in (0, -1, float("nan")):
+        with pytest.raises(ValueError):
+            extremal.maximize_1d(spec, -0.5, 1.5, 1, tol=tol, steps=9)
+    spec3 = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    for lo, hi in ((3.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            extremal.maximize_1d(spec3, lo, hi, 2)
+    assert calls == []
+
+
+class _Curve:
+    """A one-parameter stand-in family whose "polygon" is its parameter, so a
+    patched content.rho_n can hand the Newton loop any curve."""
+    free = ("x",)
+
+    def build(self, x):
+        return x
+
+
+def test_newton_loop_guards(monkeypatch):
+    curve = {}
+    monkeypatch.setattr(content, "rho_n",
+                        lambda x, n, prec: SimpleNamespace(value=curve["g"](x)))
+
+    def points(g, tol=1e-6):
+        curve["g"] = g
+        return extremal.maximize_1d(_Curve(), -1, 1, 1, tol=tol, steps=5).points
+
+    # f'' exactly 0 at the scan point: the loop stops and cannot classify
+    (cp,) = points(lambda x: min(2 * x + 1, mp.mpf(0.5) - x))
+    assert (cp.param, cp.classification, cp.first_derivative_residual) == \
+        (0.0, extremal.CLASS_UNKNOWN, 1.0)
+    # a tol below what the differences resolve still ends at the h^2 floor,
+    # with noise of the size of rho_n's roundoff at 256 bits
+    (cp,) = points(lambda x: -(x - mp.mpf(1) / 3) ** 2 + mp.ldexp(mp.sin(x * 2 ** 100), -258),
+                   tol=1e-300)
+    assert cp.classification == extremal.CLASS_LOCAL_MAX
+    assert cp.param == pytest.approx(1 / 3, rel=1e-15)
+    # each step overshoots by a factor 4 until the iterate leaves [-0.5, 0.5]
+    with pytest.raises(NoBracketFound, match="left"):
+        points(lambda x: -abs(x - mp.mpf("0.1")) ** mp.mpf("1.2"))
+    # on a quartic Newton only gains a factor 2/3 per step
+    with pytest.raises(NoBracketFound, match="did not settle"):
+        points(lambda x: -(x - mp.mpf("0.1")) ** 4, tol=1e-12)
+
+
+@pytest.mark.parametrize("n, eigenvalues", [(2, (-0.404, -0.0426)), (5, (-0.289, -0.0305))])
+def test_regular_pentagon_is_strict_local_maximum(n, eigenvalues):
+    # gradient and Hessian of rho_N over the equilateral (theta, phi) pentagons
+    # at the regular one, from 7 evaluations with h = 2^(-p/4) radians
+    prec = moments.precision_for_degree(n)
+    with mp.workprec(prec + 64):
+        t0, h = 3 * mp.pi / 5, mp.ldexp(1, -(prec // 4))
+
+        def f(i, j):
+            poly = geometry.make_equilateral_pentagon(t0 + i * h, t0 + j * h)
+            return content.rho_n(poly, n, prec).value
+
+        f00, fp0, fm0, f0p, f0m = f(0, 0), f(1, 0), f(-1, 0), f(0, 1), f(0, -1)
+        fpp, fmm = f(1, 1), f(-1, -1)
+        grad = ((fp0 - fm0) / (2 * h), (f0p - f0m) / (2 * h))
+        hxx = (fp0 - 2 * f00 + fm0) / h ** 2
+        hyy = (f0p - 2 * f00 + f0m) / h ** 2
+        hxy = (fpp + fmm - fp0 - fm0 - f0p - f0m + 2 * f00) / (2 * h ** 2)
+        mean, rad = (hxx + hyy) / 2, mp.sqrt(((hxx - hyy) / 2) ** 2 + hxy ** 2)
+        low, high = mean - rad, mean + rad
+    assert max(abs(g) for g in grad) <= mp.mpf("1e-30")
+    assert low < 0 and high < 0
+    assert abs(low / eigenvalues[0] - 1) <= 0.01
+    assert abs(high / eigenvalues[1] - 1) <= 0.01
 
 
 def test_maximize_reports_no_bracket_on_monotone_stretch():
