@@ -14,12 +14,18 @@ bits; the recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|
 bits on top of the edge sum's cancellation of as many: under 10 bits in all in
 a polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
 budget, only a translated and rescaled frame helps.
+
+A moment_table builds its complex half and its real half each on the first
+read of that half, with the same arithmetic as an eager build.  The Gram
+solves read only complex moments and the closed forms for rho_1 and rho_2
+only real ones; cross_check, save_table and the moments subcommand read both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
 
@@ -57,14 +63,18 @@ def table_fingerprint(p: geometry.Polygon, precision_bits: int) -> str:
 class MomentTable:
     """All complex and real moments of one polygon up to total degree maxdeg.
 
-    Treated as immutable once built; safe to share across workers.
+    complex_entries and real_entries map (m, n) to c[m][n] and I[m][n].
+    moment_table gives each a mapping that builds the whole half on its first
+    read (any lookup, iteration or items()); len() does not build.  load_table
+    and dataclasses.replace may give plain dicts.  Treated as immutable once
+    built; safe to share across workers, built or not.
     """
 
     fingerprint: str
     maxdeg: int
     precision_bits: int
-    complex_entries: dict
-    real_entries: dict
+    complex_entries: Mapping
+    real_entries: Mapping
 
     def c(self, m: int, n: int):
         return self._entry(self.complex_entries, "c", m, n)
@@ -178,40 +188,79 @@ def real_moment(p: geometry.Polygon, m: int, n: int,
         return +val
 
 
-def moment_table(p: geometry.Polygon, maxdeg: int,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> MomentTable:
-    """All c[m][n] and I[m][n] with m + n <= maxdeg.
+def _table_keys(maxdeg: int, kind: str):
+    """The keys a half computes: m >= n for "c", whose other keys are filled
+    by conjugation; every key for "I"."""
+    if kind == "c":
+        return [(m, n) for m in range(maxdeg + 1) for n in range(min(m, maxdeg - m) + 1)]
+    return [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
 
-    Complex entries are computed for m >= n and filled by conjugation, so
-    Hermitian symmetry holds exactly.
-    """
-    if maxdeg < 2:
-        raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
-    _check_precision(precision_bits)
-    complex_keys = [(m, n) for m in range(maxdeg + 1)
-                    for n in range(min(m, maxdeg - m) + 1)]
-    real_keys = [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
+
+def _build_half(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
+    """Every c[m][n] (kind "c") or I[m][n] (kind "I") with m + n <= maxdeg.
+    Both precisions are set here, so the bits do not depend on the caller's
+    context."""
+    edges = _complex_edges if kind == "c" else _real_edges
     with mp.workprec(precision_bits + maxdeg + 32):
-        acc_c = _edge_sums(_complex_edges(p), complex_keys)
-        acc_r = _edge_sums(_real_edges(p), real_keys)
-
-    complex_entries = {}
-    real_entries = {}
+        acc = _edge_sums(edges(p), _table_keys(maxdeg, kind))
     with mp.workprec(precision_bits):
-        for (m, n), val in acc_c.items():
+        if kind == "I":
+            return {(m, n): +(-val / (n + 1)) for (m, n), val in acc.items()}
+        entries = {}
+        for (m, n), val in acc.items():
             c = +(val / (mp.mpc(0, 2) * (n + 1)))
             if m == n:
                 # c[m][m] is a squared norm; dropping the roundoff imaginary
                 # part is the exact Hermitian average (c + conj(c)) / 2
                 c = mp.mpc(c.real)
-            complex_entries[(m, n)] = c
+            entries[(m, n)] = c
             if m != n:
-                complex_entries[(n, m)] = mp.conj(c)
-        for (m, n), val in acc_r.items():
-            real_entries[(m, n)] = +(-val / (n + 1))
+                entries[(n, m)] = mp.conj(c)
+        return entries
 
-    return MomentTable(table_fingerprint(p, precision_bits), maxdeg,
-                       precision_bits, complex_entries, real_entries)
+
+class _DeferredHalf(Mapping):
+    """One half of a moment table, built by _build_half on its first read.
+
+    Holds the polygon and the table's parameters, not a closure, so a table
+    pickles before and after the build.  len() answers from maxdeg without
+    building."""
+
+    def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str):
+        self._args = (p, maxdeg, precision_bits, kind)
+        self._entries = None
+
+    def _built(self) -> dict:
+        if self._entries is None:
+            self._entries = _build_half(*self._args)
+        return self._entries
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        maxdeg = self._args[1]
+        return (maxdeg + 1) * (maxdeg + 2) // 2
+
+
+def moment_table(p: geometry.Polygon, maxdeg: int,
+                 precision_bits: int = DEFAULT_PRECISION_BITS) -> MomentTable:
+    """All c[m][n] and I[m][n] with m + n <= maxdeg.
+
+    Arguments are checked here; each half is built on its first read, so the
+    Gram paths never build real moments and the real closed forms never build
+    complex ones.  Complex entries are computed for m >= n and filled by
+    conjugation, so Hermitian symmetry holds exactly.
+    """
+    if maxdeg < 2:
+        raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
+    _check_precision(precision_bits)
+    return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
+                       _DeferredHalf(p, maxdeg, precision_bits, "c"),
+                       _DeferredHalf(p, maxdeg, precision_bits, "I"))
 
 
 def cross_check(t: MomentTable):
@@ -269,11 +318,19 @@ def save_table(t: MomentTable, path) -> None:
 
 
 def load_table(path) -> MomentTable:
+    """Read a table written by save_table.  ValueError unless the file holds
+    exactly the keys of its maxdeg: complex m >= n and every real key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported moment cache version in {path}")
     precision_bits = int(doc["precision_bits"])
+    maxdeg = int(doc["maxdeg"])
+    for kind, section in (("c", "complex"), ("I", "real")):
+        stored = {tuple(int(s) for s in key.split(",")) for key in doc[section]}
+        if stored != set(_table_keys(maxdeg, kind)):
+            raise ValueError(
+                f"{section} moments in {path} are not the keys of maxdeg {maxdeg}")
     complex_entries = {}
     real_entries = {}
     # mpc construction and conj round at context precision, so reconstruct
@@ -288,5 +345,5 @@ def load_table(path) -> MomentTable:
         for key, rec in doc["real"].items():
             m, n = (int(s) for s in key.split(","))
             real_entries[(m, n)] = _num_from_json(rec)
-    return MomentTable(doc["fingerprint"], int(doc["maxdeg"]),
-                       precision_bits, complex_entries, real_entries)
+    return MomentTable(doc["fingerprint"], maxdeg, precision_bits,
+                       complex_entries, real_entries)

@@ -206,6 +206,20 @@ def test_exit_codes_for_bad_input(tmp_path):
     nan_file = tmp_path / "nan.txt"
     nan_file.write_text("0 0\n1 0\nnan 1\n")
     assert run_cli("rho", "--polygon", str(nan_file), "--n", "1") == 2
+    # a moment cache must hold every key its maxdeg promises
+    cache = tmp_path / "c.json"
+    assert run_cli("moments", "--family", "windmill:2", "--maxdeg", "8",
+                   "--moment-cache", str(cache), "--output", str(tmp_path / "m8.json")) == 0
+    saved = json.loads(cache.read_text())
+    cache.write_text(json.dumps(dict(saved, maxdeg=20)))
+    assert run_cli("moments", "--family", "windmill:2", "--maxdeg", "10",
+                   "--moment-cache", str(cache), "--output", str(tmp_path / "m.json")) == 2
+    assert run_cli("rho", "--family", "windmill:2", "--n", "5",
+                   "--moment-cache", str(cache)) == 2
+    saved["complex"].pop("3,1")
+    cache.write_text(json.dumps(saved))
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 2
 
 
 def test_exit_code_for_numerical_failure():

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import pickle
 
 import pytest
 from mpmath import mp
 
-from polyrho import geometry, moments
+from polyrho import cli, content, extremal, geometry, moments
 from polyrho.errors import InsufficientMoments, PrecisionTooLow
 
 
@@ -67,6 +68,91 @@ def test_table_matches_binomial_reference_entrywise(name):
             for (m, n), val in entries.items():
                 ref = single(poly, m, n, bits)
                 assert abs(val - ref) <= mp.mpf(2) ** (32 - bits) * scale[m + n], (m, n)
+
+
+def _eager_reference(p, maxdeg, bits):
+    """Both halves built as one eager pass: the edge sums for both kinds at
+    bits + maxdeg + 32, then the prefactors and the conjugate fill at bits."""
+    ckeys = [(m, n) for m in range(maxdeg + 1) for n in range(min(m, maxdeg - m) + 1)]
+    rkeys = [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
+    with mp.workprec(bits + maxdeg + 32):
+        acc_c = moments._edge_sums(moments._complex_edges(p), ckeys)
+        acc_r = moments._edge_sums(moments._real_edges(p), rkeys)
+    complex_entries, real_entries = {}, {}
+    with mp.workprec(bits):
+        for (m, n), val in acc_c.items():
+            c = +(val / (mp.mpc(0, 2) * (n + 1)))
+            if m == n:
+                c = mp.mpc(c.real)
+            complex_entries[(m, n)] = c
+            if m != n:
+                complex_entries[(n, m)] = mp.conj(c)
+        for (m, n), val in acc_r.items():
+            real_entries[(m, n)] = +(-val / (n + 1))
+    return moments.MomentTable(moments.table_fingerprint(p, bits), maxdeg, bits,
+                               complex_entries, real_entries)
+
+
+def _raw(entries):
+    return [(key, val._mpc_ if isinstance(val, mp.mpc) else val._mpf_)
+            for key, val in entries.items()]
+
+
+@pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
+@pytest.mark.parametrize("name", ["pentagon", "far-triangle", "windmill-20"])
+def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg, bits):
+    poly = {
+        "pentagon": lambda: geometry.make_regular_ngon(5),
+        "far-triangle": lambda: geometry.polygon_new(
+            [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+        "windmill-20": lambda: geometry.make_windmill(20),
+    }[name]()
+    ref = _eager_reference(poly, maxdeg, bits)
+    for first_read_bits in (64, None, 4000):
+        t = moments.moment_table(poly, maxdeg, bits)
+        assert len(t.complex_entries) == len(t.real_entries) == len(ref.real_entries)
+        with mp.workprec(first_read_bits or mp.prec):  # None: the caller's context
+            t.c(0, 0)
+            t.real(0, 0)
+        assert _raw(t.complex_entries) == _raw(ref.complex_entries)
+        assert _raw(t.real_entries) == _raw(ref.real_entries)
+
+    back = pickle.loads(pickle.dumps(moments.moment_table(poly, maxdeg, bits)))
+    assert _raw(back.complex_entries) == _raw(ref.complex_entries)
+    assert _raw(back.real_entries) == _raw(ref.real_entries)
+
+    paths = [tmp_path / f"{kind}.json" for kind in ("unread", "read", "eager")]
+    moments.save_table(moments.moment_table(poly, maxdeg, bits), paths[0])
+    read = moments.moment_table(poly, maxdeg, bits)
+    for half in (read.complex_entries, read.real_entries):
+        dict(half)
+    moments.save_table(read, paths[1])
+    moments.save_table(ref, paths[2])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def _forbid(monkeypatch, kernel):
+    def refuse(p):
+        raise AssertionError(f"moments.{kernel} called")
+    monkeypatch.setattr(moments, kernel, refuse)
+
+
+def test_gram_paths_build_no_real_moments(monkeypatch, capsys, pentagon):
+    _forbid(monkeypatch, "_real_edges")
+    assert len(moments.moment_table(pentagon, 6).real_entries) == 28
+    content.rho_n(pentagon, 3)
+    content.rho_n_telescoping(pentagon, 3)
+    spec = geometry.FamilySpec("windmill", (), ("a",))
+    assert all(v is not None for v in extremal.sweep_family(spec, 0.5, 1.5, 3, 1).values)
+    assert len(extremal.maximize_1d(spec, 0.3, 1.5, 1, steps=5).points) == 1
+    assert cli.main(["rho", "--family", "regular-ngon:5", "--n", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_closed_forms_build_no_complex_moments(monkeypatch, square):
+    _forbid(monkeypatch, "_complex_edges")
+    content.rho1_closed(square)
+    content.rho2_closed(square)
 
 
 def test_hermitian_symmetry_is_exact(triangle):
@@ -159,6 +245,24 @@ def test_cache_rejects_unknown_version(tmp_path, square):
     doc["version"] = 999
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        moments.load_table(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(maxdeg=20),
+    lambda doc: doc.update(maxdeg=6),
+    lambda doc: doc["complex"].pop("3,1"),
+    lambda doc: doc["real"].pop("0,8"),
+    lambda doc: doc["complex"].update({"1,3": doc["complex"]["3,1"]}),
+], ids=["maxdeg-raised", "maxdeg-lowered", "complex-key-missing", "real-key-missing",
+        "complex-key-with-m-below-n"])
+def test_cache_rejects_keys_other_than_its_maxdeg(tmp_path, square, edit):
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(square, 8), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not the keys of maxdeg"):
         moments.load_table(path)
 
 
