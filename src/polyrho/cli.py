@@ -84,7 +84,7 @@ def _get_table(poly, maxdeg, prec, cache_path):
     if cache_path and os.path.exists(cache_path):
         try:
             cached = moments.load_table(cache_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"unreadable moment cache {cache_path}: {exc}") from exc
         if (cached.fingerprint == moments.table_fingerprint(poly, prec)
                 and cached.maxdeg >= maxdeg

@@ -15,6 +15,11 @@ bits on top of the edge sum's cancellation of as many: under 10 bits in all in
 a polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
 budget, only a translated and rescaled frame helps.
 
+The table kernel makes no mpmath number per product: it scales the polygon by
+a power of two into the square (-1, 1)^2 and runs in fixed-point Python ints,
+with maxdeg + 10 bits above the working precision, because a degree-d
+monomial of the scaled coordinates can be 2^-d of the largest one.
+
 A moment_table builds its complex half and its real half each on the first
 read of that half, with the same arithmetic as an eager build.  The Gram
 solves read only complex moments and the closed forms for rho_1 and rho_2
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from math import comb
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero
 
 from . import geometry
 from .errors import InsufficientMoments, PrecisionTooLow
@@ -37,6 +43,7 @@ from .errors import InsufficientMoments, PrecisionTooLow
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
 CACHE_FORMAT_VERSION = 1
+_GUARD_BITS = 8  # of the fixed-point scale in _edge_sums
 
 
 def precision_for_degree(n: int) -> int:
@@ -131,35 +138,131 @@ def _edge_sum(edges, m: int, n: int):
     return acc
 
 
+def _parts(x):
+    """The raw (real, imaginary) mpf tuples of an mpf or mpc."""
+    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
+
+
+def _fixed(raw, shift):
+    """A raw mpf tuple times 2^shift, truncated to an int."""
+    sign, man, exp, _ = raw
+    exp += shift
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
+
+
+def _exact(man, exp):
+    """The raw mpf man * 2^exp, unrounded.  Trailing zero bits are stripped
+    here in one shift; from_man_exp strips them a byte at a time."""
+    if man:
+        zeros = (man & -man).bit_length() - 1
+        man, exp = man >> zeros, exp + zeros
+    return from_man_exp(man, exp)
+
+
+def _monomials(ar, ai, br, bi, deg, w):
+    """rows[d][b] = A^(d-b) B^b for d <= deg as (re, im) ints at scale 2^w,
+    for A = ar + i ai and B = br + i bi at that scale."""
+    def powers(xr, xi, count):
+        out = [(1 << w, 0)]
+        for _ in range(count):
+            ur, ui = out[-1]
+            out.append(((ur * xr - ui * xi) >> w, (ur * xi + ui * xr) >> w))
+        return out
+
+    apow = powers(ar, ai, deg)
+    rows = []
+    if br == ar and bi == -ai:
+        # B = conj(A), as at every vertex of a complex table: the first half
+        # of a row is |A|^(2b) A^(d-2b), the rest their conjugates
+        npow = powers((ar * ar + ai * ai) >> w, 0, deg // 2)
+        for d in range(deg + 1):
+            row = [(ur * nr >> w, ui * nr >> w) for (ur, ui), (nr, _) in zip(apow[d::-2], npow)]
+            row += [(ur, -ui) for ur, ui in reversed(row[:(d + 1) // 2])]
+            rows.append(row)
+        return rows
+    bpow = powers(br, bi, deg)
+    for d in range(deg + 1):
+        row = []
+        for b in range(d + 1):
+            (ur, ui), (vr, vi) = apow[d - b], bpow[b]
+            row.append(((ur * vr - ui * vi) >> w, (ur * vi + ui * vr) >> w))
+        rows.append(row)
+    return rows
+
+
 def _edge_sums(edges, keys):
     """The edge sum for every (m, n) in keys, O(1) per entry per edge.  With
     A = a0 + t da, B = b0 + t db and J(a, b) = integral_0^1 A^a B^b dt,
         (a+1) da J(a, b) + b db J(a+1, b-1) = [A^(a+1) B^b]
     between the edge's endpoints.  Each anti-diagonal a + b = s is walked from
     J(s, 0), or from J(0, s) with A and B swapped if |db| > |da|; an error in
-    the first entry reaches the k-th times r^k / C(s, k), r = min/max(|da|, |db|)."""
+    the first entry reaches the k-th times r^k / C(s, k), r = min/max(|da|, |db|).
+
+    The arithmetic is in ints, with complex values as (re, im) pairs.
+    Coordinates are divided by 2^e, e the mpf exponent of the largest vertex
+    coordinate, so each lies in (-1, 1), and held at scale 2^w, where
+    w = mp.prec + top + 1 + _GUARD_BITS and top + 1 is the highest monomial
+    degree.  A power-of-two scale can leave the largest coordinate as small
+    as 1/2, so a degree-d value as small as 2^-d, and the top + 1 extra bits
+    keep mp.prec bits of it.  Each vertex's monomials are built once for the
+    two edges that meet there, so edges must form a closed chain, as
+    _complex_edges and _real_edges build them: da and db are taken as the
+    differences of consecutive vertices.  The sums are returned as exact mpf
+    values, mpc for complex edges."""
     top = max(m + n for m, n in keys) + 1
-    reach = [0] * (top + 1)  # the farthest b = n + 1 on each anti-diagonal
+    on_diag = [[] for _ in range(top + 1)]  # the keys read from each anti-diagonal
     for m, n in keys:
-        reach[m + n + 1] = max(reach[m + n + 1], n + 1)
-    acc = dict.fromkeys(keys, 0)
-    for a0, da, b0, db in edges:
-        swap = abs(db) > abs(da)
-        p0, dp, q0, dq = (b0, db, a0, da) if swap else (a0, da, b0, db)
-        pw0, pw1, qw0, qw1 = (_powers(x, top + 1) for x in (p0, p0 + dp, q0, q0 + dq))
-        step = [j * dq for j in range(top + 1)]
-        inv = [1 / (i * dp) for i in range(1, top + 2)]
-        J = {}
+        on_diag[m + n + 1].append((m, n))
+    reach = [max((n + 1 for _, n in ks), default=0) for ks in on_diag]
+
+    raws = [(*_parts(a0), *_parts(b0)) for a0, _, b0, _ in edges]
+    e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
+    w = mp.prec + top + 1 + _GUARD_BITS
+    verts = [tuple(_fixed(raw, w - e) for raw in vertex) for vertex in raws]
+
+    acc = {key: [0, 0] for key in keys}
+    end = _monomials(*verts[0], top + 1, w)
+    for k, (ar, ai, br, bi) in enumerate(verts):
+        cr, ci, dr, di = nxt = verts[(k + 1) % len(verts)]
+        start = end  # dropped before the next table is built: two alive at once
+        end = _monomials(*nxt, top + 1, w)
+        dar, dai, dbr, dbi = cr - ar, ci - ai, dr - br, di - bi
+        swap = dbr * dbr + dbi * dbi > dar * dar + dai * dai
+        pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)
+        norm = pr * pr + pi * pi
+        # the walk runs on L = dp J, so that (i+1) L(i, j) + j r L(i+1, j-1)
+        # = [P^(i+1) Q^j] with r = dq / dp; da J is L, or r L when swapped
+        rr, ri = ((qr * pr + qi * pi) << w) // norm, ((qi * pr - qr * pi) << w) // norm
         for s in range(1, top + 1):
-            prev = 0  # from the J(0, s) end, keys need every a = m < s
+            row0, row1 = start[s + 1], end[s + 1]
+            diag = [None] * (s + 1)  # L on this anti-diagonal, by B's exponent
+            xr = xi = 0
             for j in range(s if swap else reach[s] + 1):
                 i = s - j
-                prev = (pw1[i + 1] * qw1[j] - pw0[i + 1] * qw0[j]
-                        - step[j] * prev) * inv[i]
-                J[(j, i) if swap else (i, j)] = prev
-        for m, n in keys:
-            acc[(m, n)] += da * J[(m, n + 1)]
-    return acc
+                b = s + 1 - j if swap else j  # B's exponent in [P^(i+1) Q^j]
+                (ur, ui), (vr, vi) = row1[b], row0[b]
+                er, ei = ur - vr, ui - vi
+                if j:
+                    er -= j * (rr * xr - ri * xi) >> w
+                    ei -= j * (rr * xi + ri * xr) >> w
+                xr, xi = er // (i + 1), ei // (i + 1)
+                diag[i if swap else j] = (xr, xi)
+            for key in on_diag[s]:
+                ur, ui = diag[key[1] + 1]
+                if swap:
+                    ur, ui = (rr * ur - ri * ui) >> w, (rr * ui + ri * ur) >> w
+                total = acc[key]
+                total[0] += ur
+                total[1] += ui
+
+    out = {}
+    as_complex = isinstance(edges[0][0], mp.mpc)
+    for (m, n), (re, im) in acc.items():
+        exp = e * (m + n + 2) - w
+        out[(m, n)] = (mp.make_mpc((_exact(re, exp), _exact(im, exp)))
+                       if as_complex else mp.make_mpf(_exact(re, exp)))
+    return out
 
 
 def complex_moment(p: geometry.Polygon, m: int, n: int,
@@ -289,8 +392,14 @@ def _num_to_json(x):
 
 
 def _num_from_json(rec):
+    """The number _num_to_json wrote; ValueError for any other record."""
+    if not (isinstance(rec, list) and len(rec) == 3 and rec[0] in (0, 1)
+            and isinstance(rec[1], str) and isinstance(rec[2], int)):
+        raise ValueError(f"not a (sign, hex mantissa, exponent) record: {rec!r}")
     sign, man_hex, exp = rec
     man = int(man_hex, 16)
+    if man < 0:
+        raise ValueError(f"negative mantissa in {rec!r}")
     with mp.workprec(max(man.bit_length() + 8, 64)):
         val = mp.ldexp(mp.mpf(man), int(exp))
     return -val if sign else val
@@ -318,14 +427,18 @@ def save_table(t: MomentTable, path) -> None:
 
 
 def load_table(path) -> MomentTable:
-    """Read a table written by save_table.  ValueError unless the file holds
-    exactly the keys of its maxdeg: complex m >= n and every real key."""
+    """Read a table written by save_table.  ValueError for any malformed
+    record, and unless the file holds exactly the keys of its maxdeg: complex
+    m >= n and every real key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != CACHE_FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported moment cache version in {path}")
-    precision_bits = int(doc["precision_bits"])
-    maxdeg = int(doc["maxdeg"])
+    precision_bits, maxdeg = doc.get("precision_bits"), doc.get("maxdeg")
+    if not (isinstance(doc.get("fingerprint"), str) and isinstance(precision_bits, int)
+            and isinstance(maxdeg, int) and isinstance(doc.get("complex"), dict)
+            and isinstance(doc.get("real"), dict)):
+        raise ValueError(f"malformed moment cache header in {path}")
     for kind, section in (("c", "complex"), ("I", "real")):
         stored = {tuple(int(s) for s in key.split(",")) for key in doc[section]}
         if stored != set(_table_keys(maxdeg, kind)):
@@ -336,9 +449,11 @@ def load_table(path) -> MomentTable:
     # mpc construction and conj round at context precision, so reconstruct
     # above the precision the entries were stored with
     with mp.workprec(precision_bits + 16):
-        for key, (re_rec, im_rec) in doc["complex"].items():
+        for key, pair in doc["complex"].items():
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"complex moment {key} in {path} is not a (re, im) pair")
             m, n = (int(s) for s in key.split(","))
-            val = mp.mpc(_num_from_json(re_rec), _num_from_json(im_rec))
+            val = mp.mpc(*(_num_from_json(rec) for rec in pair))
             complex_entries[(m, n)] = val
             if m != n:
                 complex_entries[(n, m)] = mp.conj(val)

@@ -220,6 +220,14 @@ def test_exit_codes_for_bad_input(tmp_path):
     cache.write_text(json.dumps(saved))
     assert run_cli("rho", "--family", "windmill:2", "--n", "3",
                    "--moment-cache", str(cache)) == 2
+    # and every value must have the type save_table writes
+    saved["complex"]["3,1"] = [0, "0x1"]
+    cache.write_text(json.dumps(saved))
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 2
+    cache.write_text(json.dumps(dict(saved, real=5)))
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 2
 
 
 def test_exit_code_for_numerical_failure():
@@ -288,3 +296,51 @@ def test_console_script_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "rho_1 = " in proc.stdout
+
+
+# Output files written by the mpmath table kernel that the fixed-point kernel
+# replaced; a table that moved by more than roundoff changes these bytes.
+PINNED_PENTAGON_18 = (
+    '{\n  "value": "0.14943594794924107489416219167409492808635575149212168524352536'
+    '426149454352680313809892420293364008477959203751651793539637585541675660522341'
+    '778823798",\n  "n": 18,\n  "precision_bits": 496,\n'
+    '  "condition_estimate": 7548785467.371008,\n  "certified_digits": 149,\n'
+    '  "methods": [\n    "gram-cholesky",\n    "gram-schmidt-telescoping"\n  ]\n}\n')
+PINNED_WINDMILL_12 = (
+    '{\n  "value": "0.03045599621190166941080754412659628903149316650267672568595978'
+    '23906064488211935939717761176444654304237837",\n  "n": 12,\n'
+    '  "precision_bits": 352,\n  "condition_estimate": 134.41698137877148,\n'
+    '  "certified_digits": 105,\n'
+    '  "methods": [\n    "gram-cholesky",\n    "gram-schmidt-telescoping"\n  ]\n}\n')
+PINNED_SWEEP_ROWS = [
+    "param1,param2,rho_N,feasible",
+    "0.1,,0.0664494443903258,true", "0.2,,0.06792064045789739,true",
+    "0.3,,0.069080123974194,true", "0.4,,0.06991410891484497,true",
+    "0.5,,0.07042835618556763,true", "0.6,,0.07064809871968213,true",
+    "0.7,,0.07061555472552375,true", "0.8,,0.0703855375844103,true",
+    "0.8999999999999999,,0.07002001878655299,true",
+    "0.9999999999999999,,0.06958257338518187,true", "1.1,,0.06913345917398961,true",
+    "1.2,,0.06872576172177744,true", "1.3,,0.0684027080565984,true",
+    "1.4,,0.0681960068073703,true", "1.5000000000000002,,0.06812495029526189,true",
+    "1.6,,0.0681960068073703,true", "1.7,,0.0684027080565984,true",
+    "1.8,,0.06872576172177744,true", "1.9,,0.06913345917398961,true",
+    "2.0,,0.06958257338518187,true", "2.1,,0.07002001878655299,true",
+    "2.2,,0.0703855375844103,true", "2.3,,0.07061555472552375,true",
+    "2.4000000000000004,,0.07064809871968213,true", "2.5,,0.07042835618556763,true",
+    "2.6,,0.06991410891484497,true", "2.6999999999999997,,0.069080123974194,true",
+    "2.8,,0.0679206404578974,true", "2.9000000000000004,,0.0664494443903258,true",
+    "3.0,,0.06469754933525246,true",
+]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("rho", "--family", "regular-ngon:5", "--n", "18"), PINNED_PENTAGON_18),
+    (("rho", "--family", "windmill:2", "--n", "12"), PINNED_WINDMILL_12),
+    (("sweep", "--family", "triangle-base:3", "--param", "lambda", "--range", "0.1:3",
+      "--steps", "30", "--n", "2"), "\r\n".join(PINNED_SWEEP_ROWS) + "\r\n"),
+], ids=["rho-pentagon-18", "rho-windmill-12", "sweep-triangle-base"])
+def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--output", str(out)) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()

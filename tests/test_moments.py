@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import pickle
+import random
 
 import pytest
 from mpmath import mp
@@ -62,12 +64,125 @@ def test_table_matches_binomial_reference_entrywise(name):
     with mp.workprec(bits + 64):
         for entries, single in ((t.complex_entries, moments.complex_moment),
                                 (t.real_entries, moments.real_moment)):
-            scale = {}
-            for (m, n), val in entries.items():
-                scale[m + n] = max(scale.get(m + n, 1), abs(val))
+            scale = _diagonal_scales(entries)
             for (m, n), val in entries.items():
                 ref = single(poly, m, n, bits)
                 assert abs(val - ref) <= mp.mpf(2) ** (32 - bits) * scale[m + n], (m, n)
+
+
+@functools.cache
+def _gauss_legendre_01(count, prec):
+    """The count-node Gauss-Legendre rule on [0, 1], exact for polynomials of
+    degree below 2 count."""
+    with mp.workprec(prec):
+        nodes, weights = mp.gauss_quadrature(count, "legendre")
+        return [((1 + x) / 2, wt / 2) for x, wt in zip(nodes, weights)]
+
+
+def _quadrature_moments(p, keys, maxdeg, bits):
+    """c[m][n] (m >= n) and I[m][n] for keys, each edge integral by a
+    Gauss-Legendre rule exact for its degree-(m+n+1) integrand: a reference
+    that shares no arithmetic with the recurrence or the binomial expansion,
+    and costs O(1) per entry and node."""
+    refs = {}
+    with mp.workprec(bits + 64):
+        nodes = _gauss_legendre_01((maxdeg + 3) // 2, mp.prec)
+        for kind, edges in (("c", moments._complex_edges(p)), ("I", moments._real_edges(p))):
+            kind_keys = [(m, n) for m, n in keys if kind == "I" or m >= n]
+            sums = dict.fromkeys(kind_keys, 0)
+            for a0, da, b0, db in edges:
+                rows_a, rows_b = [], []  # wt da A^m and B^(n+1) at each node
+                for t, wt in nodes:
+                    a, b = a0 + t * da, b0 + t * db
+                    rows_a.append([wt * da])
+                    rows_b.append([b])
+                    for _ in range(maxdeg):
+                        rows_a[-1].append(rows_a[-1][-1] * a)
+                        rows_b[-1].append(rows_b[-1][-1] * b)
+                cols_a, cols_b = list(zip(*rows_a)), list(zip(*rows_b))
+                for m, n in kind_keys:
+                    sums[(m, n)] += mp.fdot(cols_a[m], cols_b[n])
+            refs[kind] = {(m, n): val / (mp.mpc(0, 2) * (n + 1)) if kind == "c"
+                          else -val / (n + 1) for (m, n), val in sums.items()}
+    return refs
+
+
+def _diagonal_scales(entries):
+    """max(|largest entry on the anti-diagonal m + n|, 1), by m + n."""
+    scale = {}
+    for (m, n), val in entries.items():
+        scale[m + n] = max(scale.get(m + n, 1), abs(val))
+    return scale
+
+
+_POLYGONS = {
+    "square-2": lambda: geometry.polygon_new([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
+    "windmill-2": lambda: geometry.make_windmill(2),
+    "windmill-20": lambda: geometry.make_windmill(20),
+    "far-triangle": lambda: geometry.polygon_new(
+        [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+    "star-8": lambda: geometry.random_star_polygon(8, seed=3),
+}
+
+
+@pytest.mark.parametrize("maxdeg,bits", [(38, 496), (68, 856)])
+@pytest.mark.parametrize("name", ["far-triangle", "windmill-20", "star-8"])
+def test_table_matches_references_at_policy_degrees(name, maxdeg, bits):
+    # the degrees and precisions precision_for_degree gives N = 18 and N = 33
+    poly = _POLYGONS[name]()
+    t = moments.moment_table(poly, maxdeg, bits)
+    top = [(m, s - m) for s in (maxdeg - 1, maxdeg) for m in range(s + 1)]
+    interior = random.Random(maxdeg).sample(
+        [(m, n) for m in range(maxdeg - 1) for n in range(maxdeg - 1 - m)], 3)
+    refs = _quadrature_moments(poly, top + interior, maxdeg, bits)
+    with mp.workprec(bits + 64):
+        for entries, single, ref in ((t.complex_entries, moments.complex_moment, refs["c"]),
+                                     (t.real_entries, moments.real_moment, refs["I"])):
+            scale = _diagonal_scales(entries)
+            for (m, n), val in ref.items():
+                bound = mp.mpf(2) ** (32 - bits) * scale[m + n]
+                assert abs(entries[(m, n)] - val) <= bound, (m, n)
+            for m, n in interior:
+                bound = mp.mpf(2) ** (32 - bits) * scale[m + n]
+                assert abs(entries[(m, n)] - single(poly, m, n, bits)) <= bound, (m, n)
+
+
+def test_edge_sums_keep_the_working_precision_as_monomials_decay():
+    # the largest coordinate, 0.51, scales to itself, so a degree-d monomial
+    # is about 2^-d of the largest; the kernel's edge sums must still carry
+    # mp.prec bits less the edge sum's own cancellation, about 20 bits here
+    poly = geometry.polygon_new([(-0.51, -0.3), (0.5, -0.45), (0.2, 0.51), (-0.4, 0.35)])
+    maxdeg, prec = 68, 256
+    top = [(m, maxdeg - m) for m in range(maxdeg + 1)]
+    refs = _quadrature_moments(poly, top, maxdeg, prec)
+    for kind, edges in (("c", moments._complex_edges), ("I", moments._real_edges)):
+        with mp.workprec(prec):
+            sums = moments._edge_sums(edges(poly), list(refs[kind]))
+        with mp.workprec(prec + 64):
+            bound = mp.mpf(2) ** (32 - prec) * max(abs(val) for val in refs[kind].values())
+            for (m, n), val in sums.items():
+                val = val / (mp.mpc(0, 2) * (n + 1)) if kind == "c" else -val / (n + 1)
+                assert abs(val - refs[kind][(m, n)]) <= bound, (kind, m, n)
+
+
+@pytest.mark.parametrize("s", [mp.mpf(2) ** -30, 1e-6, 1e6, mp.mpf(2) ** 30],
+                         ids=["2^-30", "1e-6", "1e6", "2^30"])
+@pytest.mark.parametrize("name", ["square-2", "windmill-2", "far-triangle"])
+def test_table_scales_with_the_polygon(name, s):
+    # c[m][n] and I[m][n] of s P are s^(m+n+2) times those of P; the square's
+    # largest coordinate, 1, is a power of two, as is s * 1 for s = 2^+-30
+    poly = _POLYGONS[name]()
+    bits, maxdeg = 256, 16
+    t = moments.moment_table(poly, maxdeg, bits)
+    scaled = moments.moment_table(geometry.scale(poly, s), maxdeg, bits)
+    with mp.workprec(bits + 64):
+        s = mp.mpf(s)
+        for entries, scaled_entries in ((t.complex_entries, scaled.complex_entries),
+                                        (t.real_entries, scaled.real_entries)):
+            scale = _diagonal_scales(entries)
+            for (m, n), val in entries.items():
+                bound = mp.mpf(2) ** (32 - bits) * scale[m + n]
+                assert abs(scaled_entries[(m, n)] / s ** (m + n + 2) - val) <= bound, (m, n)
 
 
 def _eager_reference(p, maxdeg, bits):
@@ -263,6 +378,25 @@ def test_cache_rejects_keys_other_than_its_maxdeg(tmp_path, square, edit):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="not the keys of maxdeg"):
+        moments.load_table(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [doc],
+    lambda doc: dict(doc, real=5),
+    lambda doc: dict(doc, complex=dict(doc["complex"], **{"3,1": [0, "0x1"]})),
+    lambda doc: dict(doc, real=dict(doc["real"], **{"0,0": [0, 5, 0]})),
+    lambda doc: dict(doc, real=dict(doc["real"], **{"0,0": [0, "-0x5", 0]})),
+    lambda doc: dict(doc, maxdeg=None),
+    lambda doc: dict(doc, fingerprint=7),
+], ids=["document-not-a-mapping", "real-not-a-mapping", "complex-value-not-records",
+        "mantissa-not-hex-text", "negative-mantissa", "maxdeg-not-an-int",
+        "fingerprint-not-text"])
+def test_cache_rejects_values_of_the_wrong_type(tmp_path, square, edit):
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(square, 4), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError):
         moments.load_table(path)
 
 
