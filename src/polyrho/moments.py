@@ -1,24 +1,25 @@
 """Boundary-integral moments of simple polygons.
 
 c[m][n] = integral of z^m conj(z)^n dA over the polygon and I[m][n] = integral
-of x^m y^n dx dy.  Green's theorem turns both into the same sum over edges
-(a0, da, b0, db),
-    da * integral_0^1 (a0 + t da)^m (b0 + t db)^(n+1) dt,
-which differs between the two kinds only in the edge tuple and a prefactor
-(P. J. Davis, J. Approx. Theory 19, 1977).  Callers build the edge tuples
-inside their working precision and apply the prefactor.  The table kernel,
-_edge_sums, integrates by parts along each anti-diagonal; the single-entry
-kernel, _edge_sum, expands binomially and is the independent reference.  Working
-precision carries maxdeg + 32 guard bits.  Binomial sums cancel up to ~maxdeg
-bits; the recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|)
-bits on top of the edge sum's cancellation of as many: under 10 bits in all in
-a polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
+of x^m y^n dx dy.  Green's theorem turns both into the same sum over edges,
+    dA * integral_0^1 (A0 + t dA)^m (B0 + t dB)^(n+1) dt,
+with A = z and B = conj(z) and the prefactor 1 / (2i(n+1)) for c, and A = x,
+B = y and the prefactor -1 / (n+1) for I (P. J. Davis, J. Approx. Theory 19,
+1977).  The table kernel, _edge_sums, integrates by parts along each
+anti-diagonal; the single-entry kernel, _edge_sum, expands binomially over
+the edge tuples of _complex_edges and _real_edges and is the independent
+reference.  Both carry the total degree plus 32 guard bits above the
+entries' precision.  Binomial sums cancel up to ~maxdeg bits; the
+recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|) bits
+on top of the edge sum's cancellation of as many: under 10 bits in all in a
+polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
 budget, only a translated and rescaled frame helps.
 
-The table kernel makes no mpmath number per product: it scales the polygon by
-a power of two into the square (-1, 1)^2 and runs in fixed-point Python ints,
-with maxdeg + 10 bits above the working precision, because a degree-d
-monomial of the scaled coordinates can be 2^-d of the largest one.
+A table half is one pass in Python ints, from the vertices' mpf mantissas to
+finished entries: _edge_sums scales the polygon by a power of two into the
+square (-1, 1)^2 and sums in fixed point, and _build_half applies the
+prefactor to those ints and rounds each part once, to nearest, at the
+table's precision.
 
 A moment_table builds its complex half and its real half each on the first
 read of that half, with the same arithmetic as an eager build.  The Gram
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from math import comb
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
 from . import geometry
 from .errors import InsufficientMoments, PrecisionTooLow
@@ -43,7 +44,6 @@ from .errors import InsufficientMoments, PrecisionTooLow
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
 CACHE_FORMAT_VERSION = 1
-_GUARD_BITS = 8  # of the fixed-point scale in _edge_sums
 
 
 def precision_for_degree(n: int) -> int:
@@ -138,26 +138,12 @@ def _edge_sum(edges, m: int, n: int):
     return acc
 
 
-def _parts(x):
-    """The raw (real, imaginary) mpf tuples of an mpf or mpc."""
-    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
-
-
 def _fixed(raw, shift):
     """A raw mpf tuple times 2^shift, truncated to an int."""
     sign, man, exp, _ = raw
     exp += shift
     man = man << exp if exp >= 0 else man >> -exp
     return -man if sign else man
-
-
-def _exact(man, exp):
-    """The raw mpf man * 2^exp, unrounded.  Trailing zero bits are stripped
-    here in one shift; from_man_exp strips them a byte at a time."""
-    if man:
-        zeros = (man & -man).bit_length() - 1
-        man, exp = man >> zeros, exp + zeros
-    return from_man_exp(man, exp)
 
 
 def _monomials(ar, ai, br, bi, deg, w):
@@ -191,35 +177,41 @@ def _monomials(ar, ai, br, bi, deg, w):
     return rows
 
 
-def _edge_sums(edges, keys):
-    """The edge sum for every (m, n) in keys, O(1) per entry per edge.  With
-    A = a0 + t da, B = b0 + t db and J(a, b) = integral_0^1 A^a B^b dt,
-        (a+1) da J(a, b) + b db J(a+1, b-1) = [A^(a+1) B^b]
+def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
+    """The edge sum of every key of one half (see _table_keys), as
+    {(m, n): (re, im, exp)}: the sum is (re + i im) 2^exp, exactly.  With
+    A = x + iy and B = x - iy (kind "c") or A = x and B = y (kind "I"),
+    P = A_k + t dA and Q = B_k + t dB along the edge from vertex k to k + 1,
+    and J(a, b) = integral_0^1 P^a Q^b dt, the edge sum of (m, n) is
+    dA J(m, n + 1), and
+        (a+1) dA J(a, b) + b dB J(a+1, b-1) = [P^(a+1) Q^b]
     between the edge's endpoints.  Each anti-diagonal a + b = s is walked from
-    J(s, 0), or from J(0, s) with A and B swapped if |db| > |da|; an error in
-    the first entry reaches the k-th times r^k / C(s, k), r = min/max(|da|, |db|).
+    J(s, 0), or from J(0, s) with A and B swapped if |dB| > |dA|; an error in
+    the first entry reaches the k-th times r^k / C(s, k), r = min/max(|dA|, |dB|).
 
     The arithmetic is in ints, with complex values as (re, im) pairs.
     Coordinates are divided by 2^e, e the mpf exponent of the largest vertex
-    coordinate, so each lies in (-1, 1), and held at scale 2^w, where
-    w = mp.prec + top + 1 + _GUARD_BITS and top + 1 is the highest monomial
-    degree.  A power-of-two scale can leave the largest coordinate as small
-    as 1/2, so a degree-d value as small as 2^-d, and the top + 1 extra bits
-    keep mp.prec bits of it.  Each vertex's monomials are built once for the
-    two edges that meet there, so edges must form a closed chain, as
-    _complex_edges and _real_edges build them: da and db are taken as the
-    differences of consecutive vertices.  The sums are returned as exact mpf
-    values, mpc for complex edges."""
-    top = max(m + n for m, n in keys) + 1
+    coordinate, so each lies in (-1, 1), and held at scale 2^w with
+        w = precision_bits + 2 maxdeg + 42:
+    precision_bits + maxdeg + 32 working bits, 8 guard bits for the
+    truncations, and maxdeg + 2 for the monomials, which reach degree
+    maxdeg + 2: a power-of-two scale can leave the largest coordinate as small
+    as 1/2, so a degree-d monomial as small as 2^-d of it.  Each vertex's
+    monomials are built once, for the two edges that meet there."""
+    keys = _table_keys(maxdeg, kind)
+    top = maxdeg + 1  # the highest anti-diagonal of J
     on_diag = [[] for _ in range(top + 1)]  # the keys read from each anti-diagonal
     for m, n in keys:
         on_diag[m + n + 1].append((m, n))
     reach = [max((n + 1 for _, n in ks), default=0) for ks in on_diag]
 
-    raws = [(*_parts(a0), *_parts(b0)) for a0, _, b0, _ in edges]
+    w = precision_bits + 2 * maxdeg + 42
+    raws = [(x._mpf_, y._mpf_) for x, y in p.vertices]
     e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
-    w = mp.prec + top + 1 + _GUARD_BITS
-    verts = [tuple(_fixed(raw, w - e) for raw in vertex) for vertex in raws]
+    verts = []
+    for x, y in raws:
+        x, y = _fixed(x, w - e), _fixed(y, w - e)
+        verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
 
     acc = {key: [0, 0] for key in keys}
     end = _monomials(*verts[0], top + 1, w)
@@ -232,7 +224,7 @@ def _edge_sums(edges, keys):
         pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)
         norm = pr * pr + pi * pi
         # the walk runs on L = dp J, so that (i+1) L(i, j) + j r L(i+1, j-1)
-        # = [P^(i+1) Q^j] with r = dq / dp; da J is L, or r L when swapped
+        # = [P^(i+1) Q^j] with r = dq / dp; dA J is L, or r L when swapped
         rr, ri = ((qr * pr + qi * pi) << w) // norm, ((qi * pr - qr * pi) << w) // norm
         for s in range(1, top + 1):
             row0, row1 = start[s + 1], end[s + 1]
@@ -255,14 +247,17 @@ def _edge_sums(edges, keys):
                 total = acc[key]
                 total[0] += ur
                 total[1] += ui
+    return {(m, n): (re, im, e * (m + n + 2) - w) for (m, n), (re, im) in acc.items()}
 
-    out = {}
-    as_complex = isinstance(edges[0][0], mp.mpc)
-    for (m, n), (re, im) in acc.items():
-        exp = e * (m + n + 2) - w
-        out[(m, n)] = (mp.make_mpc((_exact(re, exp), _exact(im, exp)))
-                       if as_complex else mp.make_mpf(_exact(re, exp)))
-    return out
+
+def _rounded(num: int, den: int, exp: int, prec: int):
+    """The raw mpf nearest num / den * 2^exp with prec bits, for den > 0.
+    The quotient is taken to at least prec + 1 bits, with a sticky bit for a
+    nonzero remainder, so rounding it rounds the exact value."""
+    shift = max(prec + 1 + den.bit_length() - abs(num).bit_length(), 0)
+    q, r = divmod(abs(num) << shift, den)
+    man = 2 * q + (r != 0)
+    return from_man_exp(-man if num < 0 else man, exp - shift - 1, prec, round_nearest)
 
 
 def complex_moment(p: geometry.Polygon, m: int, n: int,
@@ -300,26 +295,23 @@ def _table_keys(maxdeg: int, kind: str):
 
 
 def _build_half(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
-    """Every c[m][n] (kind "c") or I[m][n] (kind "I") with m + n <= maxdeg.
-    Both precisions are set here, so the bits do not depend on the caller's
-    context."""
-    edges = _complex_edges if kind == "c" else _real_edges
-    with mp.workprec(precision_bits + maxdeg + 32):
-        acc = _edge_sums(edges(p), _table_keys(maxdeg, kind))
-    with mp.workprec(precision_bits):
-        if kind == "I":
-            return {(m, n): +(-val / (n + 1)) for (m, n), val in acc.items()}
-        entries = {}
-        for (m, n), val in acc.items():
-            c = +(val / (mp.mpc(0, 2) * (n + 1)))
-            if m == n:
-                # c[m][m] is a squared norm; dropping the roundoff imaginary
-                # part is the exact Hermitian average (c + conj(c)) / 2
-                c = mp.mpc(c.real)
-            entries[(m, n)] = c
+    """Every c[m][n] (kind "c") or I[m][n] (kind "I") with m + n <= maxdeg,
+    each part the nearest precision_bits-bit number to its value from the
+    edge sums.  The ints of _edge_sums are rounded once, so the bits do not
+    depend on the caller's context."""
+    entries = {}
+    for (m, n), (re, im, exp) in _edge_sums(p, maxdeg, precision_bits, kind).items():
+        if kind == "I":  # I[m][n] = -S / (n+1)
+            entries[(m, n)] = mp.make_mpf(_rounded(-re, n + 1, exp, precision_bits))
+        else:
+            # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m] is
+            # a squared norm, so its imaginary part, roundoff, is dropped
+            cre = _rounded(im, n + 1, exp - 1, precision_bits)
+            cim = fzero if m == n else _rounded(-re, n + 1, exp - 1, precision_bits)
+            entries[(m, n)] = mp.make_mpc((cre, cim))
             if m != n:
-                entries[(n, m)] = mp.conj(c)
-        return entries
+                entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
+    return entries
 
 
 class _DeferredHalf(Mapping):

@@ -122,6 +122,7 @@ _POLYGONS = {
     "far-triangle": lambda: geometry.polygon_new(
         [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
     "star-8": lambda: geometry.random_star_polygon(8, seed=3),
+    "pentagon": lambda: geometry.make_regular_ngon(5),
 }
 
 
@@ -150,19 +151,21 @@ def test_table_matches_references_at_policy_degrees(name, maxdeg, bits):
 def test_edge_sums_keep_the_working_precision_as_monomials_decay():
     # the largest coordinate, 0.51, scales to itself, so a degree-d monomial
     # is about 2^-d of the largest; the kernel's edge sums must still carry
-    # mp.prec bits less the edge sum's own cancellation, about 20 bits here
+    # the working precision, precision_bits + maxdeg + 32 = 256 bits, less
+    # the edge sum's own cancellation, about 20 bits here
     poly = geometry.polygon_new([(-0.51, -0.3), (0.5, -0.45), (0.2, 0.51), (-0.4, 0.35)])
     maxdeg, prec = 68, 256
     top = [(m, maxdeg - m) for m in range(maxdeg + 1)]
     refs = _quadrature_moments(poly, top, maxdeg, prec)
-    for kind, edges in (("c", moments._complex_edges), ("I", moments._real_edges)):
-        with mp.workprec(prec):
-            sums = moments._edge_sums(edges(poly), list(refs[kind]))
+    for kind in ("c", "I"):
+        sums = moments._edge_sums(poly, maxdeg, prec - maxdeg - 32, kind)
         with mp.workprec(prec + 64):
             bound = mp.mpf(2) ** (32 - prec) * max(abs(val) for val in refs[kind].values())
-            for (m, n), val in sums.items():
+            for (m, n), ref in refs[kind].items():
+                re, im, exp = sums[(m, n)]
+                val = mp.mpc(re, im) * mp.mpf(2) ** exp
                 val = val / (mp.mpc(0, 2) * (n + 1)) if kind == "c" else -val / (n + 1)
-                assert abs(val - refs[kind][(m, n)]) <= bound, (kind, m, n)
+                assert abs(val - ref) <= bound, (kind, m, n)
 
 
 @pytest.mark.parametrize("s", [mp.mpf(2) ** -30, 1e-6, 1e6, mp.mpf(2) ** 30],
@@ -186,26 +189,10 @@ def test_table_scales_with_the_polygon(name, s):
 
 
 def _eager_reference(p, maxdeg, bits):
-    """Both halves built as one eager pass: the edge sums for both kinds at
-    bits + maxdeg + 32, then the prefactors and the conjugate fill at bits."""
-    ckeys = [(m, n) for m in range(maxdeg + 1) for n in range(min(m, maxdeg - m) + 1)]
-    rkeys = [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
-    with mp.workprec(bits + maxdeg + 32):
-        acc_c = moments._edge_sums(moments._complex_edges(p), ckeys)
-        acc_r = moments._edge_sums(moments._real_edges(p), rkeys)
-    complex_entries, real_entries = {}, {}
-    with mp.workprec(bits):
-        for (m, n), val in acc_c.items():
-            c = +(val / (mp.mpc(0, 2) * (n + 1)))
-            if m == n:
-                c = mp.mpc(c.real)
-            complex_entries[(m, n)] = c
-            if m != n:
-                complex_entries[(n, m)] = mp.conj(c)
-        for (m, n), val in acc_r.items():
-            real_entries[(m, n)] = +(-val / (n + 1))
+    """Both halves built at once by the builder, in the caller's context."""
     return moments.MomentTable(moments.table_fingerprint(p, bits), maxdeg, bits,
-                               complex_entries, real_entries)
+                               moments._build_half(p, maxdeg, bits, "c"),
+                               moments._build_half(p, maxdeg, bits, "I"))
 
 
 def _raw(entries):
@@ -246,14 +233,43 @@ def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg,
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
-def _forbid(monkeypatch, kernel):
-    def refuse(p):
-        raise AssertionError(f"moments.{kernel} called")
-    monkeypatch.setattr(moments, kernel, refuse)
+@pytest.mark.parametrize("maxdeg,bits", [(12, 256), (26, 352)])
+@pytest.mark.parametrize("name", ["windmill-2", "star-8", "far-triangle", "pentagon"])
+def test_table_entries_are_rounded_once(name, maxdeg, bits):
+    # each part is the nearest bits-bit number to the exact moment, up to the
+    # kernel's error, so within half an ulp of the same part built 128 bits
+    # finer, apart from parts that are roundoff against their anti-diagonal
+    poly = _POLYGONS[name]()
+    t = moments.moment_table(poly, maxdeg, bits)
+    fine = moments.moment_table(poly, maxdeg, bits + 128)
+    with mp.workprec(bits + 192):
+        for entries, fine_entries in ((t.complex_entries, fine.complex_entries),
+                                      (t.real_entries, fine.real_entries)):
+            scale = _diagonal_scales(fine_entries)
+            for (m, n), ref in fine_entries.items():
+                val = entries[(m, n)]
+                parts = ((val.real, ref.real), (val.imag, ref.imag)) \
+                    if isinstance(ref, mp.mpc) else ((val, ref),)
+                for got, want in parts:
+                    if abs(want) < mp.mpf(2) ** -32 * scale[m + n]:
+                        continue
+                    _, _, exp, bc = want._mpf_  # 2^(exp+bc-1) <= |want| < 2^(exp+bc)
+                    ulp = mp.ldexp(1, exp + bc - bits)
+                    assert abs(got - want) <= (mp.mpf(1) / 2 + mp.mpf(2) ** -20) * ulp, (m, n)
+
+
+def _forbid(monkeypatch, kind):
+    build = moments._build_half
+
+    def refuse(p, maxdeg, precision_bits, half):
+        if half == kind:
+            raise AssertionError(f"the {kind!r} half was built")
+        return build(p, maxdeg, precision_bits, half)
+    monkeypatch.setattr(moments, "_build_half", refuse)
 
 
 def test_gram_paths_build_no_real_moments(monkeypatch, capsys, pentagon):
-    _forbid(monkeypatch, "_real_edges")
+    _forbid(monkeypatch, "I")
     assert len(moments.moment_table(pentagon, 6).real_entries) == 28
     content.rho_n(pentagon, 3)
     content.rho_n_telescoping(pentagon, 3)
@@ -265,7 +281,7 @@ def test_gram_paths_build_no_real_moments(monkeypatch, capsys, pentagon):
 
 
 def test_closed_forms_build_no_complex_moments(monkeypatch, square):
-    _forbid(monkeypatch, "_complex_edges")
+    _forbid(monkeypatch, "c")
     content.rho1_closed(square)
     content.rho2_closed(square)
 
