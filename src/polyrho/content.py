@@ -92,12 +92,7 @@ def _cholesky(matrix, dim):
 
 
 def _condition_estimate(diag) -> float:
-    hi = max(diag)
-    lo = min(diag)
-    try:
-        return float((hi / lo) ** 2)
-    except OverflowError:
-        return float("inf")
+    return float((max(diag) / min(diag)) ** 2)
 
 
 def _resolve(p, n, precision_bits, table):

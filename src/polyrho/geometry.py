@@ -3,7 +3,9 @@
 Coordinates are mpmath floats so downstream boundary integrals can run at
 arbitrary precision.  Construction always uses at least GEOMETRY_MIN_BITS
 regardless of the ambient mpmath context; stored values are exact binary
-floats and read back identically at any later precision.
+floats and read back identically at any later precision.  polygon_new, where
+vertices enter, also checks simplicity (O(V^2)); translate, rotate and scale
+keep a polygon simple and check only finiteness, distinct neighbours and area.
 """
 
 from __future__ import annotations
@@ -113,6 +115,25 @@ def _check_simple(verts):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 
+def _polygon(verts) -> Polygon:
+    """polygon_new's O(V) checks, on mpf pairs at _wp(); vertices keep their bits."""
+    for i, (x, y) in enumerate(verts):
+        if not (mp.isfinite(x) and mp.isfinite(y)):
+            raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
+    if len(verts) < 3:
+        raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")
+    n = len(verts)
+    for i in range(n):
+        if verts[i] == verts[(i + 1) % n]:
+            raise DegenerateVertex(f"vertices {i} and {(i + 1) % n} coincide")
+    s2 = _twice_signed_area(verts)
+    if s2 == 0:
+        raise NotSimple("vertex list encloses zero area")
+    if s2 < 0:
+        verts.reverse()
+    return Polygon(tuple(verts))
+
+
 def polygon_new(points) -> Polygon:
     """Validate a vertex list and normalize it to counterclockwise order.
 
@@ -120,23 +141,9 @@ def polygon_new(points) -> Polygon:
     str, mpf).  Raises GeometryError, TooFewVertices, DegenerateVertex, or NotSimple.
     """
     with mp.workprec(_wp()):
-        verts = [(mp.mpf(x), mp.mpf(y)) for x, y in points]
-        for i, (x, y) in enumerate(verts):
-            if not (mp.isfinite(x) and mp.isfinite(y)):
-                raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
-        if len(verts) < 3:
-            raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")
-        n = len(verts)
-        for i in range(n):
-            if verts[i] == verts[(i + 1) % n]:
-                raise DegenerateVertex(f"vertices {i} and {(i + 1) % n} coincide")
-        s2 = _twice_signed_area(verts)
-        if s2 == 0:
-            raise NotSimple("vertex list encloses zero area")
-        if s2 < 0:
-            verts.reverse()
-        _check_simple(verts)
-        return Polygon(tuple(verts))
+        p = _polygon([(mp.mpf(x), mp.mpf(y)) for x, y in points])
+        _check_simple(p.vertices)
+        return p
 
 
 def area(p: Polygon):
@@ -163,13 +170,13 @@ def centroid(p: Polygon):
 def translate(p: Polygon, v) -> Polygon:
     with mp.workprec(_wp()):
         vx, vy = mp.mpf(v[0]), mp.mpf(v[1])
-        return polygon_new([(x + vx, y + vy) for x, y in p.vertices])
+        return _polygon([(x + vx, y + vy) for x, y in p.vertices])
 
 
 def rotate(p: Polygon, alpha) -> Polygon:
     with mp.workprec(_wp()):
         c, s = mp.cos(mp.mpf(alpha)), mp.sin(mp.mpf(alpha))
-        return polygon_new([(c * x - s * y, s * x + c * y) for x, y in p.vertices])
+        return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])
 
 
 def scale(p: Polygon, r) -> Polygon:
@@ -177,7 +184,7 @@ def scale(p: Polygon, r) -> Polygon:
         r = mp.mpf(r)
         if not r > 0:
             raise NonpositiveScale(f"scale factor must be positive, got {r}")
-        return polygon_new([(r * x, r * y) for x, y in p.vertices])
+        return _polygon([(r * x, r * y) for x, y in p.vertices])
 
 
 def normalize(p: Polygon) -> Polygon:

@@ -223,6 +223,8 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
         swap = dbr * dbr + dbi * dbi > dar * dar + dai * dai
         pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)
         norm = pr * pr + pi * pi
+        if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
+            continue
         # the walk runs on L = dp J, so that (i+1) L(i, j) + j r L(i+1, j-1)
         # = [P^(i+1) Q^j] with r = dq / dp; dA J is L, or r L when swapped
         rr, ri = ((qr * pr + qi * pi) << w) // norm, ((qi * pr - qr * pi) << w) // norm
@@ -420,8 +422,8 @@ def save_table(t: MomentTable, path) -> None:
 
 def load_table(path) -> MomentTable:
     """Read a table written by save_table.  ValueError for any malformed
-    record, and unless the file holds exactly the keys of its maxdeg: complex
-    m >= n and every real key."""
+    record, for precision_bits below MIN_PRECISION_BITS, and unless the file
+    holds exactly the keys of its maxdeg: complex m >= n and every real key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
@@ -431,6 +433,9 @@ def load_table(path) -> MomentTable:
             and isinstance(maxdeg, int) and isinstance(doc.get("complex"), dict)
             and isinstance(doc.get("real"), dict)):
         raise ValueError(f"malformed moment cache header in {path}")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"moment cache in {path} has precision_bits {precision_bits}, "
+                         f"below {MIN_PRECISION_BITS}")
     for kind, section in (("c", "complex"), ("I", "real")):
         stored = {tuple(int(s) for s in key.split(",")) for key in doc[section]}
         if stored != set(_table_keys(maxdeg, kind)):

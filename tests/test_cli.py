@@ -46,6 +46,15 @@ def test_rho_from_polygon_file(tmp_path):
     with mp.workprec(300):
         value = mp.mpf(json.loads(out.read_text())["value"])
         assert abs(value - mp.mpf(1) / 6) < mp.mpf("1e-40")
+    # an edge of length 1e-120, shorter than the moment kernel's fixed-point
+    # unit; the polygon is the unit right triangle to 1e-120, rho_1 = 1/24
+    thin_path = tmp_path / "thin.txt"
+    thin_path.write_text("0 0\n1 0\n1 1e-120\n0 1\n")
+    assert run_cli("rho", "--polygon", str(thin_path), "--n", "1",
+                   "--output", str(out)) == 0
+    with mp.workprec(300):
+        value = mp.mpf(json.loads(out.read_text())["value"])
+        assert abs(value - mp.mpf(1) / 24) < mp.mpf("1e-40")
 
 
 def test_rho_output_is_deterministic(tmp_path):
@@ -227,6 +236,14 @@ def test_exit_codes_for_bad_input(tmp_path):
                    "--moment-cache", str(cache)) == 2
     cache.write_text(json.dumps(dict(saved, real=5)))
     assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 2
+    # a cache below the minimum precision, with a fingerprint that matches it,
+    # is bad input: without the cache the same command is a numerical failure
+    windmill = geometry.make_windmill(2)
+    moments.save_table(moments.moment_table(windmill, 4), cache)
+    cache.write_text(json.dumps(dict(json.loads(cache.read_text()), precision_bits=8,
+                                     fingerprint=moments.table_fingerprint(windmill, 8))))
+    assert run_cli("rho", "--family", "windmill:2", "--n", "1", "--precision-bits=8",
                    "--moment-cache", str(cache)) == 2
 
 

@@ -257,3 +257,50 @@ def test_build_family_pentagon_takes_degrees():
         ang = mp.mpf(108) * mp.pi / 180
     q = geometry.make_equilateral_pentagon(ang, ang)
     assert p.vertices == q.vertices
+
+
+@pytest.fixture
+def simplicity_checks(monkeypatch):
+    """The number of _check_simple calls so far, as a one-element list."""
+    calls = [0]
+    check = geometry._check_simple
+
+    def counted(verts):
+        calls[0] += 1
+        return check(verts)
+
+    monkeypatch.setattr(geometry, "_check_simple", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("windmill", {"a": 2}),
+    ("triangle-base", {"a": 3, "lambda": 1.2}),
+    ("triangle-angle", {"theta": 1.1, "a": 2}),
+    ("pentagon", {"theta_deg": 108, "phi_deg": 110}),
+    ("regular-ngon", {"n": 5}),
+])
+def test_family_build_checks_simplicity_once(simplicity_checks, kind, params):
+    geometry.build_family(kind, params)
+    assert simplicity_checks[0] == 1
+
+
+def test_similarity_maps_do_not_check_simplicity(pentagon, simplicity_checks):
+    geometry.translate(pentagon, (3, -1))
+    geometry.rotate(pentagon, 1.1)
+    geometry.scale(pentagon, 2)
+    geometry.normalize(pentagon)
+    assert simplicity_checks[0] == 0
+
+
+def test_similarity_maps_reject_what_they_can_break(triangle):
+    # at 320 bits, -0.5 + 2^-400 rounds to -0.5, so vertices 1 and 2 merge
+    thin = geometry.polygon_new([(0, 0), (1, 0), (1, mp.mpf(2) ** -400), (0, 1)])
+    with pytest.raises(DegenerateVertex, match="vertices 1 and 2 coincide"):
+        geometry.translate(thin, (-0.5, -0.5))
+    with pytest.raises(GeometryError, match="not finite"):
+        geometry.translate(triangle, ("inf", 0))
+    with pytest.raises(GeometryError, match="not finite"):
+        geometry.rotate(triangle, "nan")
+    with pytest.raises(GeometryError, match="not finite"):
+        geometry.scale(triangle, "inf")

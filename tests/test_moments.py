@@ -47,17 +47,20 @@ def test_single_entry_matches_table(any_polygon):
                 < mp.mpf("1e-70")
 
 
-@pytest.mark.parametrize("name", ["far-triangle", "square", "windmill-20"])
+@pytest.mark.parametrize("name", ["far-triangle", "square", "windmill-20", "thin-edge"])
 def test_table_matches_binomial_reference_entrywise(name):
     # short edges far from the origin; axis-aligned edges (dx = 0 and
     # dy = 0, so walks start from both ends of the anti-diagonals); edges of
-    # length 20 with vertices from 0.02 to 20 away from the origin
+    # length 20 with vertices from 0.02 to 20 away from the origin; an edge
+    # shorter than the kernel's fixed-point unit, whose endpoints truncate
+    # to the same point
     poly = {
         "far-triangle": lambda: geometry.polygon_new(
             [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
         "square": lambda: geometry.polygon_new(
             [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]),
         "windmill-20": lambda: geometry.make_windmill(20),
+        "thin-edge": lambda: geometry.polygon_new([(0, 0), (1, 0), (1, "1e-120"), (0, 1)]),
     }[name]()
     bits, maxdeg = 256, 10
     t = moments.moment_table(poly, maxdeg, bits)
@@ -405,9 +408,11 @@ def test_cache_rejects_keys_other_than_its_maxdeg(tmp_path, square, edit):
     lambda doc: dict(doc, real=dict(doc["real"], **{"0,0": [0, "-0x5", 0]})),
     lambda doc: dict(doc, maxdeg=None),
     lambda doc: dict(doc, fingerprint=7),
+    lambda doc: dict(doc, precision_bits=8),
+    lambda doc: dict(doc, precision_bits=-5),
 ], ids=["document-not-a-mapping", "real-not-a-mapping", "complex-value-not-records",
         "mantissa-not-hex-text", "negative-mantissa", "maxdeg-not-an-int",
-        "fingerprint-not-text"])
+        "fingerprint-not-text", "precision-below-minimum", "precision-negative"])
 def test_cache_rejects_values_of_the_wrong_type(tmp_path, square, edit):
     path = tmp_path / "table.json"
     moments.save_table(moments.moment_table(square, 4), path)
