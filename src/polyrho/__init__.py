@@ -64,9 +64,19 @@ from .moments import (
     real_moment,
     save_table,
 )
-from .oracle import oracle_rho_n, quad_moment, triangulate
 
 __version__ = "0.1.0"
+
+# the float64 oracle needs numpy, so it is imported on first use (PEP 562)
+_ORACLE_NAMES = ("oracle_rho_n", "quad_moment", "triangulate")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BergmanBasis",

@@ -1,22 +1,27 @@
 """rho_N: squared L2(dA) distance from conj(z) to polynomials of degree <= N.
 
-Two independent paths compute the same number: a Hermitian Cholesky solve of
-the monomial Gram system, and Gram-Schmidt orthonormalization with termwise
-telescoping of the projection.  Both read the table through build_gram and
-share no other arithmetic.  Their agreement is the built-in self-check;
-neither is trusted alone.  Both cost O(N^3): Gram-Schmidt keeps each basis
+rho_n solves the monomial Gram system once, in fixed-point Python integers
+(_ldl_solve): rows scaled by powers of two to a unit diagonal, an LDL*
+factorization that divides only by the pivots, one rounding at the end.
+rho_n_telescoping computes the same number by Gram-Schmidt orthonormalization
+with termwise telescoping of the projection.  Both read the table through
+build_gram and share no other arithmetic; telescoping is the independent
+check in verify and the tests, and also yields every partial rho_k and the
+orthonormal basis.  Both cost O(N^3): Gram-Schmidt keeps each basis
 polynomial's Gram product <z^i, p_j> instead of re-integrating p_j against
 the table for every projection.  orthonormality_residual does re-integrate,
 as the independent check of the basis.  Monomial Gram matrices are
 catastrophically ill-conditioned in double precision for N beyond ~12, so
-everything here runs in mpmath arithmetic at the moments precision policy.
+everything here runs at the moments precision policy plus guard bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
 from . import geometry, moments
 from .errors import AreaNotNormalized, GramNotPD, InsufficientMoments
@@ -25,6 +30,9 @@ METHOD_CHOLESKY = "gram-cholesky"
 METHOD_TELESCOPING = "gram-schmidt-telescoping"
 
 AREA_TOLERANCE = mp.mpf("1e-10")
+
+# bits the fixed-point solve carries below the working precision
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -70,25 +78,66 @@ def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
     return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
 
 
-def _cholesky(matrix, dim):
-    """Lower factor of a Hermitian positive definite matrix given by rows.
-    Raises GramNotPD when a pivot is not strictly positive."""
-    lower = [[mp.mpc(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1):
-            s = matrix[i][j]
-            for k in range(j):
-                s -= lower[i][k] * mp.conj(lower[j][k])
-            if i == j:
-                piv = s.real
-                if not piv > 0:
-                    raise GramNotPD(
-                        f"Gram pivot {i} is {mp.nstr(piv, 6)}; polygon degenerate "
-                        "or precision exhausted")
-                lower[i][j] = mp.sqrt(piv)
-            else:
-                lower[i][j] = s / lower[j][j]
-    return lower
+def _ldl_solve(gram: GramSystem, prec: int):
+    """rho = t - b* G^{-1} b and the max/min ratio of G's pivots.
+
+    The bordered system M = [[G, b], [b*, t]] (t = c[1][1]) is scaled by
+    powers of two, 2^(e_k) on row and column k with e_k = -floor((exp + bc) / 2)
+    from the diagonal mpf M_kk (exp + bc = floor(log2 M_kk) + 1), so every
+    diagonal entry lies in [1/2, 2) and no entry exceeds 2 in modulus; by van der Sluis (Numer. Math. 14, 1969) this is
+    close to the best diagonal scaling.  The entries are read as (re, im)
+    ints at scale 2^w, w = prec + _GUARD_BITS, and factored M = L D L* with
+    L unit lower, dividing only by the pivots.  The last pivot of the
+    bordered system is t - b* G^{-1} b, rounded once to prec bits.  Raises
+    GramNotPD on a non-positive diagonal entry or pivot of G, or a negative
+    residual."""
+    dim = gram.n + 1
+    w = prec + _GUARD_BITS
+    diag = [gram.matrix[k][k].real for k in range(dim)] + [gram.target_norm]
+    for k, d in enumerate(diag):
+        if not d > 0:
+            what = f"Gram pivot {k}" if k < dim else "norm of conj(z)"
+            raise GramNotPD(f"{what} is {mp.nstr(d, 6)}; polygon degenerate "
+                            "or precision exhausted")
+    exps = [-((d._mpf_[2] + d._mpf_[3]) >> 1) for d in diag]
+
+    def unscaled(pivot, k, bits):  # pivot k as an mpf, rounded once to bits
+        return mp.make_mpf(from_man_exp(pivot, -w - 2 * exps[k], bits, round_nearest))
+
+    # row i of the bordered lower triangle; the last row is conj(b), then t
+    rows = [[gram.matrix[i][j]._mpc_ for j in range(i + 1)] for i in range(dim)]
+    rows.append([(re, mpf_neg(im)) for re, im in (b._mpc_ for b in gram.rhs)]
+                + [(gram.target_norm._mpf_, fzero)])
+    # w_re[i], w_im[i]: row i of W = L D; l_re[j], l_im[j]: row j of L
+    w_re, w_im = [[] for _ in rows], [[] for _ in rows]
+    l_re, l_im = [[] for _ in rows], [[] for _ in rows]
+    pivots = []
+    for j in range(dim + 1):
+        lr, li = l_re[j], l_im[j]
+        for i in range(j, dim + 1):
+            re, im = rows[i][j]
+            shift = w + exps[i] + exps[j]
+            # W[i][j] = M[i][j] - sum_k W[i][k] conj(L[j][k]), the sum at scale 2^(2w)
+            wr, wi = w_re[i], w_im[i]
+            s_re = sum(map(mul, wr, lr)) + sum(map(mul, wi, li))
+            s_im = sum(map(mul, wi, lr)) - sum(map(mul, wr, li))
+            wr.append(moments._fixed(re, shift) - (s_re >> w))
+            wi.append(0 if i == j else moments._fixed(im, shift) - (s_im >> w))
+        d = w_re[j][j]
+        pivots.append(d)
+        if j < dim and not d > 0:
+            raise GramNotPD(f"Gram pivot {j} is {mp.nstr(unscaled(d, j, prec), 6)}; "
+                            "polygon degenerate or precision exhausted")
+        for i in range(j + 1, dim + 1):
+            l_re[i].append((w_re[i][j] << w) // d)
+            l_im[i].append((w_im[i][j] << w) // d)
+    value = unscaled(pivots.pop(), dim, prec)
+    if value < 0:
+        raise GramNotPD(
+            f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
+    pivots = [unscaled(d, k, prec + 32) for k, d in enumerate(pivots)]
+    with mp.workprec(prec + 32):
+        return value, float(max(pivots) / min(pivots))
 
 
 def _condition_estimate(diag) -> float:
@@ -110,31 +159,12 @@ def _resolve(p, n, precision_bits, table):
 
 
 def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoResult:
-    """rho_N via Cholesky: c[1][1] - rhs* G^{-1} rhs.
+    """rho_N = c[1][1] - rhs* G^{-1} rhs by one fixed-point LDL* solve.
 
     A given table must have been built for p at the working precision
     (precision_bits, else the table's own); ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
-    gram = build_gram(table, n)
-    dim = n + 1
-    with mp.workprec(prec + 32):
-        lower = _cholesky(gram.matrix, dim)
-        y = [mp.mpc(0)] * dim
-        for i in range(dim):
-            s = gram.rhs[i]
-            for j in range(i):
-                s -= lower[i][j] * y[j]
-            y[i] = s / lower[i][i]
-        proj = mp.mpf(0)
-        for yi in y:
-            proj += abs(yi) ** 2
-        value = gram.target_norm - proj
-        if not value >= 0:
-            raise GramNotPD(
-                f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
-        cond = _condition_estimate([lower[i][i].real for i in range(dim)])
-    with mp.workprec(prec):
-        value = +value
+    value, cond = _ldl_solve(build_gram(table, n), prec)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY)
 
 
@@ -159,7 +189,7 @@ def rho_n_telescoping(p: geometry.Polygon, n: int, precision_bits=None, table=No
     keeps its Gram product u_j[i] = <z^i, p_j> (i <= N), so a projection
     coefficient <q, p_j> = sum_i q_i u_j[i] costs O(k), and one product
     v = G conj(q) per degree gives both ||q||^2 = sum_i q_i v_i and
-    u_k = v / ||q||.  No arithmetic is shared with the Cholesky path."""
+    u_k = v / ||q||.  No arithmetic is shared with rho_n's solve."""
     prec, table = _resolve(p, n, precision_bits, table)
     gram = build_gram(table, n)
     dim = n + 1

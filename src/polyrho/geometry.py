@@ -373,7 +373,13 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     with mp.workprec(_wp()):
         verts = p.vertices if ax == "x" else tuple((y, x) for x, y in p.vertices)
-        xs = sorted({x for x, _ in verts})
+        tol = mp.mpf(2) ** (-(mp.prec // 2))
+        # abscissas equal up to roundoff (mirror vertices of a symmetric
+        # polygon) are one breakpoint: sampling between them divides by zero
+        xs = []
+        for x in sorted({x for x, _ in verts}):
+            if not xs or x - xs[-1] > tol * (1 + abs(x) + abs(xs[-1])):
+                xs.append(x)
         k = len(xs)
         wl = [mp.mpf(0)] * k
         wr = [mp.mpf(0)] * k
@@ -388,8 +394,6 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
             wl[i + 1] = w1 + slope * (x1 - t1)
         wl[0] = wr[0]
         wr[k - 1] = wl[k - 1]
-
-        tol = mp.mpf(2) ** (-(mp.prec // 2))
 
         def same(u, v):
             return abs(u[1] - v[1]) <= tol * (1 + abs(u[1]) + abs(v[1])) and u[0] == v[0]

@@ -165,6 +165,43 @@ def test_gram_not_pd_on_tampered_table(square):
         content.rho_n_telescoping(square, 2, table=tampered)
 
 
+def test_gram_not_pd_at_an_interior_pivot(square):
+    # the diagonal stays positive, so only the factorization can see that
+    # c[0][3] = 10 (against c[0][0] = 1 and a small c[3][3]) makes G indefinite
+    t = moments.moment_table(square, 10)
+    bad = dict(t.complex_entries)
+    with mp.workprec(300):
+        bad[(0, 3)] = bad[(3, 0)] = mp.mpc(10)
+    tampered = dataclasses.replace(t, complex_entries=bad)
+    with pytest.raises(GramNotPD, match="pivot 3 "):
+        content.rho_n(square, 4, table=tampered)
+    with pytest.raises(GramNotPD, match="degree 3 "):
+        content.rho_n_telescoping(square, 4, table=tampered)
+
+
+@pytest.mark.parametrize("n", [5, 18])
+def test_solve_agrees_with_telescoping(any_polygon, n):
+    prec = moments.precision_for_degree(n)
+    table = moments.moment_table(any_polygon, 2 * n + 2, prec)
+    direct = content.rho_n(any_polygon, n, prec, table=table)
+    telescoped, _, _ = content.rho_n_telescoping(any_polygon, n, prec, table=table)
+    with mp.workprec(prec + 32):
+        tol = mp.mpf(2) ** -prec * direct.condition_estimate
+        assert abs(direct.value - telescoped.value) <= tol * direct.value
+
+
+def test_solve_keeps_its_digits_on_a_tiny_copy():
+    # every row, the target norm c[1][1] included, is scaled by its own power
+    # of two, so a copy scaled by 2^-80 (rho_2 ~ 2^-320) loses nothing
+    tri = geometry.make_regular_ngon(3)
+    s = mp.mpf(2) ** -80
+    centred = content.rho_n(tri, 2).value
+    tiny = content.rho_n(geometry.scale(tri, s), 2).value
+    with mp.workprec(400):
+        exact = mp.sqrt(3) / 15
+        assert abs(tiny / s ** 4 - exact) <= 2 * abs(centred - exact) + mp.mpf(2) ** -300
+
+
 def test_degree_zero(square):
     # best constant approximation of conj(z); for a centered shape the
     # projection is zero and rho_0 equals the second moment

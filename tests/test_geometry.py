@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp
 
-from polyrho import geometry, moments
+from polyrho import content, geometry, moments
 from polyrho.errors import (
     AngleOutOfRange,
     ApexDegenerate,
@@ -212,6 +212,15 @@ def test_steiner_on_symmetric_input_is_identity_up_to_vertices(square):
     for x, y in s.vertices:
         assert abs(abs(x) - 0.5) < mp.mpf("1e-40")
         assert abs(abs(y) - 0.5) < mp.mpf("1e-40")
+
+
+def test_steiner_on_regular_pentagon_keeps_it():
+    # the pentagon is symmetric about the x axis; its mirror vertices'
+    # abscissas, from cos 72 and cos 288 degrees, differ only by roundoff
+    p = geometry.make_regular_ngon(5)
+    s = geometry.steiner_symmetrize(p, "x")
+    assert abs(geometry.area(s) - 1) < mp.mpf("1e-30")
+    assert abs(content.rho1_closed(s) - content.rho1_closed(p)) < mp.mpf("1e-30")
 
 
 def test_steiner_rejects_bad_axis(square):
