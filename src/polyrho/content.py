@@ -121,8 +121,8 @@ def _ldl_solve(gram: GramSystem, prec: int):
             wr, wi = w_re[i], w_im[i]
             s_re = sum(map(mul, wr, lr)) + sum(map(mul, wi, li))
             s_im = sum(map(mul, wi, lr)) - sum(map(mul, wr, li))
-            wr.append(moments._fixed(re, shift) - (s_re >> w))
-            wi.append(0 if i == j else moments._fixed(im, shift) - (s_im >> w))
+            wr.append(geometry._fixed(re, shift) - (s_re >> w))
+            wi.append(0 if i == j else geometry._fixed(im, shift) - (s_im >> w))
         d = w_re[j][j]
         pivots.append(d)
         if j < dim and not d > 0:

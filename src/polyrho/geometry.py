@@ -4,8 +4,10 @@ Coordinates are mpmath floats so downstream boundary integrals can run at
 arbitrary precision.  Construction always uses at least GEOMETRY_MIN_BITS
 regardless of the ambient mpmath context; stored values are exact binary
 floats and read back identically at any later precision.  polygon_new, where
-vertices enter, also checks simplicity (O(V^2)); translate, rotate and scale
-keep a polygon simple and check only finiteness, distinct neighbours and area.
+vertices enter, also checks simplicity (O(V^2)), exactly: its orientation
+tests run on the vertices' mantissas as ints at one common scale, so a vertex
+on another edge is never rounded off it.  translate, rotate and scale keep a
+polygon simple and check only finiteness, distinct neighbours and area.
 """
 
 from __future__ import annotations
@@ -45,43 +47,30 @@ class Polygon:
         return len(self.vertices)
 
 
-def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _fixed(raw, shift):
+    """A raw mpf tuple times 2^shift, truncated to an int."""
+    sign, man, exp, _ = raw
+    exp += shift
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
 
 
 def _orient(a, b, c) -> int:
-    """Sign of the cross product (b-a) x (c-a) at working precision."""
-    return _sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
-def _in_box(a, b, c) -> bool:
-    """Whether c lies in the bounding box of segment ab (c collinear with ab)."""
-    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+    """The cross product (b-a) x (c-a) of int points, exactly."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _segments_touch(p1, p2, p3, p4) -> bool:
-    """Whether closed segments p1p2 and p3p4 share any point."""
+    """Whether closed segments p1p2 and p3p4 of int points share any point."""
     d1 = _orient(p3, p4, p1)
     d2 = _orient(p3, p4, p2)
     d3 = _orient(p1, p2, p3)
     d4 = _orient(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    if d1 == 0 and _in_box(p3, p4, p1):
-        return True
-    if d2 == 0 and _in_box(p3, p4, p2):
-        return True
-    if d3 == 0 and _in_box(p1, p2, p3):
-        return True
-    if d4 == 0 and _in_box(p1, p2, p4):
-        return True
-    return False
+    if d1 or d2 or d3 or d4:
+        return d1 * d2 <= 0 and d3 * d4 <= 0
+    # collinear: the segments touch where their projections on both axes overlap
+    return all(max(min(p1[k], p2[k]), min(p3[k], p4[k]))
+               <= min(max(p1[k], p2[k]), max(p3[k], p4[k])) for k in (0, 1))
 
 
 def _twice_signed_area(verts):
@@ -95,23 +84,29 @@ def _twice_signed_area(verts):
 
 
 def _check_simple(verts):
-    n = len(verts)
+    """Raise NotSimple unless the closed chain through verts is simple.
+
+    The mpf coordinates are read as exact ints at one common scale, the
+    lowest exponent of any nonzero coordinate within a factor 2^4096 of the
+    largest; smaller coordinates are truncated at that scale.  The signs of
+    the orientation tests are then exact."""
+    raws = [(x._mpf_, y._mpf_) for x, y in verts]
+    top = max(exp + bc for v in raws for _, man, exp, bc in v if man)
+    low = min(exp for v in raws for _, man, exp, bc in v if man and exp + bc >= top - 4096)
+    pts = [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws]
+    n = len(pts)
     # a spike (boundary backtracking along itself) is collinear with positive dot
     for i in range(n):
-        u = verts[(i - 1) % n]
-        v = verts[i]
-        w = verts[(i + 1) % n]
-        if _orient(u, v, w) == 0:
-            dot = (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1])
-            if dot > 0:
-                raise NotSimple(f"boundary backtracks at vertex {i}")
+        u, v, w = pts[i - 1], pts[i], pts[(i + 1) % n]
+        dot = (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1])
+        if _orient(u, v, w) == 0 and dot > 0:
+            raise NotSimple(f"boundary backtracks at vertex {i}")
     for i in range(n):
-        a1, a2 = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n):
+            if (j + 1) % n == i:
                 continue
-            b1, b2 = verts[j], verts[(j + 1) % n]
-            if _segments_touch(a1, a2, b1, b2):
+            if _segments_touch(a1, a2, pts[j], pts[(j + 1) % n]):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 

@@ -138,14 +138,6 @@ def _edge_sum(edges, m: int, n: int):
     return acc
 
 
-def _fixed(raw, shift):
-    """A raw mpf tuple times 2^shift, truncated to an int."""
-    sign, man, exp, _ = raw
-    exp += shift
-    man = man << exp if exp >= 0 else man >> -exp
-    return -man if sign else man
-
-
 def _monomials(ar, ai, br, bi, deg, w):
     """rows[d][b] = A^(d-b) B^b for d <= deg as (re, im) ints at scale 2^w,
     for A = ar + i ai and B = br + i bi at that scale."""
@@ -210,7 +202,7 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
     verts = []
     for x, y in raws:
-        x, y = _fixed(x, w - e), _fixed(y, w - e)
+        x, y = geometry._fixed(x, w - e), geometry._fixed(y, w - e)
         verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
 
     acc = {key: [0, 0] for key in keys}
@@ -386,7 +378,8 @@ def _num_to_json(x):
 
 
 def _num_from_json(rec):
-    """The number _num_to_json wrote; ValueError for any other record."""
+    """The raw mpf tuple of the number _num_to_json wrote; ValueError for any
+    other record."""
     if not (isinstance(rec, list) and len(rec) == 3 and rec[0] in (0, 1)
             and isinstance(rec[1], str) and isinstance(rec[2], int)):
         raise ValueError(f"not a (sign, hex mantissa, exponent) record: {rec!r}")
@@ -394,9 +387,7 @@ def _num_from_json(rec):
     man = int(man_hex, 16)
     if man < 0:
         raise ValueError(f"negative mantissa in {rec!r}")
-    with mp.workprec(max(man.bit_length() + 8, 64)):
-        val = mp.ldexp(mp.mpf(man), int(exp))
-    return -val if sign else val
+    return from_man_exp(-man if sign else man, exp)
 
 
 def save_table(t: MomentTable, path) -> None:
@@ -443,19 +434,16 @@ def load_table(path) -> MomentTable:
                 f"{section} moments in {path} are not the keys of maxdeg {maxdeg}")
     complex_entries = {}
     real_entries = {}
-    # mpc construction and conj round at context precision, so reconstruct
-    # above the precision the entries were stored with
-    with mp.workprec(precision_bits + 16):
-        for key, pair in doc["complex"].items():
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(f"complex moment {key} in {path} is not a (re, im) pair")
-            m, n = (int(s) for s in key.split(","))
-            val = mp.mpc(*(_num_from_json(rec) for rec in pair))
-            complex_entries[(m, n)] = val
-            if m != n:
-                complex_entries[(n, m)] = mp.conj(val)
-        for key, rec in doc["real"].items():
-            m, n = (int(s) for s in key.split(","))
-            real_entries[(m, n)] = _num_from_json(rec)
+    for key, pair in doc["complex"].items():
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"complex moment {key} in {path} is not a (re, im) pair")
+        m, n = (int(s) for s in key.split(","))
+        re, im = (_num_from_json(rec) for rec in pair)
+        complex_entries[(m, n)] = mp.make_mpc((re, im))
+        if m != n:
+            complex_entries[(n, m)] = mp.make_mpc((re, mpf_neg(im)))
+    for key, rec in doc["real"].items():
+        m, n = (int(s) for s in key.split(","))
+        real_entries[(m, n)] = mp.make_mpf(_num_from_json(rec))
     return MomentTable(doc["fingerprint"], maxdeg, precision_bits,
                        complex_entries, real_entries)

@@ -301,6 +301,12 @@ def test_verify_counts_crashed_check_as_failure(monkeypatch, capsys):
     assert "raised RuntimeError" in capsys.readouterr().out
 
 
+def test_invariance_check_compares_at_the_values_precision():
+    ok, detail = cli._check_invariance()
+    assert ok
+    assert mp.mpf(detail.removeprefix("max rel err ")) < mp.mpf("1e-60")
+
+
 def test_certified_digits_reporting():
     assert cli._certified_digits(mp.mpf(1) / 3, mp.mpf(1) / 3, 256) == \
         cli._digits_for_bits(256)

@@ -1,3 +1,8 @@
+import itertools
+import random
+import time
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -45,6 +50,69 @@ def test_polygon_new_rejects_non_finite_coordinates(bad):
         geometry.polygon_new([(0, 0), (1, 0), (bad, 1)])
     with pytest.raises(GeometryError, match="vertex 1 is not finite"):
         geometry.polygon_new([(0, 0), (0.5, bad), (0, 1)])
+
+
+def _vertex_on_edge_pentagons(draws, seed=1):
+    """Pentagons A, B, (1, 3), M, (-1, 2) with M = A + (k/256)(B - A) on the
+    non-adjacent edge AB.  A and B have coordinates +-1 + j 2^-318, j < 2^300;
+    only draws whose M also fits in 320 bits are kept, so every vertex is exact."""
+    rng = random.Random(seed)
+    one = 1 << 318
+    out = []
+    for _ in range(draws):
+        a, b = ([rng.choice((-one, one)) + rng.randrange(1 << 300) for _ in "xy"] for _ in "ab")
+        k = rng.randrange(1, 256)
+        m = [256 * ai + k * (bi - ai) for ai, bi in zip(a, b)]  # at scale 2^326
+        if all((c // (c & -c)).bit_length() <= 320 for c in m if c):
+            with mp.workprec(geometry.GEOMETRY_MIN_BITS):
+                out.append([(mp.ldexp(x, -s), mp.ldexp(y, -s)) for (x, y), s in
+                            ((a, 318), (b, 318), ((1, 3), 0), (m, 326), ((-1, 2), 0))])
+    return out
+
+
+def test_vertex_on_a_non_adjacent_edge_is_not_simple():
+    # orientation signs rounded at 320 bits let 8 of these 133 pass; the
+    # clockwise draws are reversed, which puts M on edge 3
+    pentagons = _vertex_on_edge_pentagons(4000)
+    assert len(pentagons) >= 100
+    for pts in pentagons:
+        with pytest.raises(NotSimple, match="edges 0 and [23] intersect"):
+            geometry.polygon_new(pts)
+
+
+def _touch_reference(p1, p2, p3, p4):
+    """Whether segments p1p2 and p3p4 (p1 != p2) meet, in exact rationals."""
+    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+    ex, ey = p4[0] - p3[0], p4[1] - p3[1]
+    fx, fy = p3[0] - p1[0], p3[1] - p1[1]
+    den = dx * ey - dy * ex
+    if den:  # p1 + t d = p3 + s e at one point
+        t = Fraction(fx * ey - fy * ex, den)
+        s = Fraction(fx * dy - fy * dx, den)
+        return 0 <= t <= 1 and 0 <= s <= 1
+    if fx * dy - fy * dx:  # parallel, on different lines
+        return False
+    # collinear: the parameters of p3 and p4 along p1 + t d against [0, 1]
+    norm = dx * dx + dy * dy
+    t3 = Fraction(fx * dx + fy * dy, norm)
+    t4 = t3 + Fraction(ex * dx + ey * dy, norm)
+    return max(min(t3, t4), 0) <= min(max(t3, t4), 1)
+
+
+def test_segments_touch_matches_exact_reference():
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    segments = list(itertools.combinations(grid, 2))
+    for s, t in itertools.product(segments, repeat=2):
+        assert geometry._segments_touch(*s, *t) == _touch_reference(*s, *t), (s, t)
+
+
+def test_tiny_coordinate_builds_quickly():
+    # a coordinate 2^-3.3e9 below the others lies beyond the integer image's
+    # 2^4096 span and is truncated, not shifted into a 3.3e9-bit int
+    start = time.process_time()
+    p = geometry.polygon_new([(0, 0), (1, 0), (1, 1), ("1e-1000000000", 1)])
+    assert time.process_time() - start < 0.5
+    assert geometry.area(p) > 0
 
 
 def test_area_and_centroid_of_square(square):

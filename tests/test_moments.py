@@ -369,6 +369,10 @@ def test_cache_round_trip_is_exact(tmp_path, pentagon):
             assert back.complex_entries[key] == val
         for key, val in t.real_entries.items():
             assert back.real_entries[key] == val
+    assert {k: v._mpc_ for k, v in back.complex_entries.items()} == \
+        {k: v._mpc_ for k, v in t.complex_entries.items()}
+    assert {k: v._mpf_ for k, v in back.real_entries.items()} == \
+        {k: v._mpf_ for k, v in t.real_entries.items()}
 
 
 def test_cache_rejects_unknown_version(tmp_path, square):
