@@ -83,20 +83,20 @@ def _load_polygon(cfg: argparse.Namespace) -> geometry.Polygon:
     return _parse_family(cfg.family).build()
 
 
-def _get_table(poly, maxdeg, prec, cache_path):
-    if cache_path and os.path.exists(cache_path):
-        try:
-            cached = moments.load_table(cache_path)
-        except ValueError as exc:
-            raise ValueError(f"unreadable moment cache {cache_path}: {exc}") from exc
-        if (cached.fingerprint == moments.table_fingerprint(poly, prec)
-                and cached.maxdeg >= maxdeg
-                and cached.precision_bits == prec):
-            return cached
-    table = moments.moment_table(poly, maxdeg, prec)
-    if cache_path:
-        moments.save_table(table, cache_path)
-    return table
+def _cached_table(poly, maxdeg, prec, cache_path):
+    """The table in cache_path if it was built for poly at prec to at least
+    maxdeg, else None; ValueError if the file exists but is unreadable."""
+    if not (cache_path and os.path.exists(cache_path)):
+        return None
+    try:
+        cached = moments.load_table(cache_path)
+    except ValueError as exc:
+        raise ValueError(f"unreadable moment cache {cache_path}: {exc}") from exc
+    if (cached.fingerprint == moments.table_fingerprint(poly, prec)
+            and cached.maxdeg >= maxdeg
+            and cached.precision_bits == prec):
+        return cached
+    return None
 
 
 def _digits_for_bits(bits: int) -> int:
@@ -123,11 +123,25 @@ def _write_text(path, text) -> None:
 def cmd_rho(cfg: argparse.Namespace) -> int:
     poly = _load_polygon(cfg)
     prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
+    maxdeg = 2 * cfg.n + 2
     t0 = time.perf_counter()
-    table = _get_table(poly, 2 * cfg.n + 2, prec, cfg.moment_cache)
+    table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
+    # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
+    # cached, so error in a cached table shows.  On a miss the table at prec
+    # is rounded from that pass's exact sums, whose kernel error, shared with
+    # the check and so unseen by it, stays 32 bits below the rounding to prec
+    # while the polygon's frame loses at most _CHECK_EXTRA_BITS; beyond that
+    # the table gets a pass of its own, whose error the check does see
+    check_table = moments.moment_table(poly, maxdeg, prec + _CHECK_EXTRA_BITS)
+    if table is None:
+        if moments._frame_loss_bits(poly) <= _CHECK_EXTRA_BITS:
+            table = moments._rounded_table(check_table, prec)
+        else:
+            table = moments.moment_table(poly, maxdeg, prec)
+        if cfg.moment_cache:
+            moments.save_table(table, cfg.moment_cache)
     direct = content.rho_n(poly, cfg.n, prec, table=table)
-    # the check builds its own table, never cached, so moment-stage error shows
-    check = content.rho_n(poly, cfg.n, prec + _CHECK_EXTRA_BITS)
+    check = content.rho_n(poly, cfg.n, prec + _CHECK_EXTRA_BITS, table=check_table)
     wall = time.perf_counter() - t0
     digits = _certified_digits(direct.value, check.value, prec)
     value_str = mp.nstr(direct.value, digits)
@@ -156,7 +170,11 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
         raise ValueError(f"--maxdeg must be >= 2, got {cfg.maxdeg}")
     poly = _load_polygon(cfg)
     prec = _default_precision(cfg, moments.DEFAULT_PRECISION_BITS)
-    table = _get_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
+    table = _cached_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
+    if table is None:
+        table = moments.moment_table(poly, cfg.maxdeg, prec)
+        if cfg.moment_cache:
+            moments.save_table(table, cfg.moment_cache)
     dps = _digits_for_bits(prec)
     keys = sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)
     # a part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)

@@ -89,11 +89,19 @@ def _check_simple(verts):
     The mpf coordinates are read as exact ints at one common scale, the
     lowest exponent of any nonzero coordinate within a factor 2^4096 of the
     largest; smaller coordinates are truncated at that scale.  The signs of
-    the orientation tests are then exact."""
+    the orientation tests are then exact.  Raise DegenerateVertex for two
+    distinct vertices that the truncation merges."""
     raws = [(x._mpf_, y._mpf_) for x, y in verts]
     top = max(exp + bc for v in raws for _, man, exp, bc in v if man)
     low = min(exp for v in raws for _, man, exp, bc in v if man and exp + bc >= top - 4096)
     pts = [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws]
+    first = {}
+    for i, pt in enumerate(pts):
+        j = first.setdefault(pt, i)
+        if raws[j] != raws[i]:
+            raise DegenerateVertex(
+                f"vertices {j} and {i} differ only below 2^-4096 of the largest "
+                "coordinate, the resolution of the simplicity test")
     n = len(pts)
     # a spike (boundary backtracking along itself) is collinear with positive dot
     for i in range(n):

@@ -16,15 +16,19 @@ polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
 budget, only a translated and rescaled frame helps.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
-finished entries: _edge_sums scales the polygon by a power of two into the
-square (-1, 1)^2 and sums in fixed point, and _build_half applies the
-prefactor to those ints and rounds each part once, to nearest, at the
-table's precision.
+exact edge sums: _edge_sums scales the polygon by a power of two into the
+square (-1, 1)^2 and sums in fixed point.  _DeferredHalf keeps those ints and
+rounds an entry the first time it is read, applying the prefactor and
+rounding each part once, to nearest, at the table's precision, so the bits
+are those of an eager build in any read order.
 
-A moment_table builds its complex half and its real half each on the first
-read of that half, with the same arithmetic as an eager build.  The Gram
-solves read only complex moments and the closed forms for rho_1 and rho_2
-only real ones; cross_check, save_table and the moments subcommand read both.
+A moment_table runs the kernel pass of its complex half and of its real half
+each on the first read of that half.  The Gram solves read only complex
+moments, about half of them, and the closed forms for rho_1 and rho_2 only
+real ones; cross_check, save_table and the moments subcommand read every
+entry.  _rounded_table rounds a second table, at a lower precision, from the
+edge sums of a first: rho certifies its digits against a table 64 bits finer
+and rounds the table it answers from out of the same pass.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ class MomentTable:
     """All complex and real moments of one polygon up to total degree maxdeg.
 
     complex_entries and real_entries map (m, n) to c[m][n] and I[m][n].
-    moment_table gives each a mapping that builds the whole half on its first
-    read (any lookup, iteration or items()); len() does not build.  load_table
-    and dataclasses.replace may give plain dicts.  Treated as immutable once
+    moment_table gives each a mapping that runs the half's kernel pass on its
+    first read and rounds each entry on that entry's first read; iteration
+    and items() round them all, and len() runs nothing.  load_table and
+    dataclasses.replace may give plain dicts.  Treated as immutable once
     built; safe to share across workers, built or not.
     """
 
@@ -288,47 +293,76 @@ def _table_keys(maxdeg: int, kind: str):
     return [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
 
 
-def _build_half(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
-    """Every c[m][n] (kind "c") or I[m][n] (kind "I") with m + n <= maxdeg,
-    each part the nearest precision_bits-bit number to its value from the
-    edge sums.  The ints of _edge_sums are rounded once, so the bits do not
-    depend on the caller's context."""
-    entries = {}
-    for (m, n), (re, im, exp) in _edge_sums(p, maxdeg, precision_bits, kind).items():
+class _DeferredHalf(Mapping):
+    """One half of a moment table: the exact edge sums of the half, from one
+    _edge_sums pass on the first read of any entry, and each entry rounded
+    from them on its own first read.
+
+    Each part is rounded once, to nearest, at the table's precision by
+    _rounded, so the bits depend neither on the read order nor on the
+    caller's context.  Complex entries are rounded for m >= n, and c[n][m]
+    is filled with the conjugate at the same time.  A half given a source
+    rounds the source's edge sums instead of running its own pass.  Holds
+    the polygon and the table's parameters, not a closure, so a table
+    pickles before and after the pass.  len() answers from maxdeg without
+    a pass; iteration rounds every entry and yields them in one fixed
+    order."""
+
+    def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str,
+                 source: _DeferredHalf | None = None):
+        self._args = (p, maxdeg, precision_bits, kind)
+        self._source = source
+        self._sums = None
+        self._entries = {}
+        self._complete = False
+
+    def _exact_sums(self) -> dict:
+        if self._source is not None:
+            return self._source._exact_sums()
+        if self._sums is None:
+            self._sums = _edge_sums(*self._args)
+        return self._sums
+
+    def _round(self, key):
+        _, _, bits, kind = self._args
+        sums = self._exact_sums()
+        if key in sums:
+            m, n = key
+        elif kind == "c" and isinstance(key, tuple) and key[::-1] in sums:
+            n, m = key  # c[n][m] for n < m is the conjugate of c[m][n]
+        else:
+            raise KeyError(key)
+        re, im, exp = sums[(m, n)]
         if kind == "I":  # I[m][n] = -S / (n+1)
-            entries[(m, n)] = mp.make_mpf(_rounded(-re, n + 1, exp, precision_bits))
+            self._entries[key] = mp.make_mpf(_rounded(-re, n + 1, exp, bits))
         else:
             # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m] is
             # a squared norm, so its imaginary part, roundoff, is dropped
-            cre = _rounded(im, n + 1, exp - 1, precision_bits)
-            cim = fzero if m == n else _rounded(-re, n + 1, exp - 1, precision_bits)
-            entries[(m, n)] = mp.make_mpc((cre, cim))
+            cre = _rounded(im, n + 1, exp - 1, bits)
+            cim = fzero if m == n else _rounded(-re, n + 1, exp - 1, bits)
+            self._entries[(m, n)] = mp.make_mpc((cre, cim))
             if m != n:
-                entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
-    return entries
+                self._entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
+        return self._entries[key]
 
-
-class _DeferredHalf(Mapping):
-    """One half of a moment table, built by _build_half on its first read.
-
-    Holds the polygon and the table's parameters, not a closure, so a table
-    pickles before and after the build.  len() answers from maxdeg without
-    building."""
-
-    def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str):
-        self._args = (p, maxdeg, precision_bits, kind)
-        self._entries = None
-
-    def _built(self) -> dict:
-        if self._entries is None:
-            self._entries = _build_half(*self._args)
+    def _all(self) -> dict:
+        if not self._complete:
+            _, maxdeg, _, kind = self._args
+            order = []
+            for m, n in _table_keys(maxdeg, kind):
+                order.append((m, n))
+                if kind == "c" and m != n:
+                    order.append((n, m))
+            self._entries = {key: self[key] for key in order}
+            self._complete = True
         return self._entries
 
     def __getitem__(self, key):
-        return self._built()[key]
+        entry = self._entries.get(key)
+        return self._round(key) if entry is None else entry
 
     def __iter__(self):
-        return iter(self._built())
+        return iter(self._all())
 
     def __len__(self) -> int:
         maxdeg = self._args[1]
@@ -339,10 +373,12 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
                  precision_bits: int = DEFAULT_PRECISION_BITS) -> MomentTable:
     """All c[m][n] and I[m][n] with m + n <= maxdeg.
 
-    Arguments are checked here; each half is built on its first read, so the
-    Gram paths never build real moments and the real closed forms never build
-    complex ones.  Complex entries are computed for m >= n and filled by
-    conjugation, so Hermitian symmetry holds exactly.
+    Arguments are checked here; each half runs its kernel pass on its first
+    read, and rounds each entry on that entry's first read, so the Gram paths
+    never build real moments and round only the complex entries they read,
+    and the real closed forms never build complex ones.  Complex entries are
+    computed for m >= n and filled by conjugation, so Hermitian symmetry
+    holds exactly.
     """
     if maxdeg < 2:
         raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
@@ -350,6 +386,31 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
     return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
                        _DeferredHalf(p, maxdeg, precision_bits, "c"),
                        _DeferredHalf(p, maxdeg, precision_bits, "I"))
+
+
+def _frame_loss_bits(p: geometry.Polygon) -> int:
+    """About the bits _edge_sums loses to the polygon's frame, on top of the
+    total degree: twice log2(max |coordinate| / shortest edge), with the
+    shortest edge measured by its longer component."""
+    vs = p.vertices
+    with mp.workprec(64):
+        top = max(mp.mag(c) for v in vs for c in v)
+        edge = min(max(mp.mag(x1 - x0), mp.mag(y1 - y0))
+                   for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
+    return 2 * max(top - edge, 0)
+
+
+def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:
+    """The moments of t, a moment_table, at precision_bits <= its own: each
+    part rounded once, to nearest, from the exact edge sums of t's kernel
+    passes, which both tables share.  The sums carry the accuracy of t's
+    precision, so a part can differ from a separate build at precision_bits,
+    but only where that build's kernel error shows."""
+    _check_precision(precision_bits)
+    p, maxdeg, _, _ = t.complex_entries._args
+    return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
+                       _DeferredHalf(p, maxdeg, precision_bits, "c", t.complex_entries),
+                       _DeferredHalf(p, maxdeg, precision_bits, "I", t.real_entries))
 
 
 def cross_check(t: MomentTable):

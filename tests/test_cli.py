@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from mpmath import mp
@@ -394,6 +395,31 @@ def test_certified_digits_are_honest_off_frame(tmp_path, capsys, vertices, n):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("decade", [6, 18])
+def test_certified_digits_of_the_printed_value_are_honest_far_off_frame(tmp_path, capsys,
+                                                                        decade):
+    # (0, 0), (1, 0), (0.3, 0.8) scaled by 1.37e-decade and moved to (100, 100.5):
+    # the kernel loses about 2 log2(100 / 1.37e-decade) bits to the frame, 52
+    # at decade 6, where rho rounds its table from the check's kernel pass,
+    # and 132 at decade 18, where a shared pass would hide the loss from the
+    # check and certify 32 digits of a value with none
+    s = Decimal(f"1.37e-{decade}")
+    path = tmp_path / "far.txt"
+    path.write_text("".join(f"{Decimal(100) + s * Decimal(x)} {Decimal('100.5') + s * Decimal(y)}\n"
+                            for x, y in (("0", "0"), ("1", "0"), ("0.3", "0.8"))))
+    out = tmp_path / "rho.json"
+    code = run_cli("rho", "--polygon", str(path), "--n", "2", "--output", str(out))
+    assert code in (0, 3)  # 3 until rho works in the polygon's own frame
+    if code == 0:
+        doc = json.loads(out.read_text())
+        poly = geometry.read_polygon(path)
+        ref = content.rho_n(poly, 2, moments.precision_for_degree(2) + 1024).value
+        with mp.workprec(4096):
+            err = abs(mp.mpf(doc["value"]) - ref) / ref
+            assert err == 0 or doc["certified_digits"] <= -mp.log10(err)
+    capsys.readouterr()
+
+
 def test_certified_digits_are_honest_at_degree_33(tmp_path, capsys):
     poly = geometry.build_family("triangle-base", {"a": 3, "lambda": 1.2})
     n = 33
@@ -439,14 +465,73 @@ PINNED_SWEEP_ROWS = [
 ]
 
 
+# The moments subcommand reads every entry of both halves; these files were
+# written by the build that rounded each half at once.
+PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
+
+
+def _pinned(name):
+    with open(os.path.join(PINNED_DIR, name), "rb") as fh:
+        return fh.read().decode()
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("rho", "--family", "regular-ngon:5", "--n", "18"), PINNED_PENTAGON_18),
     (("rho", "--family", "windmill:2", "--n", "12"), PINNED_WINDMILL_12),
     (("sweep", "--family", "triangle-base:3", "--param", "lambda", "--range", "0.1:3",
       "--steps", "30", "--n", "2"), "\r\n".join(PINNED_SWEEP_ROWS) + "\r\n"),
-], ids=["rho-pentagon-18", "rho-windmill-12", "sweep-triangle-base"])
+    (("moments", "--family", "regular-ngon:5", "--maxdeg", "12"),
+     _pinned("moments-pentagon-12.json")),
+    (("moments", "--family", "regular-ngon:5", "--maxdeg", "12", "--format", "csv"),
+     _pinned("moments-pentagon-12.csv")),
+], ids=["rho-pentagon-18", "rho-windmill-12", "sweep-triangle-base",
+        "moments-pentagon-12-json", "moments-pentagon-12-csv"])
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"
     assert run_cli(*argv, "--output", str(out)) == 0
     assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("family,n,expected", [
+    ("regular-ngon:5", 18, PINNED_PENTAGON_18),
+    ("windmill:2", 12, PINNED_WINDMILL_12),
+], ids=["pentagon-18", "windmill-12"])
+def test_rho_bytes_do_not_depend_on_the_cache(tmp_path, capsys, family, n, expected):
+    # no cache; a cold cache, written from the check's kernel pass; the same
+    # cache warm; and a cache that moments wrote at the same maxdeg and bits
+    from_moments = tmp_path / "moments-cache.json"
+    assert run_cli("moments", "--family", family, "--maxdeg", str(2 * n + 2),
+                   "--precision-bits", str(moments.precision_for_degree(n)),
+                   "--moment-cache", str(from_moments), "--output", str(tmp_path / "m.json")) == 0
+    cache = tmp_path / "rho-cache.json"
+    outputs = []
+    for extra in ((), ("--moment-cache", str(cache)), ("--moment-cache", str(cache)),
+                  ("--moment-cache", str(from_moments))):
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert run_cli("rho", "--family", family, "--n", str(n), *extra,
+                       "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs == [expected.encode()] * 4
+    capsys.readouterr()
+
+
+def test_rho_runs_one_complex_kernel_pass(tmp_path, monkeypatch, capsys):
+    passes = []
+    kernel = moments._edge_sums
+
+    def counted(p, maxdeg, precision_bits, kind):
+        passes.append((kind, precision_bits))
+        return kernel(p, maxdeg, precision_bits, kind)
+    monkeypatch.setattr(moments, "_edge_sums", counted)
+    check_bits = moments.precision_for_degree(4) + cli._CHECK_EXTRA_BITS
+    cache = tmp_path / "cache.json"
+    # uncached, then a cold cache (whose write adds the real half), then warm
+    for extra, expected in (((), [("c", check_bits)]),
+                            (("--moment-cache", str(cache)), [("c", check_bits),
+                                                              ("I", check_bits)]),
+                            (("--moment-cache", str(cache)), [("c", check_bits)])):
+        passes.clear()
+        assert run_cli("rho", "--family", "windmill:2", "--n", "4", *extra) == 0
+        assert sorted(passes) == sorted(expected)
     capsys.readouterr()

@@ -115,6 +115,13 @@ def test_tiny_coordinate_builds_quickly():
     assert geometry.area(p) > 0
 
 
+def test_vertices_merged_by_the_integer_image_are_degenerate():
+    # 1e-2000 is below the integer image's 2^-4096 resolution, so vertex 1
+    # lands on vertex 0: the vertices are named, not the edges that then meet
+    with pytest.raises(DegenerateVertex, match="vertices 0 and 1 .*2\\^-4096"):
+        geometry.polygon_new([(0, 0), ("1e-2000", 0), (1, 0), (1, 1), (0, 1)])
+
+
 def test_area_and_centroid_of_square(square):
     assert abs(geometry.area(square) - 1) < mp.mpf("1e-70")
     cx, cy = geometry.centroid(square)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, mpf_neg
 
 from polyrho import cli, content, extremal, geometry, moments
 from polyrho.errors import InsufficientMoments, PrecisionTooLow
@@ -191,11 +192,25 @@ def test_table_scales_with_the_polygon(name, s):
                 assert abs(scaled_entries[(m, n)] / s ** (m + n + 2) - val) <= bound, (m, n)
 
 
-def _eager_reference(p, maxdeg, bits):
-    """Both halves built at once by the builder, in the caller's context."""
+def _eager_reference(p, maxdeg, bits, sums_bits=None):
+    """Both halves rounded at once, in the caller's context, from the edge
+    sums of one kernel pass at sums_bits (default bits): each part is
+    _rounded of its exact sum."""
+    halves = {}
+    for kind in ("c", "I"):
+        entries = halves[kind] = {}
+        for (m, n), (re, im, exp) in moments._edge_sums(p, maxdeg, sums_bits or bits,
+                                                        kind).items():
+            if kind == "I":
+                entries[(m, n)] = mp.make_mpf(moments._rounded(-re, n + 1, exp, bits))
+                continue
+            cre = moments._rounded(im, n + 1, exp - 1, bits)
+            cim = fzero if m == n else moments._rounded(-re, n + 1, exp - 1, bits)
+            entries[(m, n)] = mp.make_mpc((cre, cim))
+            if m != n:
+                entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
     return moments.MomentTable(moments.table_fingerprint(p, bits), maxdeg, bits,
-                               moments._build_half(p, maxdeg, bits, "c"),
-                               moments._build_half(p, maxdeg, bits, "I"))
+                               halves["c"], halves["I"])
 
 
 def _raw(entries):
@@ -203,37 +218,93 @@ def _raw(entries):
             for key, val in entries.items()]
 
 
+def _assert_same_bits(t, ref):
+    assert _raw(t.complex_entries) == _raw(ref.complex_entries)
+    assert _raw(t.real_entries) == _raw(ref.real_entries)
+
+
+def _first_reads(t, maxdeg):
+    """Entries read before any other: a diagonal, an m < n conjugate, a real."""
+    return (t.c(0, 0), t.c(1, maxdeg - 1), t.c(maxdeg // 2, maxdeg // 2), t.real(2, 1))
+
+
+_DEFERRED_POLYGONS = {
+    "pentagon": lambda: geometry.make_regular_ngon(5),
+    "far-triangle": lambda: geometry.polygon_new(
+        [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+    "windmill-20": lambda: geometry.make_windmill(20),
+}
+
+
 @pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
-@pytest.mark.parametrize("name", ["pentagon", "far-triangle", "windmill-20"])
+@pytest.mark.parametrize("name", list(_DEFERRED_POLYGONS))
 def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg, bits):
-    poly = {
-        "pentagon": lambda: geometry.make_regular_ngon(5),
-        "far-triangle": lambda: geometry.polygon_new(
-            [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
-        "windmill-20": lambda: geometry.make_windmill(20),
-    }[name]()
+    poly = _DEFERRED_POLYGONS[name]()
     ref = _eager_reference(poly, maxdeg, bits)
     for first_read_bits in (64, None, 4000):
         t = moments.moment_table(poly, maxdeg, bits)
         assert len(t.complex_entries) == len(t.real_entries) == len(ref.real_entries)
         with mp.workprec(first_read_bits or mp.prec):  # None: the caller's context
-            t.c(0, 0)
-            t.real(0, 0)
-        assert _raw(t.complex_entries) == _raw(ref.complex_entries)
-        assert _raw(t.real_entries) == _raw(ref.real_entries)
+            _first_reads(t, maxdeg)
+        _assert_same_bits(t, ref)
 
     back = pickle.loads(pickle.dumps(moments.moment_table(poly, maxdeg, bits)))
-    assert _raw(back.complex_entries) == _raw(ref.complex_entries)
-    assert _raw(back.real_entries) == _raw(ref.real_entries)
+    _assert_same_bits(back, ref)
 
     paths = [tmp_path / f"{kind}.json" for kind in ("unread", "read", "eager")]
     moments.save_table(moments.moment_table(poly, maxdeg, bits), paths[0])
     read = moments.moment_table(poly, maxdeg, bits)
+    _first_reads(read, maxdeg)
     for half in (read.complex_entries, read.real_entries):
         dict(half)
     moments.save_table(read, paths[1])
     moments.save_table(ref, paths[2])
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
+@pytest.mark.parametrize("name", list(_DEFERRED_POLYGONS))
+def test_a_rounded_table_has_the_bits_of_the_finer_sums(name, maxdeg, bits):
+    # rho's table at bits is rounded from the exact sums of its check's pass
+    # at bits + 64: every part is _rounded of those sums, never of the finer
+    # entries, whichever table is read first and at whatever precision
+    poly = _DEFERRED_POLYGONS[name]()
+    fine = bits + 64
+    ref, fine_ref = _eager_reference(poly, maxdeg, bits, fine), _eager_reference(poly, maxdeg, fine)
+    for first_read_bits in (64, None, 4000):
+        for first in ("coarse", "fine"):
+            check = moments.moment_table(poly, maxdeg, fine)
+            t = moments._rounded_table(check, bits)
+            assert (t.fingerprint, t.maxdeg, t.precision_bits) == \
+                (moments.table_fingerprint(poly, bits), maxdeg, bits)
+            with mp.workprec(first_read_bits or mp.prec):
+                _first_reads(t if first == "coarse" else check, maxdeg)
+            _assert_same_bits(t, ref)
+            _assert_same_bits(check, fine_ref)
+
+    # the pair pickles before its pass, sharing one set of sums, and after it
+    check = moments.moment_table(poly, maxdeg, fine)
+    check, t = pickle.loads(pickle.dumps((check, moments._rounded_table(check, bits))))
+    assert t.complex_entries._source is check.complex_entries
+    _first_reads(t, maxdeg)
+    check, t = pickle.loads(pickle.dumps((check, t)))
+    _assert_same_bits(t, ref)
+    _assert_same_bits(check, fine_ref)
+
+
+def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
+    # a sum one unit above the midpoint of two 256-bit numbers, whose last bit
+    # is 70 bits higher: at 320 bits the sum rounds to the midpoint, which
+    # then rounds to even, down, while the sum itself rounds up
+    bits, fine = 256, 320
+    half_way = ((1 << bits) + 1) << 70
+    check = moments.moment_table(geometry.make_regular_ngon(5), 4, fine)
+    check.complex_entries._sums = {(0, 0): (0, half_way + 1, 1)}  # c[0][0] = Im S / 2
+    check.real_entries._sums = {(0, 0): (-half_way - 1, 0, 0)}  # I[0][0] = -S
+    t = moments._rounded_table(check, bits)
+    up = mp.make_mpf(from_man_exp((1 << (bits - 1)) + 1, 71))
+    assert t.c(0, 0).real == t.real(0, 0) == up
+    assert check.real(0, 0) == mp.make_mpf(from_man_exp(half_way >> 70, 70))
 
 
 @pytest.mark.parametrize("maxdeg,bits", [(12, 256), (26, 352)])
@@ -262,13 +333,13 @@ def test_table_entries_are_rounded_once(name, maxdeg, bits):
 
 
 def _forbid(monkeypatch, kind):
-    build = moments._build_half
+    kernel = moments._edge_sums
 
     def refuse(p, maxdeg, precision_bits, half):
         if half == kind:
             raise AssertionError(f"the {kind!r} half was built")
-        return build(p, maxdeg, precision_bits, half)
-    monkeypatch.setattr(moments, "_build_half", refuse)
+        return kernel(p, maxdeg, precision_bits, half)
+    monkeypatch.setattr(moments, "_edge_sums", refuse)
 
 
 def test_gram_paths_build_no_real_moments(monkeypatch, capsys, pentagon):
