@@ -130,11 +130,12 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
     # cached, so error in a cached table shows.  On a miss the table at prec
     # is rounded from that pass's exact sums, whose kernel error, shared with
     # the check and so unseen by it, stays 32 bits below the rounding to prec
-    # while the polygon's frame loses at most _CHECK_EXTRA_BITS; beyond that
-    # the table gets a pass of its own, whose error the check does see
+    # while the kernel loses at most _CHECK_EXTRA_BITS to cancellation, as on
+    # a small polygon far off the origin or a sliver; beyond that the table
+    # gets a pass of its own, whose error the check does see
     check_table = moments.moment_table(poly, maxdeg, prec + _CHECK_EXTRA_BITS)
     if table is None:
-        if moments._frame_loss_bits(poly) <= _CHECK_EXTRA_BITS:
+        if moments._cancellation_bits(poly) <= _CHECK_EXTRA_BITS:
             table = moments._rounded_table(check_table, prec)
         else:
             table = moments.moment_table(poly, maxdeg, prec)

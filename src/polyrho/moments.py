@@ -12,8 +12,10 @@ reference.  Both carry the total degree plus 32 guard bits above the
 entries' precision.  Binomial sums cancel up to ~maxdeg bits; the
 recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|) bits
 on top of the edge sum's cancellation of as many: under 10 bits in all in a
-polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  Beyond the
-budget, only a translated and rescaled frame helps.
+polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  A sliver
+of length L and height h loses log2(L / h) as its edge sums cancel down to its
+area; _cancellation_bits estimates either loss.  Beyond the budget, only a
+translated and rescaled frame helps.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
 exact edge sums: _edge_sums scales the polygon by a power of two into the
@@ -76,8 +78,8 @@ class MomentTable:
 
     complex_entries and real_entries map (m, n) to c[m][n] and I[m][n].
     moment_table gives each a mapping that runs the half's kernel pass on its
-    first read and rounds each entry on that entry's first read; iteration
-    and items() round them all, and len() runs nothing.  load_table and
+    first read and rounds each entry on that entry's first read; items()
+    rounds them all, and len() and iteration run nothing.  load_table and
     dataclasses.replace may give plain dicts.  Treated as immutable once
     built; safe to share across workers, built or not.
     """
@@ -304,9 +306,8 @@ class _DeferredHalf(Mapping):
     is filled with the conjugate at the same time.  A half given a source
     rounds the source's edge sums instead of running its own pass.  Holds
     the polygon and the table's parameters, not a closure, so a table
-    pickles before and after the pass.  len() answers from maxdeg without
-    a pass; iteration rounds every entry and yields them in one fixed
-    order."""
+    pickles before and after the pass.  len() and iteration answer from
+    maxdeg without a pass; the keys come in one fixed order."""
 
     def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str,
                  source: _DeferredHalf | None = None):
@@ -314,7 +315,6 @@ class _DeferredHalf(Mapping):
         self._source = source
         self._sums = None
         self._entries = {}
-        self._complete = False
 
     def _exact_sums(self) -> dict:
         if self._source is not None:
@@ -345,24 +345,16 @@ class _DeferredHalf(Mapping):
                 self._entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
         return self._entries[key]
 
-    def _all(self) -> dict:
-        if not self._complete:
-            _, maxdeg, _, kind = self._args
-            order = []
-            for m, n in _table_keys(maxdeg, kind):
-                order.append((m, n))
-                if kind == "c" and m != n:
-                    order.append((n, m))
-            self._entries = {key: self[key] for key in order}
-            self._complete = True
-        return self._entries
-
     def __getitem__(self, key):
         entry = self._entries.get(key)
         return self._round(key) if entry is None else entry
 
     def __iter__(self):
-        return iter(self._all())
+        _, maxdeg, _, kind = self._args
+        for m, n in _table_keys(maxdeg, kind):
+            yield m, n
+            if kind == "c" and m != n:
+                yield n, m
 
     def __len__(self) -> int:
         maxdeg = self._args[1]
@@ -388,16 +380,19 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
                        _DeferredHalf(p, maxdeg, precision_bits, "I"))
 
 
-def _frame_loss_bits(p: geometry.Polygon) -> int:
-    """About the bits _edge_sums loses to the polygon's frame, on top of the
-    total degree: twice log2(max |coordinate| / shortest edge), with the
-    shortest edge measured by its longer component."""
-    vs = p.vertices
-    with mp.workprec(64):
-        top = max(mp.mag(c) for v in vs for c in v)
-        edge = min(max(mp.mag(x1 - x0), mp.mag(y1 - y0))
-                   for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
-    return 2 * max(top - edge, 0)
+def _cancellation_bits(p: geometry.Polygon) -> int:
+    """About the bits _edge_sums loses to cancellation, on top of the total
+    degree: log2(2^(2e) / |area|), with 2^e the kernel's scale, from the
+    largest coordinate.  That is about 2 log2(R / s) for a side-s polygon at
+    distance R from the origin and log2(L / h) for a length-L sliver of
+    height h.  The area is summed in ints from the vertices truncated at
+    2^(e-128), as the kernel truncates them, so a loss past about 120 bits
+    only reads as large."""
+    raws = [(x._mpf_, y._mpf_) for x, y in p.vertices]
+    e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
+    pts = [(geometry._fixed(x, 128 - e), geometry._fixed(y, 128 - e)) for x, y in raws]
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    return 2 * 128 + 1 - abs(twice).bit_length()
 
 
 def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:

@@ -344,16 +344,31 @@ def test_import_and_rho_leave_numpy_unloaded():
         assert abs(float(proc.stdout.splitlines()[-1]) - ref) <= 1e-8 * ref
 
 
-def _claimed_and_true_digits(tmp_path, argv, poly, n, ref):
+def _claimed_and_true_digits(tmp_path, argv, n, ref):
     """certified_digits of `polyrho rho` (None when it exits 3) and the
-    digits of rho_n at the same precision against ref."""
+    digits against ref of the value it printed, as solved before printing
+    rounded it to those digits."""
+    solved = []
+    rho_n = content.rho_n
+
+    def spy(poly, n, prec, **kwargs):
+        result = rho_n(poly, n, prec, **kwargs)
+        solved.append((prec, result.value))
+        return result
+
     out = tmp_path / "rho.json"
-    code = run_cli("rho", *argv, "--n", str(n), "--output", str(out))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(content, "rho_n", spy)
+        code = run_cli("rho", *argv, "--n", str(n), "--output", str(out))
     assert code in (0, 3)
-    value = content.rho_n(poly, n, moments.precision_for_degree(n)).value
+    if code == 3:
+        return None, None
+    doc = json.loads(out.read_text())
+    claimed = doc["certified_digits"]
+    [value] = [v for prec, v in solved if prec == doc["precision_bits"]]
+    assert doc["value"] == mp.nstr(value, claimed)
     with mp.workprec(2048):
         true = -mp.log10(abs(value - ref) / abs(ref)) if value != ref else mp.inf
-    claimed = json.loads(out.read_text())["certified_digits"] if code == 0 else None
     return claimed, true
 
 
@@ -371,7 +386,7 @@ def test_certified_digits_are_honest_on_scaled_equilateral(tmp_path, monkeypatch
     # no polygon file or family carries the extra bits, so hand rho the copy
     monkeypatch.setattr(cli, "_load_polygon", lambda cfg: tri)
     claimed, true = _claimed_and_true_digits(
-        tmp_path, ("--family", "regular-ngon:3"), tri, n, exact)
+        tmp_path, ("--family", "regular-ngon:3"), n, exact)
     assert claimed is not None and claimed <= true
     capsys.readouterr()
 
@@ -389,34 +404,42 @@ def test_certified_digits_are_honest_off_frame(tmp_path, capsys, vertices, n):
     path.write_text(vertices)
     poly = geometry.read_polygon(path)
     ref = content.rho_n(poly, n, moments.precision_for_degree(n) + 128).value
-    claimed, true = _claimed_and_true_digits(tmp_path, ("--polygon", str(path)), poly, n, ref)
+    claimed, true = _claimed_and_true_digits(tmp_path, ("--polygon", str(path)), n, ref)
     # an exit 3 is accepted until rho works in the polygon's own frame
     assert claimed is None or claimed <= true
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("decade", [6, 18])
-def test_certified_digits_of_the_printed_value_are_honest_far_off_frame(tmp_path, capsys,
-                                                                        decade):
-    # (0, 0), (1, 0), (0.3, 0.8) scaled by 1.37e-decade and moved to (100, 100.5):
-    # the kernel loses about 2 log2(100 / 1.37e-decade) bits to the frame, 52
-    # at decade 6, where rho rounds its table from the check's kernel pass,
-    # and 132 at decade 18, where a shared pass would hide the loss from the
-    # check and certify 32 digits of a value with none
+def _far_triangle(decade):
+    # (0, 0), (1, 0), (0.3, 0.8) scaled by 1.37e-decade and moved to (100, 100.5)
     s = Decimal(f"1.37e-{decade}")
-    path = tmp_path / "far.txt"
-    path.write_text("".join(f"{Decimal(100) + s * Decimal(x)} {Decimal('100.5') + s * Decimal(y)}\n"
-                            for x, y in (("0", "0"), ("1", "0"), ("0.3", "0.8"))))
-    out = tmp_path / "rho.json"
-    code = run_cli("rho", "--polygon", str(path), "--n", "2", "--output", str(out))
-    assert code in (0, 3)  # 3 until rho works in the polygon's own frame
-    if code == 0:
-        doc = json.loads(out.read_text())
-        poly = geometry.read_polygon(path)
-        ref = content.rho_n(poly, 2, moments.precision_for_degree(2) + 1024).value
-        with mp.workprec(4096):
-            err = abs(mp.mpf(doc["value"]) - ref) / ref
-            assert err == 0 or doc["certified_digits"] <= -mp.log10(err)
+    return "".join(f"{Decimal(100) + s * Decimal(x)} {Decimal('100.5') + s * Decimal(y)}\n"
+                   for x, y in (("0", "0"), ("1", "0"), ("0.3", "0.8")))
+
+
+@pytest.mark.parametrize("vertices, bits", [
+    # the kernel loses about 2 log2(100 / 1.37e-decade) bits to cancellation:
+    # 52 at decade 6, where rho rounds its table from the check's kernel
+    # pass, and 132 at decade 18, where a shared pass would hide the loss
+    # from the check and certify 32 digits of a value with none
+    (_far_triangle(6), None),
+    (_far_triangle(18), None),
+    # slivers (0, 0), (1, 0), (0.5, h) lose about log2(1 / h) bits: 60 at
+    # h = 1e-18, where the pass is shared, and 299 at h = 1e-90, where a
+    # shared pass would certify about 146 digits of a value with 71
+    ("0 0\n1 0\n0.5 1e-18\n", None),
+    ("0 0\n1 0\n0.5 1e-90\n", 1024),
+], ids=["far-6", "far-18", "sliver-18", "sliver-90"])
+def test_certified_digits_are_honest_far_off_frame_and_thin(tmp_path, capsys, vertices, bits):
+    path = tmp_path / "poly.txt"
+    path.write_text(vertices)
+    poly = geometry.read_polygon(path)
+    prec = bits or moments.precision_for_degree(2)
+    ref = content.rho_n(poly, 2, prec + 1024).value
+    extra = ("--precision-bits", str(bits)) if bits else ()
+    claimed, true = _claimed_and_true_digits(tmp_path, ("--polygon", str(path), *extra), 2, ref)
+    # an exit 3 is accepted until rho works in the polygon's own frame
+    assert claimed is None or claimed <= true
     capsys.readouterr()
 
 
@@ -425,7 +448,7 @@ def test_certified_digits_are_honest_at_degree_33(tmp_path, capsys):
     n = 33
     ref = content.rho_n(poly, n, moments.precision_for_degree(n) + 128).value
     claimed, true = _claimed_and_true_digits(
-        tmp_path, ("--family", "triangle-base:3,1.2"), poly, n, ref)
+        tmp_path, ("--family", "triangle-base:3,1.2"), n, ref)
     assert claimed is not None and claimed <= true
     capsys.readouterr()
 

@@ -307,6 +307,20 @@ def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
     assert check.real(0, 0) == mp.make_mpf(from_man_exp(half_way >> 70, 70))
 
 
+@pytest.mark.parametrize("vertices, low, high", [
+    ([(0, 0), (1, 0), (0.5, 0.8)], 0, 3),
+    # a side-2^-20 triangle near (100, 100), 2^7 the kernel's scale:
+    # about 2 log2(2^7 / 2^-20) bits
+    ([(100, 100), (100 + 2 ** -20, 100), (100, 100 + 2 ** -20)], 54, 56),
+    # slivers of height 2^-40 and 2^-300: the edges are long, but the
+    # edge sums cancel down to the area; past about 120 bits it reads large
+    ([(0, 0), (1, 0), (0.5, 2 ** -40)], 40, 42),
+    ([(0, 0), (1, 0), (0.5, 2 ** -300)], 120, 300),
+])
+def test_cancellation_bits_see_far_and_thin_polygons(vertices, low, high):
+    assert low <= moments._cancellation_bits(geometry.polygon_new(vertices)) <= high
+
+
 @pytest.mark.parametrize("maxdeg,bits", [(12, 256), (26, 352)])
 @pytest.mark.parametrize("name", ["windmill-2", "star-8", "far-triangle", "pentagon"])
 def test_table_entries_are_rounded_once(name, maxdeg, bits):
