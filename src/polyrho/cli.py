@@ -109,7 +109,7 @@ def _certified_digits(v1, v2, prec: int) -> int:
     if diff == 0:
         return cap
     rel = diff / max(abs(v1), abs(v2))
-    return max(1, min(cap, int(-mp.log10(rel))))
+    return max(0, min(cap, int(-mp.log10(rel))))
 
 
 def _write_text(path, text) -> None:
@@ -128,23 +128,20 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
     table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
     # cached, so error in a cached table shows.  On a miss the table at prec
-    # is rounded from that pass's exact sums, whose kernel error, shared with
-    # the check and so unseen by it, stays 32 bits below the rounding to prec
-    # while the kernel loses at most _CHECK_EXTRA_BITS to cancellation, as on
-    # a small polygon far off the origin or a sliver; beyond that the table
-    # gets a pass of its own, whose error the check does see
+    # is rounded from that pass's exact sums, whose error, shared with the
+    # check and so unseen by it, is 96 bits below the rounding to prec
     check_table = moments.moment_table(poly, maxdeg, prec + _CHECK_EXTRA_BITS)
     if table is None:
-        if moments._cancellation_bits(poly) <= _CHECK_EXTRA_BITS:
-            table = moments._rounded_table(check_table, prec)
-        else:
-            table = moments.moment_table(poly, maxdeg, prec)
+        table = moments._rounded_table(check_table, prec)
         if cfg.moment_cache:
             moments.save_table(table, cfg.moment_cache)
     direct = content.rho_n(poly, cfg.n, prec, table=table)
     check = content.rho_n(poly, cfg.n, prec + _CHECK_EXTRA_BITS, table=check_table)
     wall = time.perf_counter() - t0
     digits = _certified_digits(direct.value, check.value, prec)
+    if not digits:
+        raise NumericalError(f"rho_{cfg.n} at {prec} bits and its check at "
+                             f"{prec + _CHECK_EXTRA_BITS} bits agree in no digit")
     value_str = mp.nstr(direct.value, digits)
     if cfg.output:
         if cfg.fmt == "csv":

@@ -74,31 +74,32 @@ def _segments_touch(p1, p2, p3, p4) -> bool:
 
 
 def _twice_signed_area(verts):
-    s = mp.mpf(0)
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return s
+    """Twice the signed area of the chain through verts; exact for ints."""
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]))
+
+
+def _int_image(verts):
+    """(pts, low, top): the vertices as int points at scale 2^low, and the
+    least top with every |coordinate| < 2^top.  low is the lowest exponent of
+    any nonzero coordinate within 2^4096 of the largest: coordinates in that
+    range are exact, smaller ones truncated toward zero."""
+    raws = [(x._mpf_, y._mpf_) for x, y in verts]
+    top = max(exp + bc for v in raws for _, man, exp, bc in v if man)
+    low = min(exp for v in raws for _, man, exp, bc in v if man and exp + bc >= top - 4096)
+    return [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws], low, top
 
 
 def _check_simple(verts):
     """Raise NotSimple unless the closed chain through verts is simple.
 
-    The mpf coordinates are read as exact ints at one common scale, the
-    lowest exponent of any nonzero coordinate within a factor 2^4096 of the
-    largest; smaller coordinates are truncated at that scale.  The signs of
-    the orientation tests are then exact.  Raise DegenerateVertex for two
-    distinct vertices that the truncation merges."""
-    raws = [(x._mpf_, y._mpf_) for x, y in verts]
-    top = max(exp + bc for v in raws for _, man, exp, bc in v if man)
-    low = min(exp for v in raws for _, man, exp, bc in v if man and exp + bc >= top - 4096)
-    pts = [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws]
+    The orientation tests run on _int_image's points, so their signs are
+    exact.  Raise DegenerateVertex for two distinct vertices that the
+    image's truncation merges."""
+    pts, _, _ = _int_image(verts)
     first = {}
     for i, pt in enumerate(pts):
         j = first.setdefault(pt, i)
-        if raws[j] != raws[i]:
+        if verts[j] != verts[i]:
             raise DegenerateVertex(
                 f"vertices {j} and {i} differ only below 2^-4096 of the largest "
                 "coordinate, the resolution of the simplicity test")

@@ -14,8 +14,9 @@ recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|) bits
 on top of the edge sum's cancellation of as many: under 10 bits in all in a
 polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  A sliver
 of length L and height h loses log2(L / h) as its edge sums cancel down to its
-area; _cancellation_bits estimates either loss.  Beyond the budget, only a
-translated and rescaled frame helps.
+area.  _cancellation_bits measures either loss, and the table kernel widens
+its scale by that many bits, so a table keeps its accuracy wherever the
+polygon sits.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
 exact edge sums: _edge_sums scales the polygon by a power of two into the
@@ -189,14 +190,14 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     the first entry reaches the k-th times r^k / C(s, k), r = min/max(|dA|, |dB|).
 
     The arithmetic is in ints, with complex values as (re, im) pairs.
-    Coordinates are divided by 2^e, e the mpf exponent of the largest vertex
-    coordinate, so each lies in (-1, 1), and held at scale 2^w with
-        w = precision_bits + 2 maxdeg + 42:
+    Coordinates are divided by 2^e, e the top of geometry._int_image, so
+    each lies in (-1, 1), and held at scale 2^w with
+        w = precision_bits + 2 maxdeg + 42 + max(0, _cancellation_bits(p)):
     precision_bits + maxdeg + 32 working bits, 8 guard bits for the
-    truncations, and maxdeg + 2 for the monomials, which reach degree
-    maxdeg + 2: a power-of-two scale can leave the largest coordinate as small
-    as 1/2, so a degree-d monomial as small as 2^-d of it.  Each vertex's
-    monomials are built once, for the two edges that meet there."""
+    truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
+    (a degree-d monomial can be 2^-d of the largest coordinate, itself as
+    small as 1/2), and the bits the sums cancel.  Each vertex's monomials
+    are built once, for the two edges that meet there."""
     keys = _table_keys(maxdeg, kind)
     top = maxdeg + 1  # the highest anti-diagonal of J
     on_diag = [[] for _ in range(top + 1)]  # the keys read from each anti-diagonal
@@ -204,12 +205,11 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
         on_diag[m + n + 1].append((m, n))
     reach = [max((n + 1 for _, n in ks), default=0) for ks in on_diag]
 
-    w = precision_bits + 2 * maxdeg + 42
-    raws = [(x._mpf_, y._mpf_) for x, y in p.vertices]
-    e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
+    _, _, e = image = geometry._int_image(p.vertices)
+    w = precision_bits + 2 * maxdeg + 42 + max(0, _lost_bits(*image))
     verts = []
-    for x, y in raws:
-        x, y = geometry._fixed(x, w - e), geometry._fixed(y, w - e)
+    for x, y in p.vertices:
+        x, y = geometry._fixed(x._mpf_, w - e), geometry._fixed(y._mpf_, w - e)
         verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
 
     acc = {key: [0, 0] for key in keys}
@@ -385,14 +385,13 @@ def _cancellation_bits(p: geometry.Polygon) -> int:
     degree: log2(2^(2e) / |area|), with 2^e the kernel's scale, from the
     largest coordinate.  That is about 2 log2(R / s) for a side-s polygon at
     distance R from the origin and log2(L / h) for a length-L sliver of
-    height h.  The area is summed in ints from the vertices truncated at
-    2^(e-128), as the kernel truncates them, so a loss past about 120 bits
-    only reads as large."""
-    raws = [(x._mpf_, y._mpf_) for x, y in p.vertices]
-    e = max(exp + bc for vertex in raws for _, man, exp, bc in vertex if man)
-    pts = [(geometry._fixed(x, 128 - e), geometry._fixed(y, 128 - e)) for x, y in raws]
-    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    return 2 * 128 + 1 - abs(twice).bit_length()
+    height h.  The area is summed exactly, on geometry._int_image's points."""
+    return _lost_bits(*geometry._int_image(p.vertices))
+
+
+def _lost_bits(pts, low: int, top: int) -> int:
+    """_cancellation_bits from an int image (pts, low, top) of the vertices."""
+    return 2 * (top - low) + 1 - abs(geometry._twice_signed_area(pts)).bit_length()
 
 
 def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:

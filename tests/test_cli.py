@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -313,6 +314,7 @@ def test_certified_digits_reporting():
         cli._digits_for_bits(256)
     few = cli._certified_digits(mp.mpf("0.123456"), mp.mpf("0.123461"), 256)
     assert 1 <= few <= 5
+    assert cli._certified_digits(mp.mpf(1), mp.mpf(1.5), 256) == 0
 
 
 def test_console_script_entry_point():
@@ -418,18 +420,21 @@ def _far_triangle(decade):
 
 
 @pytest.mark.parametrize("vertices, bits", [
-    # the kernel loses about 2 log2(100 / 1.37e-decade) bits to cancellation:
-    # 52 at decade 6, where rho rounds its table from the check's kernel
-    # pass, and 132 at decade 18, where a shared pass would hide the loss
-    # from the check and certify 32 digits of a value with none
+    # rho rounds its table from the check's kernel pass, so the check cannot
+    # see the kernel's error, and the kernel's scale must absorb what its
+    # sums cancel: about 2 log2(100 / 1.37e-decade) bits here, 52 at decade
+    # 6 and 132 at decade 18.  Without those bits, decade 12 prints 6.8
+    # correct digits instead of 19, and decade 15 claims 1 of 0.2 correct
     (_far_triangle(6), None),
+    (_far_triangle(12), None),
+    (_far_triangle(15), None),
     (_far_triangle(18), None),
     # slivers (0, 0), (1, 0), (0.5, h) lose about log2(1 / h) bits: 60 at
-    # h = 1e-18, where the pass is shared, and 299 at h = 1e-90, where a
-    # shared pass would certify about 146 digits of a value with 71
+    # h = 1e-18 and 299 at h = 1e-90, where a scale short of them would
+    # certify about 146 digits of a value with 71
     ("0 0\n1 0\n0.5 1e-18\n", None),
     ("0 0\n1 0\n0.5 1e-90\n", 1024),
-], ids=["far-6", "far-18", "sliver-18", "sliver-90"])
+], ids=["far-6", "far-12", "far-15", "far-18", "sliver-18", "sliver-90"])
 def test_certified_digits_are_honest_far_off_frame_and_thin(tmp_path, capsys, vertices, bits):
     path = tmp_path / "poly.txt"
     path.write_text(vertices)
@@ -557,4 +562,27 @@ def test_rho_runs_one_complex_kernel_pass(tmp_path, monkeypatch, capsys):
         passes.clear()
         assert run_cli("rho", "--family", "windmill:2", "--n", "4", *extra) == 0
         assert sorted(passes) == sorted(expected)
+    # a sliver whose edge sums cancel about 299 bits, far more than the
+    # check's extra bits, still answers from the check's pass
+    sliver = tmp_path / "sliver.txt"
+    sliver.write_text("0 0\n1 0\n0.5 1e-90\n")
+    passes.clear()
+    assert run_cli("rho", "--polygon", str(sliver), "--n", "4",
+                   "--precision-bits", "1024") == 0
+    assert passes == [("c", 1024 + cli._CHECK_EXTRA_BITS)]
     capsys.readouterr()
+
+
+def test_rho_exits_3_when_the_check_agrees_in_no_digit(monkeypatch, capsys):
+    rho_n = content.rho_n
+
+    def off_check(poly, n, prec, **kwargs):
+        result = rho_n(poly, n, prec, **kwargs)
+        if prec > moments.precision_for_degree(n):  # the check's solve
+            result = dataclasses.replace(result, value=result.value * 3)
+        return result
+    monkeypatch.setattr(content, "rho_n", off_check)
+    assert run_cli("rho", "--family", "windmill:2", "--n", "2") == 3
+    captured = capsys.readouterr()
+    assert "rho_2 =" not in captured.out
+    assert "agree in no digit" in captured.err

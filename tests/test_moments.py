@@ -312,10 +312,14 @@ def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
     # a side-2^-20 triangle near (100, 100), 2^7 the kernel's scale:
     # about 2 log2(2^7 / 2^-20) bits
     ([(100, 100), (100 + 2 ** -20, 100), (100, 100 + 2 ** -20)], 54, 56),
-    # slivers of height 2^-40 and 2^-300: the edges are long, but the
-    # edge sums cancel down to the area; past about 120 bits it reads large
+    # slivers of height 2^-40, 2^-300 and 2^-700: the edges are long, but
+    # the edge sums cancel down to the area, which is summed exactly
     ([(0, 0), (1, 0), (0.5, 2 ** -40)], 40, 42),
-    ([(0, 0), (1, 0), (0.5, 2 ** -300)], 120, 300),
+    ([(0, 0), (1, 0), (0.5, 2 ** -300)], 300, 304),
+    ([(0, 0), (1, 0), (0.5, 2 ** -700)], 700, 704),
+    # a unit square with a corner 1e-1000000000 off the axis: the int image
+    # truncates that coordinate instead of spanning a billion decades
+    ([("1e-1000000000", 0), (1, 0), (1, 1), (0, 1)], 0, 2),
 ])
 def test_cancellation_bits_see_far_and_thin_polygons(vertices, low, high):
     assert low <= moments._cancellation_bits(geometry.polygon_new(vertices)) <= high
@@ -342,6 +346,31 @@ def test_table_entries_are_rounded_once(name, maxdeg, bits):
                     if abs(want) < mp.mpf(2) ** -32 * scale[m + n]:
                         continue
                     _, _, exp, bc = want._mpf_  # 2^(exp+bc-1) <= |want| < 2^(exp+bc)
+                    ulp = mp.ldexp(1, exp + bc - bits)
+                    assert abs(got - want) <= (mp.mpf(1) / 2 + mp.mpf(2) ** -20) * ulp, (m, n)
+
+
+@pytest.mark.parametrize("maxdeg,bits", [(4, 256), (10, 304), (26, 352)])
+def test_table_entries_are_rounded_once_far_off_frame(maxdeg, bits):
+    # a side-1e-4 triangle at (100, 100): the edge sums and the endpoint
+    # differences cancel about 38 bits, which a kernel scale short of them
+    # turns into errors of 5151 ulps at maxdeg 4, where the guard bits are
+    # fewest; every part must still be the nearest bits-bit number
+    poly = geometry.polygon_new([(100, 100), ("100.0001", 100), ("100.00003", "100.00008")])
+    t = moments.moment_table(poly, maxdeg, bits)
+    fine = moments.moment_table(poly, maxdeg, bits + 300)
+    with mp.workprec(bits + 400):
+        for entries, fine_entries in ((t.complex_entries, fine.complex_entries),
+                                      (t.real_entries, fine.real_entries)):
+            for (m, n), ref in fine_entries.items():
+                val = entries[(m, n)]
+                parts = ((val.real, ref.real), (val.imag, ref.imag)) \
+                    if isinstance(ref, mp.mpc) else ((val, ref),)
+                for got, want in parts:
+                    if not want:  # c[m][m]'s imaginary part
+                        assert not got, (m, n)
+                        continue
+                    _, _, exp, bc = want._mpf_
                     ulp = mp.ldexp(1, exp + bc - bits)
                     assert abs(got - want) <= (mp.mpf(1) / 2 + mp.mpf(2) ** -20) * ulp, (m, n)
 
