@@ -19,8 +19,6 @@ from mpmath import mp
 from . import content, extremal, geometry, moments
 from .errors import GeometryError, NumericalError
 
-ENV_PRECISION = "POLYRHO_PRECISION_BITS"
-
 # rho certifies its digits against a second table and solve this many bits up
 _CHECK_EXTRA_BITS = 64
 
@@ -63,18 +61,6 @@ def _parse_family(text: str, free_names=()) -> geometry.FamilySpec:
             f"family {kind!r} needs values for {fixed_names}, got {len(vals)}")
     fixed = tuple((nm, float(v)) for nm, v in zip(fixed_names, vals))
     return geometry.FamilySpec(kind, fixed, tuple(free_names))
-
-
-def _default_precision(cfg: argparse.Namespace, fallback: int) -> int:
-    if cfg.precision_bits is not None:
-        return cfg.precision_bits
-    env = os.environ.get(ENV_PRECISION)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_PRECISION} must be an integer, got {env!r}") from None
-    return fallback
 
 
 def _load_polygon(cfg: argparse.Namespace) -> geometry.Polygon:
@@ -122,8 +108,9 @@ def _write_text(path, text) -> None:
 
 def cmd_rho(cfg: argparse.Namespace) -> int:
     poly = _load_polygon(cfg)
-    prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
-    maxdeg = 2 * cfg.n + 2
+    prec = (moments.precision_for_degree(cfg.n) if cfg.precision_bits is None
+            else cfg.precision_bits)
+    maxdeg = content._gram_degree(cfg.n)
     t0 = time.perf_counter()
     table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
@@ -167,7 +154,8 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     if cfg.maxdeg < 2:
         raise ValueError(f"--maxdeg must be >= 2, got {cfg.maxdeg}")
     poly = _load_polygon(cfg)
-    prec = _default_precision(cfg, moments.DEFAULT_PRECISION_BITS)
+    prec = (moments.DEFAULT_PRECISION_BITS if cfg.precision_bits is None
+            else cfg.precision_bits)
     table = _cached_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
     if table is None:
         table = moments.moment_table(poly, cfg.maxdeg, prec)
@@ -222,17 +210,15 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.steps < 3:
         raise ValueError(f"sweep needs --steps >= 3, got {cfg.steps}")
     spec = _parse_family(cfg.family, free_names=(cfg.param,))
-    prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     sweep = extremal.sweep_family(spec, cfg.sweep_range[0], cfg.sweep_range[1],
-                                  cfg.steps, cfg.n, prec, cfg.parallelism)
+                                  cfg.steps, cfg.n, cfg.precision_bits, cfg.parallelism)
     _emit_sweep(sweep, cfg)
     return 0
 
 
 def cmd_pentagon_grid(cfg: argparse.Namespace) -> int:
-    prec = _default_precision(cfg, moments.precision_for_degree(cfg.n))
     sweep = extremal.pentagon_grid(cfg.theta_range, cfg.phi_range, cfg.steps,
-                                   cfg.n, prec, cfg.parallelism)
+                                   cfg.n, cfg.precision_bits, cfg.parallelism)
     _emit_sweep(sweep, cfg)
     return 0
 
@@ -435,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # sets its handler reads
     result = argparse.ArgumentParser(add_help=False)
     result.add_argument("--precision-bits", type=int, default=None,
-                        help=f"working precision (default: policy, or ${ENV_PRECISION})")
+                        help="working precision in bits (default: the policy, "
+                             "max(256, 24N + 64) for a degree-N result, 256 for moments)")
     result.add_argument("--output", default=None, help="write results to this file")
 
     degree = argparse.ArgumentParser(add_help=False)

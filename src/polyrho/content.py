@@ -3,16 +3,17 @@
 rho_n solves the monomial Gram system once, in fixed-point Python integers
 (_ldl_solve): rows scaled by powers of two to a unit diagonal, an LDL*
 factorization that divides only by the pivots, one rounding at the end.
-rho_n_telescoping computes the same number by Gram-Schmidt orthonormalization
-with termwise telescoping of the projection.  Both read the table through
-build_gram and share no other arithmetic; telescoping is the independent
-check in verify and the tests, and also yields every partial rho_k and the
-orthonormal basis.  Both cost O(N^3): Gram-Schmidt keeps each basis
-polynomial's Gram product <z^i, p_j> instead of re-integrating p_j against
-the table for every projection.  orthonormality_residual does re-integrate,
-as the independent check of the basis.  Monomial Gram matrices are
-catastrophically ill-conditioned in double precision for N beyond ~12, so
-everything here runs at the moments precision policy plus guard bits.
+rho_n_telescoping computes the same number by Gram-Schmidt on the monomials,
+taken as the Cholesky factorization G = L L* of the Gram matrix in floating
+point, unscaled and with square roots; row k of L^-1 gives the orthonormal
+p_k, and L^-1 applied to the right-hand side telescopes the projection into
+every partial rho_k.  Both read the table through build_gram, which needs
+moments to degree 2N, and share no other arithmetic; telescoping is the
+independent check in verify and the tests.  Both cost O(N^3).
+orthonormality_residual re-integrates the basis against the table, as the
+independent check of the basis.  Monomial Gram matrices are catastrophically
+ill-conditioned in double precision for N beyond ~12, so everything here runs
+at the moments precision policy plus guard bits.
 """
 
 from __future__ import annotations
@@ -69,10 +70,19 @@ class BergmanBasis:
     norms: tuple
 
 
+def _gram_degree(n: int) -> int:
+    """Moment degree the degree-n Gram system reads: G to 2n, the right-hand
+    side to n + 1 and the target norm c[1][1] to 2."""
+    return max(2 * n, 2)
+
+
 def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
-    if t.maxdeg < 2 * n + 2:
+    """The degree-n Gram system read from t, which must hold moments to
+    degree max(2n, 2); InsufficientMoments otherwise."""
+    if t.maxdeg < _gram_degree(n):
         raise InsufficientMoments(
-            f"degree-{n} content needs moments to degree {2 * n + 2}, table has {t.maxdeg}")
+            f"degree-{n} content needs moments to degree {_gram_degree(n)}, "
+            f"table has {t.maxdeg}")
     matrix = tuple(tuple(t.c(k, j) for k in range(n + 1)) for j in range(n + 1))
     rhs = tuple(t.c(0, j + 1) for j in range(n + 1))
     return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
@@ -140,10 +150,6 @@ def _ldl_solve(gram: GramSystem, prec: int):
         return value, float(max(pivots) / min(pivots))
 
 
-def _condition_estimate(diag) -> float:
-    return float((max(diag) / min(diag)) ** 2)
-
-
 def _resolve(p, n, precision_bits, table):
     if n < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n}")
@@ -155,7 +161,7 @@ def _resolve(p, n, precision_bits, table):
                 f"at {prec} bits")
         return prec, table
     prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
-    return prec, moments.moment_table(p, 2 * n + 2, prec)
+    return prec, moments.moment_table(p, _gram_degree(n), prec)
 
 
 def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoResult:
@@ -170,65 +176,56 @@ def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoRe
 
 def _poly_ip(pa, pb, table):
     """<sum_i pa[i] z^i, sum_j pb[j] z^j> against the moment table."""
-    s = mp.mpc(0)
-    for i, ai in enumerate(pa):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(pb):
-            if bj == 0:
-                continue
-            s += ai * mp.conj(bj) * table.c(i, j)
-    return s
+    return mp.fdot((ai * mp.conj(bj), table.c(i, j))
+                   for i, ai in enumerate(pa) for j, bj in enumerate(pb))
 
 
 def rho_n_telescoping(p: geometry.Polygon, n: int, precision_bits=None, table=None):
     """rho_N via Gram-Schmidt; returns (RhoResult, BergmanBasis, partials) where
     partials[k] = rho_k for every k <= N (non-increasing).
 
-    Modified Gram-Schmidt on the monomials, O(N^3) in all: each finished p_j
-    keeps its Gram product u_j[i] = <z^i, p_j> (i <= N), so a projection
-    coefficient <q, p_j> = sum_i q_i u_j[i] costs O(k), and one product
-    v = G conj(q) per degree gives both ||q||^2 = sum_i q_i v_i and
-    u_k = v / ||q||.  No arithmetic is shared with rho_n's solve."""
+    Gram-Schmidt on the monomials is the Cholesky factorization G = L L* of
+    build_gram's matrix, here taken row by row in mpf at prec + 32 bits,
+    unscaled.  Pivot k is ||q_k||^2 for the monic q_k, so norms = diag L.  Row
+    k of L^-1, conjugated, holds the coefficients of p_k = q_k / ||q_k||, and
+    y = L^-1 b holds <conj(z), p_k>, so rho_k = t - sum_{j<=k} |y_j|^2.
+    O(N^3).  No arithmetic is shared with rho_n's solve."""
     prec, table = _resolve(p, n, precision_bits, table)
     gram = build_gram(table, n)
-    dim = n + 1
     with mp.workprec(prec + 32):
-        # rows[i][l] = c[i][l] = <z^i, z^l>; gram.matrix is its transpose
-        rows = list(zip(*gram.matrix))
-        basis = []
-        products = []
-        norms = []
-        partials = []
+        factor = []  # factor[k]: row k of L left of the diagonal
+        columns = []  # columns[j]: column j of L^-1, from row j down
+        norms, y, partials = [], [], []
         acc = mp.mpf(0)
-        for k in range(dim):
-            q = [mp.mpc(0)] * (k + 1)
-            q[k] = mp.mpc(1)
-            for prev, u in zip(basis, products):
-                r = mp.fdot(q, u)  # <q, p_j>; zip in fdot stops at len(q)
-                for j in range(len(prev)):
-                    q[j] -= r * prev[j]
-            v = [mp.fdot(row, q, conjugate=True) for row in rows]
-            nrm2 = mp.fdot(q, v).real
+        for k in range(n + 1):
+            row = []
+            for j in range(k):
+                row.append((gram.matrix[k][j] - mp.fdot(row, factor[j], conjugate=True))
+                           / norms[j])
+            nrm2 = (gram.matrix[k][k] - mp.fdot(row, row, conjugate=True)).real
             if not nrm2 > 0:
                 raise GramNotPD(
                     f"Gram-Schmidt norm^2 of degree {k} is {mp.nstr(nrm2, 6)}; "
                     "precision exhausted")
             nrm = mp.sqrt(nrm2)
-            basis.append([qi / nrm for qi in q])
-            products.append([vi / nrm for vi in v])
+            # row k of L L^-1 = I, solved for row k of L^-1
+            for j, col in enumerate(columns):
+                col.append(-mp.fdot(row[j:], col) / nrm)
+            columns.append([mp.mpc(1) / nrm])
+            factor.append(row)
             norms.append(nrm)
-            # <conj(z), p_k> = sum_j conj(p_k[j]) c[0][j+1]
-            acc += abs(mp.fdot(gram.rhs, basis[-1], conjugate=True)) ** 2
+            y.append((gram.rhs[k] - mp.fdot(row, y)) / nrm)
+            acc += abs(y[-1]) ** 2
             partials.append(gram.target_norm - acc)
         value = partials[-1]
         if not value >= 0:
             raise GramNotPD(
                 f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
-        cond = _condition_estimate(norms)
+        cond = float((max(norms) / min(norms)) ** 2)
     with mp.workprec(prec):
         partials = tuple(+v for v in partials)
-        basis = tuple(tuple(+c for c in row) for row in basis)
+        basis = tuple(tuple(+mp.conj(columns[j][k - j]) for j in range(k + 1))
+                      for k in range(n + 1))
         norms = tuple(+v for v in norms)
     result = RhoResult(partials[-1], n, prec, cond, METHOD_TELESCOPING)
     return result, BergmanBasis(n, basis, norms), partials

@@ -263,22 +263,16 @@ def test_argparse_errors_become_exit_2(capsys):
     capsys.readouterr()  # swallow argparse usage text
 
 
-def test_env_var_sets_default_precision(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.ENV_PRECISION, "192")
+def test_precision_env_var_is_ignored(tmp_path, monkeypatch):
+    # precision comes from --precision-bits or the policy, never the environment
+    monkeypatch.setenv("POLYRHO_PRECISION_BITS", "192")
     out = tmp_path / "rho.json"
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
                    "--output", str(out)) == 0
-    assert json.loads(out.read_text())["precision_bits"] == 192
-    monkeypatch.setenv(cli.ENV_PRECISION, "not-a-number")
-    assert run_cli("rho", "--family", "windmill:1", "--n", "1") == 2
-
-
-def test_explicit_precision_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.ENV_PRECISION, "192")
-    out = tmp_path / "rho.json"
+    assert json.loads(out.read_text())["precision_bits"] == moments.precision_for_degree(1)
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
-                   "--precision-bits", "256", "--output", str(out)) == 0
-    assert json.loads(out.read_text())["precision_bits"] == 256
+                   "--precision-bits", "320", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["precision_bits"] == 320
 
 
 def test_verify_suite_passes(capsys):
@@ -541,6 +535,23 @@ def test_rho_bytes_do_not_depend_on_the_cache(tmp_path, capsys, family, n, expec
                        "--output", str(out)) == 0
         outputs.append(out.read_bytes())
     assert outputs == [expected.encode()] * 4
+    capsys.readouterr()
+
+
+def test_a_cache_of_degree_2n_serves_rho(tmp_path, monkeypatch, capsys):
+    # the Gram system of degree N reads moments to degree 2N, so a cache that
+    # moments wrote to exactly that degree is a hit and prints the same bytes
+    n, cache = 18, tmp_path / "cache.json"
+    assert run_cli("moments", "--family", "regular-ngon:5", "--maxdeg", str(2 * n),
+                   "--precision-bits", str(moments.precision_for_degree(n)),
+                   "--moment-cache", str(cache), "--output", str(tmp_path / "m.json")) == 0
+    saved = []
+    monkeypatch.setattr(moments, "save_table", lambda *args: saved.append(args))
+    out = tmp_path / "rho.json"
+    assert run_cli("rho", "--family", "regular-ngon:5", "--n", str(n),
+                   "--moment-cache", str(cache), "--output", str(out)) == 0
+    assert saved == []  # a miss would write the cache
+    assert out.read_bytes() == PINNED_PENTAGON_18.encode()
     capsys.readouterr()
 
 

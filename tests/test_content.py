@@ -21,9 +21,28 @@ def test_build_gram_layout(square):
 
 
 def test_build_gram_needs_enough_moments(square):
-    t = moments.moment_table(square, 6)
-    with pytest.raises(InsufficientMoments):
-        content.build_gram(t, 3)  # needs degree 2N+2 = 8
+    t = moments.moment_table(square, 5)
+    with pytest.raises(InsufficientMoments, match="to degree 6,"):
+        content.build_gram(t, 3)  # needs degree 2N = 6
+    # degree 0 still reads the target norm c[1][1], of degree 2
+    t = moments.moment_table(square, 2)
+    assert content.build_gram(t, 0).n == 0
+    with pytest.raises(InsufficientMoments, match="to degree 2,"):
+        content.build_gram(dataclasses.replace(t, maxdeg=1), 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_rho_n_builds_the_degree_the_gram_system_reads(square, monkeypatch, n):
+    built = []
+    moment_table = moments.moment_table
+
+    def recorded(p, maxdeg, precision_bits):
+        built.append(maxdeg)
+        return moment_table(p, maxdeg, precision_bits)
+    monkeypatch.setattr(moments, "moment_table", recorded)
+    content.rho_n(square, n)
+    content.rho_n_telescoping(square, n)
+    assert built == [max(2 * n, 2)] * 2
 
 
 def test_square_rho1_is_one_sixth(square):
@@ -191,15 +210,35 @@ def test_solve_agrees_with_telescoping(any_polygon, n):
 
 
 def test_solve_keeps_its_digits_on_a_tiny_copy():
-    # every row, the target norm c[1][1] included, is scaled by its own power
-    # of two, so a copy scaled by 2^-80 (rho_2 ~ 2^-320) loses nothing
+    # the LDL* scales every row, the target norm c[1][1] included, by its own
+    # power of two, and the unscaled Cholesky factor of telescoping runs in
+    # floating point, so a copy scaled by 2^-80 (rho_2 ~ 2^-320) loses nothing
     tri = geometry.make_regular_ngon(3)
     s = mp.mpf(2) ** -80
-    centred = content.rho_n(tri, 2).value
-    tiny = content.rho_n(geometry.scale(tri, s), 2).value
-    with mp.workprec(400):
-        exact = mp.sqrt(3) / 15
-        assert abs(tiny / s ** 4 - exact) <= 2 * abs(centred - exact) + mp.mpf(2) ** -300
+    for solve in (content.rho_n, lambda p, n: content.rho_n_telescoping(p, n)[0]):
+        centred = solve(tri, 2).value
+        tiny = solve(geometry.scale(tri, s), 2).value
+        with mp.workprec(400):
+            exact = mp.sqrt(3) / 15
+            assert abs(tiny / s ** 4 - exact) <= 2 * abs(centred - exact) + mp.mpf(2) ** -300
+
+
+@pytest.mark.parametrize("name", ["pentagon", "windmill-20"])
+def test_basis_has_a_real_positive_leading_coefficient(name):
+    # orthonormality leaves each p_k's phase free; Gram-Schmidt fixes it by
+    # p_k = q_k / ||q_k|| with q_k monic, so the leading coefficient is 1 / ||q_k||
+    poly = {
+        "pentagon": lambda: geometry.make_regular_ngon(5),
+        "windmill-20": lambda: geometry.make_windmill(20),
+    }[name]()
+    n = 12
+    result, basis, _ = content.rho_n_telescoping(poly, n)
+    prec = result.precision_bits
+    with mp.workprec(prec + 32):
+        for k, row in enumerate(basis.coefficients):
+            assert len(row) == k + 1
+            assert row[k].imag == 0, k
+            assert abs(row[k].real * basis.norms[k] - 1) <= mp.mpf(2) ** (8 - prec), k
 
 
 def test_degree_zero(square):
