@@ -270,9 +270,14 @@ def test_precision_env_var_is_ignored(tmp_path, monkeypatch):
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
                    "--output", str(out)) == 0
     assert json.loads(out.read_text())["precision_bits"] == moments.precision_for_degree(1)
+
+
+def test_explicit_precision_beats_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYRHO_PRECISION_BITS", "192")
+    out = tmp_path / "rho.json"
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
-                   "--precision-bits", "320", "--output", str(out)) == 0
-    assert json.loads(out.read_text())["precision_bits"] == 320
+                   "--precision-bits", "256", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["precision_bits"] == 256
 
 
 def test_verify_suite_passes(capsys):
