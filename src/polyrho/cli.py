@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -39,7 +40,10 @@ def _parse_range(text: str) -> tuple:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must be lo:hi, got {text!r}")
-    return (float(lo), float(hi))
+    bounds = (float(lo), float(hi))
+    if not all(math.isfinite(b) for b in bounds):
+        raise argparse.ArgumentTypeError("range bounds must be finite")
+    return bounds
 
 
 def _parse_family(text: str, free_names=()) -> geometry.FamilySpec:

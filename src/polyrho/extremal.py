@@ -132,15 +132,28 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
 
     Points where the family raises ConstraintViolated, ApexDegenerate or
     AngleOutOfRange come back as None values, not errors; a grid with no
-    feasible point raises EmptyFeasibleSet.
+    feasible point raises EmptyFeasibleSet.  A point whose family.twin is an
+    earlier grid point, by exact equality, takes that point's value (None
+    included) instead of being evaluated: rho_N is the same on both.
     """
     prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
-    args = [(family, vals, n, prec) for vals in grid]
+    todo = []   # the points evaluated, in grid order
+    slots = []  # each grid point's index in todo
+    seen = {}   # grid point -> its index in todo
+    for vals in grid:
+        k = seen.get(family.twin(*vals))  # twin None is never a grid point
+        if k is None:
+            k = len(todo)
+            todo.append(vals)
+        seen.setdefault(vals, k)
+        slots.append(k)
+    args = [(family, vals, n, prec) for vals in todo]
     if parallelism and parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            values = list(pool.map(_eval_point, args))
+            solved = list(pool.map(_eval_point, args))
     else:
-        values = [_eval_point(a) for a in args]
+        solved = [_eval_point(a) for a in args]
+    values = [solved[k] for k in slots]
     best = None
     for pt, val in zip(grid, values):
         if val is not None and (best is None or val > best[1]):
@@ -222,7 +235,11 @@ def _newton_points(family, lo, hi, n, tol, steps, precision_bits):
 
     def f(x):
         if x not in cache:
-            cache[x] = content.rho_n(family.build(x), n, prec).value
+            twin = family.twin(x)
+            if twin is not None and twin[0] in cache:  # rho_N is the same on both
+                cache[x] = cache[twin[0]]
+            else:
+                cache[x] = content.rho_n(family.build(x), n, prec).value
         return cache[x]
 
     # x, and the polygons built from it, carry 32 bits above rho's precision:

@@ -13,9 +13,12 @@ polygon simple and check only finiteness, distinct neighbours and area.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_float, mpf_sub
 
 from .errors import (
     AngleOutOfRange,
@@ -89,13 +92,12 @@ def _int_image(verts):
     return [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws], low, top
 
 
-def _check_simple(verts):
+def _check_simple(verts, pts):
     """Raise NotSimple unless the closed chain through verts is simple.
 
-    The orientation tests run on _int_image's points, so their signs are
-    exact.  Raise DegenerateVertex for two distinct vertices that the
-    image's truncation merges."""
-    pts, _, _ = _int_image(verts)
+    pts is _int_image's points of verts, in the same order, so the
+    orientation signs are exact.  Raise DegenerateVertex for two distinct
+    vertices that the image's truncation merges."""
     first = {}
     for i, pt in enumerate(pts):
         j = first.setdefault(pt, i)
@@ -119,8 +121,11 @@ def _check_simple(verts):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 
-def _polygon(verts) -> Polygon:
-    """polygon_new's O(V) checks, on mpf pairs at _wp(); vertices keep their bits."""
+def _polygon(verts):
+    """polygon_new's O(V) checks, on mpf pairs; vertices keep their bits.
+    Returns the polygon and _int_image's points of its vertices, in its
+    order; the zero-area test and the orientation come from those points'
+    exact area, not from a sum rounded at _wp()."""
     for i, (x, y) in enumerate(verts):
         if not (mp.isfinite(x) and mp.isfinite(y)):
             raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
@@ -130,12 +135,14 @@ def _polygon(verts) -> Polygon:
     for i in range(n):
         if verts[i] == verts[(i + 1) % n]:
             raise DegenerateVertex(f"vertices {i} and {(i + 1) % n} coincide")
-    s2 = _twice_signed_area(verts)
+    pts, _, _ = _int_image(verts)
+    s2 = _twice_signed_area(pts)
     if s2 == 0:
         raise NotSimple("vertex list encloses zero area")
     if s2 < 0:
         verts.reverse()
-    return Polygon(tuple(verts))
+        pts.reverse()
+    return Polygon(tuple(verts)), pts
 
 
 def polygon_new(points) -> Polygon:
@@ -145,8 +152,8 @@ def polygon_new(points) -> Polygon:
     str, mpf).  Raises GeometryError, TooFewVertices, DegenerateVertex, or NotSimple.
     """
     with mp.workprec(_wp()):
-        p = _polygon([(mp.mpf(x), mp.mpf(y)) for x, y in points])
-        _check_simple(p.vertices)
+        p, pts = _polygon([(mp.mpf(x), mp.mpf(y)) for x, y in points])
+        _check_simple(p.vertices, pts)
         return p
 
 
@@ -174,13 +181,13 @@ def centroid(p: Polygon):
 def translate(p: Polygon, v) -> Polygon:
     with mp.workprec(_wp()):
         vx, vy = mp.mpf(v[0]), mp.mpf(v[1])
-        return _polygon([(x + vx, y + vy) for x, y in p.vertices])
+        return _polygon([(x + vx, y + vy) for x, y in p.vertices])[0]
 
 
 def rotate(p: Polygon, alpha) -> Polygon:
     with mp.workprec(_wp()):
         c, s = mp.cos(mp.mpf(alpha)), mp.sin(mp.mpf(alpha))
-        return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])
+        return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])[0]
 
 
 def scale(p: Polygon, r) -> Polygon:
@@ -188,7 +195,7 @@ def scale(p: Polygon, r) -> Polygon:
         r = mp.mpf(r)
         if not r > 0:
             raise NonpositiveScale(f"scale factor must be positive, got {r}")
-        return _polygon([(r * x, r * y) for x, y in p.vertices])
+        return _polygon([(r * x, r * y) for x, y in p.vertices])[0]
 
 
 def normalize(p: Polygon) -> Polygon:
@@ -486,6 +493,38 @@ class FamilySpec:
 
     def build(self, *free_values) -> Polygon:
         return build_family(self.kind, self.params(*free_values))
+
+    def twin(self, *free_values):
+        """The free values of this member's mirror image, or None.
+
+        pentagon with both angles free: reflection in x = 1/2 swaps the base
+        angles, (theta, phi) -> (phi, theta).  triangle-base with a float a
+        fixed: reflection in y = a/2 moves the apex lambda to a - lambda,
+        given only where that difference is exact.  No other family or free
+        set has a twin.  rho_N is the same on both members: a reflection
+        keeps area, and for z -> 1 - conj(z) the best degree-N polynomial p
+        of one polygon becomes q(z) = 1 - conj(p(1 - conj(z))), of the same
+        degree, for the other (likewise for any other line).
+        """
+        params = self.params(*free_values)
+        if self.kind == "pentagon" and len(self.free) == 2:
+            return free_values[::-1]
+        if self.kind == "triangle-base" and self.free == ("lambda",):
+            return _mirror_apex(params["a"], params["lambda"])
+        return None
+
+
+def _mirror_apex(a, lam):
+    """(a - lam,) in lam's type, a float or an mpf, where a is a finite
+    float and the difference is finite and exact; otherwise None."""
+    if not (isinstance(a, float) and math.isfinite(a)):
+        return None
+    if isinstance(lam, float) and math.isfinite(a - lam) \
+            and Fraction(a - lam) == Fraction(a) - Fraction(lam):
+        return (a - lam,)
+    if isinstance(lam, mp.mpf) and mp.isfinite(lam):
+        return (mp.make_mpf(mpf_sub(from_float(a), lam._mpf_, 0)),)  # prec 0: exact
+    return None
 
 
 def build_family(kind: str, params: dict) -> Polygon:

@@ -213,11 +213,13 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
         verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
 
     acc = {key: [0, 0] for key in keys}
-    end = _monomials(*verts[0], top + 1, w)
+    first = end = _monomials(*verts[0], top + 1, w)
     for k, (ar, ai, br, bi) in enumerate(verts):
         cr, ci, dr, di = nxt = verts[(k + 1) % len(verts)]
-        start = end  # dropped before the next table is built: two alive at once
-        end = _monomials(*nxt, top + 1, w)
+        # the first vertex's table is kept for the last edge's end: n tables
+        # for n vertices, three alive at once
+        start = end
+        end = _monomials(*nxt, top + 1, w) if k + 1 < len(verts) else first
         dar, dai, dbr, dbi = cr - ar, ci - ai, dr - br, di - bi
         swap = dbr * dbr + dbi * dbi > dar * dar + dai * dai
         pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)

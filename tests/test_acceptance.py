@@ -202,11 +202,11 @@ def test_09_pentagon_grid_peak():
     t0 = time.perf_counter()
     sweep = extremal.pentagon_grid((107.5, 108.5), (107.5, 108.5), 5, 10)
     ok_peak = sweep.argmax == (108.0, 108.0)
-    byparam = dict(zip(sweep.grid, sweep.values))
     worst = 0.0
-    for (th, ph), v in byparam.items():
-        w = byparam[(ph, th)]
-        worst = max(worst, abs(v - w) / max(abs(v), 1e-30))
+    for (th, ph), v in zip(sweep.grid, sweep.values):
+        if th > ph:  # copied from its twin (ph, th): solve the point on its own
+            w = float(content.rho_n(sweep.family.build(th, ph), 10).value)
+            worst = max(worst, abs(v - w) / max(abs(v), 1e-30))
     _report("criterion 09 pentagon grid peak",
             ok_peak and worst <= 1e-9,
             f"argmax {sweep.argmax}, swap asymmetry {worst:.2e}",

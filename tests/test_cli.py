@@ -257,6 +257,18 @@ def test_exit_code_for_numerical_failure():
                    "--precision-bits", "0") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--family", "windmill", "--param", "a", "--range", "1:inf", "--steps", "3"),
+    ("sweep", "--family", "windmill", "--param", "a", "--range", "nan:2", "--steps", "3"),
+    ("pentagon-grid", "--theta", "nan:120", "--phi", "100:120", "--steps", "3"),
+    ("pentagon-grid", "--theta", "100:120", "--phi", "100:inf", "--steps", "3"),
+    ("pentagon-grid", "--theta=-inf:120", "--phi", "100:120", "--steps", "3"),
+])
+def test_range_bounds_must_be_finite(capsys, argv):
+    assert run_cli(*argv, "--n", "1") == 2
+    assert "range bounds must be finite" in capsys.readouterr().err
+
+
 def test_argparse_errors_become_exit_2(capsys):
     assert run_cli("nosuchcommand") == 2
     assert run_cli("rho", "--range", "1:2") == 2

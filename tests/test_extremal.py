@@ -1,10 +1,17 @@
+import random
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 
 from polyrho import content, extremal, geometry, moments
-from polyrho.errors import EmptyFeasibleSet, NoBracketFound, NonpositiveParameter
+from polyrho.errors import (
+    ApexDegenerate,
+    ConstraintViolated,
+    EmptyFeasibleSet,
+    NoBracketFound,
+    NonpositiveParameter,
+)
 
 
 @pytest.mark.parametrize("a", [0.7, 1.5, 4])
@@ -51,9 +58,11 @@ def test_sweep_family_grid_and_argmax():
 
 
 def test_sweep_symmetry_about_isosceles_position():
+    # the sweep copies each mirror point's value from its twin, so the value
+    # is checked against rho_2 of the mirror triangle, solved on its own
     sweep = extremal.sweep_fixed_base(3.0, (0.0, 3.0), 13, 2)
-    vals = sweep.values
-    for left, right in zip(vals, vals[::-1]):
+    for (lam,), left in zip(sweep.grid, sweep.values):
+        right = float(content.rho_n(sweep.family.build(3.0 - lam), 2).value)
         assert abs(left - right) <= 1e-12 * (1 + abs(left))
 
 
@@ -86,11 +95,88 @@ def test_pentagon_grid_marks_infeasible_points():
 
 
 def test_pentagon_grid_swap_symmetry():
+    # the grid copies (phi, theta) from (theta, phi): compare with a fresh solve
     sweep = extremal.pentagon_grid((100.0, 116.0), (100.0, 116.0), 3, 2)
-    byparam = dict(zip(sweep.grid, sweep.values))
-    for (th, ph), v in byparam.items():
-        w = byparam[(ph, th)]
+    for (th, ph), v in zip(sweep.grid, sweep.values):
+        w = float(content.rho_n(sweep.family.build(ph, th), 2).value)
         assert abs(v - w) <= 1e-11 * (1 + abs(v))
+
+
+def _feasible_angles(rng):
+    spec = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
+    while True:
+        pair = (rng.uniform(90.0, 130.0), rng.uniform(90.0, 130.0))
+        try:
+            spec.build(*pair)
+            return pair
+        except (ConstraintViolated, ApexDegenerate):
+            continue
+
+
+def test_twins_are_mirror_images_with_equal_rho():
+    rng = random.Random(17)
+    pentagon = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
+    base = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    with mp.workprec(300):
+        mpf_lam = mp.mpf(rng.uniform(0.0, 3.0)) / 7
+    cases = [(pentagon, _feasible_angles(rng)) for _ in range(3)]
+    # 3 - lambda is exact for a float lambda in [1.5, 3] and for any mpf
+    cases += [(base, (rng.uniform(1.5, 3.0),)) for _ in range(2)] + [(base, (mpf_lam,))]
+    for spec, vals in cases:
+        twin = spec.twin(*vals)
+        assert twin is not None and spec.twin(*twin) == vals
+        assert twin != vals
+        v = content.rho_n(spec.build(*vals), 3).value
+        w = content.rho_n(spec.build(*twin), 3).value
+        with mp.workprec(300):
+            assert abs(v - w) <= mp.mpf("1e-60") * v
+
+
+def test_twin_is_none_without_an_exact_mirror_member():
+    assert geometry.FamilySpec("windmill", (), ("a",)).twin(2.0) is None
+    assert geometry.FamilySpec("triangle-angle", (("theta", 1.1),), ("a",)).twin(2.0) is None
+    assert geometry.FamilySpec("regular-ngon", (), ("n",)).twin(5.0) is None
+    assert geometry.FamilySpec("pentagon", (("theta_deg", 108.0),), ("phi_deg",)).twin(110.0) is None
+    assert geometry.FamilySpec("triangle-base", (), ("a", "lambda")).twin(3.0, 1.0) is None
+    assert geometry.FamilySpec("triangle-base", (("lambda", 1.0),), ("a",)).twin(3.0) is None
+    # 3 - 0.1 needs bits below 0.1's last one, so it is not a float
+    assert geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",)).twin(0.1) is None
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_symmetric_grid_solves_each_mirror_pair_once(monkeypatch):
+    evals = _counting(monkeypatch, extremal, "_eval_point")
+    solves = _counting(monkeypatch, content, "rho_n")
+    # 7 x 7 points, 28 up to the swap, of which 7 are infeasible
+    sweep = extremal.pentagon_grid((96.0, 132.0), (96.0, 132.0), 7, 1)
+    assert (len(evals), len(solves)) == (28, 21)
+    assert sum(v is not None for v in sweep.values) == 38
+
+
+def test_maximize_reads_mirror_points_from_their_twins(monkeypatch):
+    solves = _counting(monkeypatch, content, "rho_n")
+    spec = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    report = extremal.maximize_1d(spec, 0, 3, 2)
+    assert len(solves) <= 29
+    assert [cp.classification for cp in report.points] == \
+        [extremal.CLASS_LOCAL_MAX, extremal.CLASS_LOCAL_MIN, extremal.CLASS_LOCAL_MAX]
+
+
+def test_symmetric_grid_same_serial_and_in_a_pool():
+    serial = extremal.pentagon_grid((100.0, 116.0), (100.0, 116.0), 3, 1)
+    pooled = extremal.pentagon_grid((100.0, 116.0), (100.0, 116.0), 3, 1, parallelism=2)
+    assert serial == pooled
 
 
 def test_pentagon_grid_empty_region_raises():
@@ -155,9 +241,12 @@ def test_apex_bifurcation_maxima_to_30_digits():
     (left, _, _), (mid, _, _), (right, _, _) = points
     with mp.workprec(320):
         eps = mp.mpf("1e-30")
-        assert abs(left + right - 3) <= eps
+        # right's Newton loop may read left's values through the twins, so it
+        # is checked against the reference, not against 3 - left
+        ref = mp.mpf("0.634918846502124432725511375701")
+        assert abs(left - ref) <= eps
+        assert abs(right - (3 - ref)) <= eps
         assert abs(mid - mp.mpf("1.5")) <= eps
-        assert abs(left - mp.mpf("0.634918846502124432725511375701")) <= eps
 
 
 def test_maximize_rejects_bad_tol_and_range_before_evaluating(monkeypatch):
@@ -181,6 +270,9 @@ class _Curve:
 
     def build(self, x):
         return x
+
+    def twin(self, x):
+        return None
 
 
 def test_newton_loop_guards(monkeypatch):

@@ -122,6 +122,17 @@ def test_vertices_merged_by_the_integer_image_are_degenerate():
         geometry.polygon_new([(0, 0), ("1e-2000", 0), (1, 0), (1, 1), (0, 1)])
 
 
+def test_orientation_is_exact_where_the_area_rounds_away():
+    # twice the area is k 2^-280 while the cross products reach 2^66: a sum
+    # rounded at 320 bits cancels to 0, the sum over the integer image does not
+    b = mp.mpf(2) ** 33
+    for k in range(1, 200):
+        with mp.workprec(400):  # the vertices are exact; the build runs at 320 bits
+            pts = ((b, b), (b + 1, b), (b + mp.mpf(1) / 2, b + k * mp.ldexp(1, -280)))
+        assert geometry.polygon_new(pts).vertices == pts  # counterclockwise
+        assert geometry.polygon_new(pts[::-1]).vertices == pts  # reversed to it
+
+
 def test_area_and_centroid_of_square(square):
     assert abs(geometry.area(square) - 1) < mp.mpf("1e-70")
     cx, cy = geometry.centroid(square)
@@ -349,9 +360,9 @@ def simplicity_checks(monkeypatch):
     calls = [0]
     check = geometry._check_simple
 
-    def counted(verts):
+    def counted(*args):
         calls[0] += 1
-        return check(verts)
+        return check(*args)
 
     monkeypatch.setattr(geometry, "_check_simple", counted)
     return calls
