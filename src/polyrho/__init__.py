@@ -16,6 +16,7 @@ from .content import (
     rho1_closed,
     rho2_closed,
     rho_n,
+    rho_n_partials,
     rho_n_telescoping,
 )
 from .errors import GeometryError, NumericalError, PolyRhoError
@@ -119,6 +120,7 @@ __all__ = [
     "rho1_closed",
     "rho2_closed",
     "rho_n",
+    "rho_n_partials",
     "rho_n_telescoping",
     "rotate",
     "save_table",

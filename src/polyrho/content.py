@@ -3,13 +3,16 @@
 rho_n solves the monomial Gram system once, in fixed-point Python integers
 (_ldl_solve): rows scaled by powers of two to a unit diagonal, an LDL*
 factorization that divides only by the pivots, one rounding at the end.
-rho_n_telescoping computes the same number by Gram-Schmidt on the monomials,
+rho_n_partials reads every partial rho_0..rho_N off the same factor, as
+prefix sums of the last row's products, each rounded once.
+rho_n_telescoping computes the same numbers by Gram-Schmidt on the monomials,
 taken as the Cholesky factorization G = L L* of the Gram matrix in floating
 point, unscaled and with square roots; row k of L^-1 gives the orthonormal
 p_k, and L^-1 applied to the right-hand side telescopes the projection into
 every partial rho_k.  Both read the table through build_gram, which needs
 moments to degree 2N, and share no other arithmetic; telescoping is the
-independent check in verify and the tests.  Both cost O(N^3).
+independent check in the tests and in verify's monotonicity (triangle, N=12)
+and pentagon-rho33 (--long) checks.  Both cost O(N^3).
 orthonormality_residual re-integrates the basis against the table, as the
 independent check of the basis.  Monomial Gram matrices are catastrophically
 ill-conditioned in double precision for N beyond ~12, so everything here runs
@@ -19,7 +22,8 @@ at the moments precision policy plus guard bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
@@ -88,8 +92,9 @@ def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
     return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
 
 
-def _ldl_solve(gram: GramSystem, prec: int):
-    """rho = t - b* G^{-1} b and the max/min ratio of G's pivots.
+def _ldl_solve(gram: GramSystem, prec: int, partials: bool = False):
+    """(rho, cond, rhos): rho = t - b* G^{-1} b, cond the max/min ratio of
+    G's pivots, and rhos = (rho_0, ..., rho_N) if partials, else None.
 
     The bordered system M = [[G, b], [b*, t]] (t = c[1][1]) is scaled by
     powers of two, 2^(e_k) on row and column k with e_k = -floor((exp + bc) / 2)
@@ -100,7 +105,14 @@ def _ldl_solve(gram: GramSystem, prec: int):
     L unit lower, dividing only by the pivots.  The last pivot of the
     bordered system is t - b* G^{-1} b, rounded once to prec bits.  Raises
     GramNotPD on a non-positive diagonal entry or pivot of G, or a negative
-    residual."""
+    residual.
+
+    The last pivot is t minus the sum over k <= N of the last row's
+    W[N+1][k] conj(L[N+1][k]) = |L[N+1][k]|^2 D_k >= 0, and the sum cut after
+    term K is the last pivot of the bordered degree-K system, whose factor is
+    the leading part of this one: rho_K, bit for bit as a degree-K solve on
+    the same table.  Each term is >= 0 in the ints too (L = floor(W 2^w / D)
+    has W's sign), so the rhos are non-increasing."""
     dim = gram.n + 1
     w = prec + _GUARD_BITS
     diag = [gram.matrix[k][k].real for k in range(dim)] + [gram.target_norm]
@@ -145,9 +157,14 @@ def _ldl_solve(gram: GramSystem, prec: int):
     if value < 0:
         raise GramNotPD(
             f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
+    rhos = None
+    if partials:
+        t_fix = geometry._fixed(gram.target_norm._mpf_, w + 2 * exps[dim])
+        terms = map(add, map(mul, w_re[dim], l_re[dim]), map(mul, w_im[dim], l_im[dim]))
+        rhos = tuple(unscaled(t_fix - (acc >> w), dim, prec) for acc in accumulate(terms))
     pivots = [unscaled(d, k, prec + 32) for k, d in enumerate(pivots)]
     with mp.workprec(prec + 32):
-        return value, float(max(pivots) / min(pivots))
+        return value, float(max(pivots) / min(pivots)), rhos
 
 
 def _resolve(p, n, precision_bits, table):
@@ -170,8 +187,18 @@ def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoRe
     A given table must have been built for p at the working precision
     (precision_bits, else the table's own); ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
-    value, cond = _ldl_solve(build_gram(table, n), prec)
+    value, cond, _ = _ldl_solve(build_gram(table, n), prec)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY)
+
+
+def rho_n_partials(p: geometry.Polygon, n: int, precision_bits=None, table=None):
+    """(RhoResult, partials) with partials[k] = rho_k for every k <= N, read off
+    rho_n's one LDL* factor: the result equals rho_n's and partials[N] its
+    value, bit for bit, and partials[k] is rho_n's degree-k value on the same
+    table.  Non-increasing; arguments and errors as for rho_n."""
+    prec, table = _resolve(p, n, precision_bits, table)
+    value, cond, partials = _ldl_solve(build_gram(table, n), prec, partials=True)
+    return RhoResult(value, n, prec, cond, METHOD_CHOLESKY), partials
 
 
 def _poly_ip(pa, pb, table):

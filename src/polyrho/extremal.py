@@ -64,14 +64,16 @@ def t_star():
     the isosceles apex position is a local max vs. local min of rho_2.
     """
     with mp.workprec(_WORK_BITS):
-        lo, hi = mp.mpf(1), mp.mpf(64)
-        for _ in range(_WORK_BITS + 16):
-            mid = (lo + hi) / 2
-            if t_star_poly(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        t = (lo + hi) / 2
+        # Newton from x = 12, just left of the root, where the quartic is
+        # increasing and convex: one step overshoots, the rest fall onto the
+        # root, quadratically until the steps stop shrinking at roundoff
+        t, last = mp.mpf(12), mp.inf
+        while True:
+            slope = ((mp.mpf(999) / 16 * t - 279) * t - 1328) * t - 5376
+            step = t_star_poly(t) / slope
+            if not abs(step) < last:
+                break
+            t, last = t - step, abs(step)
         threshold = mp.root(t, 4)
     with mp.workprec(256):
         return +t, +threshold

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sqrt, round_nearest
 
 from . import geometry
 from .errors import InsufficientMoments, PrecisionTooLow
@@ -411,18 +411,28 @@ def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:
 
 def cross_check(t: MomentTable):
     """Max residual of the identity expanding z^m conj(z)^n over real moments:
-    c[m][n] = sum_{j,k} C(m,j) C(n,k) i^j (-i)^k I[m+n-j-k][j+k]."""
-    worst = mp.mpf(0)
-    with mp.workprec(t.precision_bits + t.maxdeg + 32):
-        iu = [mp.mpc(1), mp.mpc(0, 1), mp.mpc(-1), mp.mpc(0, -1)]
-        for (m, n), cval in t.complex_entries.items():
-            acc = mp.mpc(0)
-            for j in range(m + 1):
-                for k in range(n + 1):
-                    unit = iu[(j + 3 * k) % 4]
-                    acc += comb(m, j) * comb(n, k) * unit * t.real(m + n - j - k, j + k)
-            worst = max(worst, abs(cval - acc))
-    return +worst
+    c[m][n] = sum_{j,k} C(m,j) C(n,k) i^j (-i)^k I[m+n-j-k][j+k].
+
+    Summed exactly, in ints: every part is taken at the common scale 2^low,
+    low the least exponent of any nonzero part, and the largest residual
+    |c - sum| is rounded once, to nearest, at the table's precision."""
+    complex_raw = {key: val._mpc_ for key, val in t.complex_entries.items()}
+    real_raw = {key: val._mpf_ for key, val in t.real_entries.items()}
+    parts = [*(x for pair in complex_raw.values() for x in pair), *real_raw.values()]
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    real = {key: geometry._fixed(x, -low) for key, x in real_raw.items()}
+    worst = 0  # the largest |c - sum|^2, at scale 2^(2 low)
+    for (m, n), (cre, cim) in complex_raw.items():
+        acc = [0, 0, 0, 0]  # the sum's terms by their unit i^q, q = 0..3
+        for j in range(m + 1):
+            cmj = comb(m, j)
+            for k in range(n + 1):
+                # i^j (-i)^k = i^(j + 3k)
+                acc[(j + 3 * k) % 4] += cmj * comb(n, k) * real[(m + n - j - k, j + k)]
+        re = geometry._fixed(cre, -low) - (acc[0] - acc[2])
+        im = geometry._fixed(cim, -low) - (acc[1] - acc[3])
+        worst = max(worst, re * re + im * im)
+    return mp.make_mpf(mpf_sqrt(from_man_exp(worst, 2 * low), t.precision_bits, round_nearest))
 
 
 # ---- cache files ----------------------------------------------------------------
@@ -463,9 +473,10 @@ def save_table(t: MomentTable, path) -> None:
             for (m, n), val in t.real_entries.items()
         },
     }
+    # json.dumps encodes in C; json.dump always takes the pure-Python encoder
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_table(path) -> MomentTable:

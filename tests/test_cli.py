@@ -269,6 +269,13 @@ def test_range_bounds_must_be_finite(capsys, argv):
     assert "range bounds must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", ["1", "a:2", "1:b"])
+def test_range_must_be_lo_hi(capsys, bounds):
+    assert run_cli("sweep", "--family", "windmill", "--param", "a", "--range", bounds,
+                   "--steps", "3", "--n", "1") == 2
+    assert f"range must be lo:hi, got '{bounds}'" in capsys.readouterr().err
+
+
 def test_argparse_errors_become_exit_2(capsys):
     assert run_cli("nosuchcommand") == 2
     assert run_cli("rho", "--range", "1:2") == 2
@@ -297,6 +304,23 @@ def test_verify_suite_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 11
     assert "FAIL" not in out
+
+
+def test_verify_runs_telescoping_once_by_default(monkeypatch, capsys):
+    # the default suite reads its partials off the LDL* factor; telescoping,
+    # the independent solver, runs once at N=12, and --long adds N=33
+    degrees = []
+    telescoping = content.rho_n_telescoping
+
+    def counted(p, n, *args, **kwargs):
+        degrees.append(n)
+        return telescoping(p, n, *args, **kwargs)
+    monkeypatch.setattr(content, "rho_n_telescoping", counted)
+    assert run_cli("verify") == 0
+    assert degrees == [12]
+    assert run_cli("verify", "--long") == 0
+    assert degrees == [12, 12, 33]
+    assert "PASS pentagon-rho33" in capsys.readouterr().out
 
 
 def test_verify_reports_failures(monkeypatch, capsys):

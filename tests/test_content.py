@@ -178,10 +178,9 @@ def test_gram_not_pd_on_tampered_table(square):
     with mp.workprec(300):
         bad[(1, 1)] = mp.mpc(-1)  # breaks positive definiteness
     tampered = dataclasses.replace(t, complex_entries=bad)
-    with pytest.raises(GramNotPD):
-        content.rho_n(square, 2, table=tampered)
-    with pytest.raises(GramNotPD):
-        content.rho_n_telescoping(square, 2, table=tampered)
+    for solve in (content.rho_n, content.rho_n_partials, content.rho_n_telescoping):
+        with pytest.raises(GramNotPD):
+            solve(square, 2, table=tampered)
 
 
 def test_gram_not_pd_at_an_interior_pivot(square):
@@ -192,8 +191,9 @@ def test_gram_not_pd_at_an_interior_pivot(square):
     with mp.workprec(300):
         bad[(0, 3)] = bad[(3, 0)] = mp.mpc(10)
     tampered = dataclasses.replace(t, complex_entries=bad)
-    with pytest.raises(GramNotPD, match="pivot 3 "):
-        content.rho_n(square, 4, table=tampered)
+    for solve in (content.rho_n, content.rho_n_partials):
+        with pytest.raises(GramNotPD, match="pivot 3 "):
+            solve(square, 4, table=tampered)
     with pytest.raises(GramNotPD, match="degree 3 "):
         content.rho_n_telescoping(square, 4, table=tampered)
 
@@ -203,10 +203,34 @@ def test_solve_agrees_with_telescoping(any_polygon, n):
     prec = moments.precision_for_degree(n)
     table = moments.moment_table(any_polygon, 2 * n + 2, prec)
     direct = content.rho_n(any_polygon, n, prec, table=table)
-    telescoped, _, _ = content.rho_n_telescoping(any_polygon, n, prec, table=table)
+    telescoped, _, telescoped_partials = content.rho_n_telescoping(any_polygon, n, prec,
+                                                                   table=table)
+    _, partials = content.rho_n_partials(any_polygon, n, prec, table=table)
     with mp.workprec(prec + 32):
         tol = mp.mpf(2) ** -prec * direct.condition_estimate
         assert abs(direct.value - telescoped.value) <= tol * direct.value
+        for k, (got, want) in enumerate(zip(partials, telescoped_partials, strict=True)):
+            assert abs(got - want) <= tol * want, k
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 20])
+def test_partials_end_in_rho_n_bit_for_bit(any_polygon, n):
+    result, partials = content.rho_n_partials(any_polygon, n)
+    direct = content.rho_n(any_polygon, n)
+    assert result == direct
+    assert partials[-1]._mpf_ == direct.value._mpf_
+    assert len(partials) == n + 1
+    assert all(partials[k + 1] <= partials[k] for k in range(n))
+
+
+def test_partial_k_is_the_degree_k_solve(any_polygon):
+    # the bordered degree-k system's factor is the leading part of the
+    # degree-N one, so on one table partials[k] is rho_n(p, k) bit for bit
+    n, prec = 12, 384
+    table = moments.moment_table(any_polygon, 2 * n, prec)
+    _, partials = content.rho_n_partials(any_polygon, n, table=table)
+    for k in range(n + 1):
+        assert partials[k]._mpf_ == content.rho_n(any_polygon, k, table=table).value._mpf_, k
 
 
 def test_solve_keeps_its_digits_on_a_tiny_copy():
@@ -258,7 +282,7 @@ def test_explicit_precision_respected(square, triangle):
     assert t.precision_bits == 512
     # a table only serves the polygon and precision it was built for
     table_256 = moments.moment_table(triangle, 6, 256)
-    for solve in (content.rho_n, content.rho_n_telescoping):
+    for solve in (content.rho_n, content.rho_n_partials, content.rho_n_telescoping):
         with pytest.raises(ValueError):
             solve(square, 2, table=table_256)
         with pytest.raises(ValueError):

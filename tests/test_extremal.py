@@ -44,6 +44,17 @@ def test_t_star_is_a_root_with_expected_fourth_root():
     assert extremal.t_star_poly(t + mp.mpf("1e-10")) > 0
 
 
+def test_t_star_bits_are_pinned():
+    # the root and its fourth root as 304 bisection steps at 288 bits gave them
+    t, threshold = extremal.t_star()
+    assert t._mpf_ == (
+        0, 43905594430561251371899608438472604120736308825016394991477156192315580527881,
+        -251, 255)
+    assert threshold._mpf_ == (
+        0, 27013859727748542885497351169084325517187372895692491513691302602607396570885,
+        -253, 254)
+
+
 def test_sweep_family_grid_and_argmax():
     spec = geometry.FamilySpec("windmill", (), ("a",))
     sweep = extremal.sweep_family(spec, 1.0, 3.0, 5, 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import pickle
 import random
@@ -487,6 +488,15 @@ def test_cache_round_trip_is_exact(tmp_path, pentagon):
         {k: v._mpc_ for k, v in t.complex_entries.items()}
     assert {k: v._mpf_ for k, v in back.real_entries.items()} == \
         {k: v._mpf_ for k, v in t.real_entries.items()}
+
+
+def test_saved_cache_bytes_are_pinned(tmp_path, triangle):
+    # the cache format's bytes for one fixed polygon, as written before the
+    # encoder moved to json.dumps
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(triangle, 6), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "bda2b114ed75d827fccbd45034fdbbf5ade13f618285fd85cb1bc41037e87778"
 
 
 def test_cache_rejects_unknown_version(tmp_path, square):
