@@ -377,7 +377,7 @@ def _check_pentagon_swap():
 def _check_pentagon_rho33():
     poly = geometry.make_regular_ngon(5)
     prec = moments.precision_for_degree(33)
-    table = moments.moment_table(poly, 68, prec)
+    table = moments.moment_table(poly, content._gram_degree(33), prec)
     direct = content.rho_n(poly, 33, prec, table=table)
     telescoped, _, _ = content.rho_n_telescoping(poly, 33, prec, table=table)
     err = _relerr(direct.value, telescoped.value)

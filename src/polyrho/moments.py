@@ -6,17 +6,16 @@ of x^m y^n dx dy.  Green's theorem turns both into the same sum over edges,
 with A = z and B = conj(z) and the prefactor 1 / (2i(n+1)) for c, and A = x,
 B = y and the prefactor -1 / (n+1) for I (P. J. Davis, J. Approx. Theory 19,
 1977).  The table kernel, _edge_sums, integrates by parts along each
-anti-diagonal; the single-entry kernel, _edge_sum, expands binomially over
-the edge tuples of _complex_edges and _real_edges and is the independent
-reference.  Both carry the total degree plus 32 guard bits above the
-entries' precision.  Binomial sums cancel up to ~maxdeg bits; the
-recurrence's endpoint differences lose ~log2(max |vertex| / min |edge|) bits
-on top of the edge sum's cancellation of as many: under 10 bits in all in a
-polygon's own frame, 30 on a side-1.5e-3 triangle at (100, 100).  A sliver
-of length L and height h loses log2(L / h) as its edge sums cancel down to its
-area.  _cancellation_bits measures either loss, and the table kernel widens
-its scale by that many bits, so a table keeps its accuracy wherever the
-polygon sits.
+anti-diagonal and carries the total degree plus 32 guard bits above the
+entries' precision.  The single-entry reference, _exact_moment, expands each
+edge binomially in Gaussian ints and rounds the exact sum once, so
+complex_moment and real_moment are correctly rounded.  The recurrence's
+endpoint differences lose ~log2(max |vertex| / min |edge|) bits on top of
+the edge sum's cancellation of as many: under 10 bits in all in a polygon's
+own frame, 30 on a side-1.5e-3 triangle at (100, 100).  A sliver of length L
+and height h loses log2(L / h) as its edge sums cancel down to its area.
+_lost_bits measures either loss, and the table kernel widens its scale by
+that many bits, so a table keeps its accuracy wherever the polygon sits.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
 exact edge sums: _edge_sums scales the polygon by a power of two into the
@@ -40,7 +39,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sqrt, round_nearest
@@ -107,45 +106,6 @@ class MomentTable:
 
 # ---- Green's-theorem kernel ------------------------------------------------------
 
-def _complex_edges(p: geometry.Polygon):
-    """(v, d, conj v, conj d) per edge, for
-    c[m][n] = (1 / (2i(n+1))) closed-integral of z^m conj(z)^(n+1) dz."""
-    zs = [mp.mpc(x, y) for x, y in p.vertices]
-    return [(v, w - v, mp.conj(v), mp.conj(w - v)) for v, w in zip(zs, zs[1:] + zs[:1])]
-
-
-def _real_edges(p: geometry.Polygon):
-    """(x0, dx, y0, dy) per edge, for
-    I[m][n] = -(1/(n+1)) closed-integral of x^m y^(n+1) dx."""
-    vs = list(p.vertices)
-    return [(x0, x1 - x0, y0, y1 - y0)
-            for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
-
-
-def _powers(base, count):
-    out = [base * 0 + 1]
-    for _ in range(count):
-        out.append(out[-1] * base)
-    return out
-
-
-def _edge_sum(edges, m: int, n: int):
-    """The edge sum for one (m, n), by direct binomial expansion."""
-    acc = 0
-    for a0, da, b0, db in edges:
-        ap, dap = _powers(a0, m), _powers(da, m)
-        bp, dbp = _powers(b0, n + 1), _powers(db, n + 1)
-        s = 0
-        for j in range(m + 1):
-            aj = comb(m, j) * ap[m - j] * dap[j]
-            t = 0
-            for k in range(n + 2):
-                t += comb(n + 1, k) * bp[n + 1 - k] * dbp[k] / (j + k + 1)
-            s += aj * t
-        acc += da * s
-    return acc
-
-
 def _monomials(ar, ai, br, bi, deg, w):
     """rows[d][b] = A^(d-b) B^b for d <= deg as (re, im) ints at scale 2^w,
     for A = ar + i ai and B = br + i bi at that scale."""
@@ -192,7 +152,7 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     The arithmetic is in ints, with complex values as (re, im) pairs.
     Coordinates are divided by 2^e, e the top of geometry._int_image, so
     each lies in (-1, 1), and held at scale 2^w with
-        w = precision_bits + 2 maxdeg + 42 + max(0, _cancellation_bits(p)):
+        w = precision_bits + 2 maxdeg + 42 + max(0, _lost_bits(*image)):
     precision_bits + maxdeg + 32 working bits, 8 guard bits for the
     truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
     (a degree-d monomial can be 2^-d of the largest coordinate, itself as
@@ -263,30 +223,73 @@ def _rounded(num: int, den: int, exp: int, prec: int):
     return from_man_exp(-man if num < 0 else man, exp - shift - 1, prec, round_nearest)
 
 
-def complex_moment(p: geometry.Polygon, m: int, n: int,
-                   precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Single entry c[m][n]; for many entries build a moment_table instead."""
+def _gauss_mul(u, v):
+    """The product of Gaussian ints given as (re, im) pairs."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _binomial_terms(base, step, count):
+    """base^(count-j) step^j for j = 0..count, of Gaussian ints."""
+    bp, sp = [(1, 0)], [(1, 0)]
+    for _ in range(count):
+        bp.append(_gauss_mul(bp[-1], base))
+        sp.append(_gauss_mul(sp[-1], step))
+    return [_gauss_mul(bp[count - j], sp[j]) for j in range(count + 1)]
+
+
+def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits: int):
+    """c[m][n] (kind "c") or I[m][n] (kind "I"), each part rounded once, to
+    nearest, at precision_bits from its exact value.
+
+    On geometry._int_image's points, at scale 2^low, an edge's integral is
+        dA sum_{j,k} C(m,j) C(n+1,k) A0^(m-j) dA^j B0^(n+1-k) dB^k / (j+k+1),
+    so with L = lcm(1..m+n+2) the edge sum is S 2^(low (m+n+2)) / L for a
+    Gaussian int S.  Per edge, each k takes small multiples of the m+1 terms
+    A0^(m-j) dA^j and one big product with B0^(n+1-k) dB^k."""
     _check_precision(precision_bits)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be nonnegative")
-    with mp.workprec(precision_bits + m + n + 32):
-        val = _edge_sum(_complex_edges(p), m, n) / (mp.mpc(0, 2) * (n + 1))
-        if m == n:
-            val = mp.mpc(val.real)  # diagonal entries are squared norms, real
-    with mp.workprec(precision_bits):
-        return +val
+    pts, low, _ = geometry._int_image(p.vertices)
+    verts = [((x, y), (x, -y)) if kind == "c" else ((x, 0), (y, 0)) for x, y in pts]
+    common = lcm(*range(1, m + n + 3))  # L, clearing every 1 / (j+k+1)
+    weights = [[comb(n + 1, k) * comb(m, j) * (common // (j + k + 1)) for j in range(m + 1)]
+               for k in range(n + 2)]
+    sr = si = 0
+    for (a0, b0), (a1, b1) in zip(verts, verts[1:] + verts[:1]):
+        da, db = (a1[0] - a0[0], a1[1] - a0[1]), (b1[0] - b0[0], b1[1] - b0[1])
+        a_terms = _binomial_terms(a0, da, m)
+        er = ei = 0
+        for row, (br, bi) in zip(weights, _binomial_terms(b0, db, n + 1)):
+            tr = sum(w * ar for w, (ar, _) in zip(row, a_terms))
+            ti = sum(w * ai for w, (_, ai) in zip(row, a_terms))
+            er += tr * br - ti * bi
+            ei += tr * bi + ti * br
+        er, ei = _gauss_mul(da, (er, ei))
+        sr += er
+        si += ei
+
+    den, exp = (n + 1) * common, low * (m + n + 2)
+
+    def part(num, e):  # num 2^e / ((n+1) L), rounded once
+        return mp.fdiv(mp.make_mpf(from_man_exp(num, e)), den, prec=precision_bits)._mpf_
+
+    if kind == "I":  # I = -S / (n+1)
+        return mp.make_mpf(part(-sr, exp))
+    # c = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)), real on the diagonal
+    return mp.make_mpc((part(si, exp - 1), part(-sr, exp - 1)))
+
+
+def complex_moment(p: geometry.Polygon, m: int, n: int,
+                   precision_bits: int = DEFAULT_PRECISION_BITS):
+    """Single entry c[m][n], correctly rounded; for many entries build a
+    moment_table instead."""
+    return _exact_moment(p, m, n, "c", precision_bits)
 
 
 def real_moment(p: geometry.Polygon, m: int, n: int,
                 precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Single entry I[m][n]."""
-    _check_precision(precision_bits)
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be nonnegative")
-    with mp.workprec(precision_bits + m + n + 32):
-        val = -_edge_sum(_real_edges(p), m, n) / (n + 1)
-    with mp.workprec(precision_bits):
-        return +val
+    """Single entry I[m][n], correctly rounded."""
+    return _exact_moment(p, m, n, "I", precision_bits)
 
 
 def _table_keys(maxdeg: int, kind: str):
@@ -382,17 +385,13 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
                        _DeferredHalf(p, maxdeg, precision_bits, "I"))
 
 
-def _cancellation_bits(p: geometry.Polygon) -> int:
-    """About the bits _edge_sums loses to cancellation, on top of the total
-    degree: log2(2^(2e) / |area|), with 2^e the kernel's scale, from the
-    largest coordinate.  That is about 2 log2(R / s) for a side-s polygon at
-    distance R from the origin and log2(L / h) for a length-L sliver of
-    height h.  The area is summed exactly, on geometry._int_image's points."""
-    return _lost_bits(*geometry._int_image(p.vertices))
-
-
 def _lost_bits(pts, low: int, top: int) -> int:
-    """_cancellation_bits from an int image (pts, low, top) of the vertices."""
+    """About the bits _edge_sums loses to cancellation, on top of the total
+    degree, from an int image (pts, low, top) of the vertices, as
+    geometry._int_image gives it: log2(2^(2 top) / |area|), with 2^top the
+    kernel's scale, from the largest coordinate.  That is about 2 log2(R / s)
+    for a side-s polygon at distance R from the origin and log2(L / h) for a
+    length-L sliver of height h.  The area is summed exactly on the points."""
     return 2 * (top - low) + 1 - abs(geometry._twice_signed_area(pts)).bit_length()
 
 

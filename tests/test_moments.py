@@ -49,6 +49,33 @@ def test_single_entry_matches_table(any_polygon):
                 < mp.mpf("1e-70")
 
 
+_EXACT_POLYGONS = {
+    "pentagon": lambda: geometry.make_regular_ngon(5),
+    "star-7": lambda: geometry.random_star_polygon(7, 4),
+    "windmill-3": lambda: geometry.make_windmill(3),
+    "far-triangle": lambda: geometry.polygon_new(
+        [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+    "thin-edge": lambda: geometry.polygon_new([(0, 0), (1, 0), (1, "1e-120"), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_POLYGONS))
+def test_single_entries_are_correctly_rounded(name):
+    # each part is its exact value rounded once: at 256 bits, the 4000-bit
+    # value rounded to 256 bits, including parts that are zero or tiny, and
+    # c[m][m]'s imaginary part is exactly zero
+    poly = _EXACT_POLYGONS[name]()
+    for single in (moments.complex_moment, moments.real_moment):
+        for m in range(8):
+            for n in range(8 - m):
+                fine = single(poly, m, n, 4000)
+                with mp.workprec(256):
+                    want = +fine
+                assert single(poly, m, n, 256) == want, (single.__name__, m, n)
+    for m in range(4):  # |z|^(2m) is real, so its exact sum's Re S is 0
+        assert moments.complex_moment(poly, m, m).imag == 0, m
+
+
 @pytest.mark.parametrize("name", ["far-triangle", "square", "windmill-20", "thin-edge"])
 def test_table_matches_binomial_reference_entrywise(name):
     # short edges far from the origin; axis-aligned edges (dx = 0 and
@@ -72,7 +99,7 @@ def test_table_matches_binomial_reference_entrywise(name):
             scale = _diagonal_scales(entries)
             for (m, n), val in entries.items():
                 ref = single(poly, m, n, bits)
-                assert abs(val - ref) <= mp.mpf(2) ** (32 - bits) * scale[m + n], (m, n)
+                assert abs(val - ref) <= mp.mpf(2) ** (1 - bits) * scale[m + n], (m, n)
 
 
 @functools.cache
@@ -92,7 +119,14 @@ def _quadrature_moments(p, keys, maxdeg, bits):
     refs = {}
     with mp.workprec(bits + 64):
         nodes = _gauss_legendre_01((maxdeg + 3) // 2, mp.prec)
-        for kind, edges in (("c", moments._complex_edges(p)), ("I", moments._real_edges(p))):
+        # (A0, dA, B0, dB) per edge: A = x and B = y for I, A = z and
+        # B = conj(z) for c
+        vs = list(p.vertices)
+        real_edges = [(x0, x1 - x0, y0, y1 - y0)
+                      for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
+        complex_edges = [(mp.mpc(x0, y0), mp.mpc(dx, dy), mp.mpc(x0, -y0), mp.mpc(dx, -dy))
+                         for x0, dx, y0, dy in real_edges]
+        for kind, edges in (("c", complex_edges), ("I", real_edges)):
             kind_keys = [(m, n) for m, n in keys if kind == "I" or m >= n]
             sums = dict.fromkeys(kind_keys, 0)
             for a0, da, b0, db in edges:
@@ -149,7 +183,7 @@ def test_table_matches_references_at_policy_degrees(name, maxdeg, bits):
                 bound = mp.mpf(2) ** (32 - bits) * scale[m + n]
                 assert abs(entries[(m, n)] - val) <= bound, (m, n)
             for m, n in interior:
-                bound = mp.mpf(2) ** (32 - bits) * scale[m + n]
+                bound = mp.mpf(2) ** (1 - bits) * scale[m + n]
                 assert abs(entries[(m, n)] - single(poly, m, n, bits)) <= bound, (m, n)
 
 
@@ -323,7 +357,8 @@ def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
     ([("1e-1000000000", 0), (1, 0), (1, 1), (0, 1)], 0, 2),
 ])
 def test_cancellation_bits_see_far_and_thin_polygons(vertices, low, high):
-    assert low <= moments._cancellation_bits(geometry.polygon_new(vertices)) <= high
+    image = geometry._int_image(geometry.polygon_new(vertices).vertices)
+    assert low <= moments._lost_bits(*image) <= high
 
 
 @pytest.mark.parametrize("maxdeg,bits", [(12, 256), (26, 352)])
