@@ -120,6 +120,7 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
     maxdeg = content._gram_degree(cfg.n)
     t0 = time.perf_counter()
     table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
+    moments._check_precision(prec)  # before the check's table at prec + 64 does
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
     # cached, so error in a cached table shows.  On a miss the table at prec
     # is rounded from that pass's exact sums, whose error, shared with the

@@ -2,17 +2,20 @@
 
 rho_n solves the monomial Gram system once, in fixed-point Python integers
 (_ldl_solve): rows scaled by powers of two to a unit diagonal, an LDL*
-factorization that divides only by the pivots, one rounding at the end.
-rho_n_partials reads every partial rho_0..rho_N off the same factor, as
-prefix sums of the last row's products, each rounded once.
+factorization that divides only by the pivots, one rounding at the end.  It
+reads the table as ints (_bordered): each moment part as the (man, exp) the
+table rounded it to, shifted to the fixed point without an mpmath value in
+between.  rho_n_partials reads every partial rho_0..rho_N off the same
+factor, as prefix sums of the last row's products, each rounded once.
 rho_n_telescoping computes the same numbers by Gram-Schmidt on the monomials,
 taken as the Cholesky factorization G = L L* of the Gram matrix in floating
 point, unscaled and with square roots; row k of L^-1 gives the orthonormal
 p_k, and L^-1 applied to the right-hand side telescopes the projection into
-every partial rho_k.  Both read the table through build_gram, which needs
-moments to degree 2N, and share no other arithmetic; telescoping is the
-independent check in the tests and in verify's monotonicity (triangle, N=12)
-and pentagon-rho33 (--long) checks.  Both cost O(N^3).
+every partial rho_k.  It reads the table through build_gram's mpc entries.
+Both need moments to degree 2N, read the same bits of the table, and share
+no other arithmetic; telescoping is the independent check in the tests and
+in verify's monotonicity (triangle, N=12) and pentagon-rho33 (--long)
+checks.  Both cost O(N^3).
 orthonormality_residual re-integrates the basis against the table, as the
 independent check of the basis.  Monomial Gram matrices are catastrophically
 ill-conditioned in double precision for N beyond ~12, so everything here runs
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, mul
+from operator import mul, sub
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from . import geometry, moments
 from .errors import AreaNotNormalized, GramNotPD, InsufficientMoments
@@ -80,32 +83,57 @@ def _gram_degree(n: int) -> int:
     return max(2 * n, 2)
 
 
-def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
-    """The degree-n Gram system read from t, which must hold moments to
-    degree max(2n, 2); InsufficientMoments otherwise."""
+def _check_degree(t: moments.MomentTable, n: int) -> None:
     if t.maxdeg < _gram_degree(n):
         raise InsufficientMoments(
             f"degree-{n} content needs moments to degree {_gram_degree(n)}, "
             f"table has {t.maxdeg}")
+
+
+def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
+    """The degree-n Gram system read from t, which must hold moments to
+    degree max(2n, 2); InsufficientMoments otherwise."""
+    _check_degree(t, n)
     matrix = tuple(tuple(t.c(k, j) for k in range(n + 1)) for j in range(n + 1))
     rhs = tuple(t.c(0, j + 1) for j in range(n + 1))
     return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
 
 
-def _ldl_solve(gram: GramSystem, prec: int, partials: bool = False):
-    """(rho, cond, rhos): rho = t - b* G^{-1} b, cond the max/min ratio of
-    G's pivots, and rhos = (rho_0, ..., rho_N) if partials, else None.
+def _bordered(t: moments.MomentTable, n: int):
+    """The lower triangle of the degree-n bordered system M = [[G, b], [b*, t]]
+    of build_gram's G, b and t, row by row, each entry as the int parts
+    (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
+    G[i][j] = c[j][i], the last conj(b[k]) = conj(c[0][k+1]) and t = c[1][1],
+    whose imaginary part is dropped."""
+    _check_degree(t, n)
+    rows = [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
+    last = []
+    for k in range(n + 1):
+        rm, re, im, ie = t._c_parts(0, k + 1)
+        last.append((rm, re, -im, ie))
+    last.append(t._c_parts(1, 1)[:2] + (0, 0))
+    rows.append(last)
+    return rows
 
-    The bordered system M = [[G, b], [b*, t]] (t = c[1][1]) is scaled by
-    powers of two, 2^(e_k) on row and column k with e_k = -floor((exp + bc) / 2)
-    from the diagonal mpf M_kk (exp + bc = floor(log2 M_kk) + 1), so every
-    diagonal entry lies in [1/2, 2) and no entry exceeds 2 in modulus; by van der Sluis (Numer. Math. 14, 1969) this is
-    close to the best diagonal scaling.  The entries are read as (re, im)
-    ints at scale 2^w, w = prec + _GUARD_BITS, and factored M = L D L* with
-    L unit lower, dividing only by the pivots.  The last pivot of the
-    bordered system is t - b* G^{-1} b, rounded once to prec bits.  Raises
-    GramNotPD on a non-positive diagonal entry or pivot of G, or a negative
-    residual.
+
+def _ldl_solve(rows, prec: int, partials: bool = False):
+    """(rho, cond, rhos): rho = t - b* G^{-1} b, cond the max/min ratio of
+    G's pivots, and rhos = (rho_0, ..., rho_N) if partials, else None, for
+    the bordered system M = [[G, b], [b*, t]] given as _bordered's rows.
+
+    M is scaled by powers of two, 2^(e_k) on row and column k with
+    e_k = -floor((exp + bc) / 2) from the diagonal M_kk (exp + bc =
+    floor(log2 M_kk) + 1), so every diagonal entry lies in [1/2, 2) and no
+    entry exceeds 2 in modulus; by van der Sluis (Numer. Math. 14, 1969) this
+    is close to the best diagonal scaling.  Each part man 2^exp is shifted
+    to an int at scale 2^w, w = prec + _GUARD_BITS, truncated toward zero,
+    and M factored as L D L* with L unit lower, dividing only by the pivots.
+    Each complex product (a + ib)(c + id) of the inner sums takes three
+    multiplications, k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c),
+    with W's a + b and L's c + d and d - c kept beside their rows; exact in
+    ints.  The last pivot of the bordered system is t - b* G^{-1} b, rounded
+    once to prec bits.  Raises GramNotPD on a non-positive diagonal entry or
+    pivot of G, or a negative residual.
 
     The last pivot is t minus the sum over k <= N of the last row's
     W[N+1][k] conj(L[N+1][k]) = |L[N+1][k]|^2 D_k >= 0, and the sum cut after
@@ -113,55 +141,66 @@ def _ldl_solve(gram: GramSystem, prec: int, partials: bool = False):
     the leading part of this one: rho_K, bit for bit as a degree-K solve on
     the same table.  Each term is >= 0 in the ints too (L = floor(W 2^w / D)
     has W's sign), so the rhos are non-increasing."""
-    dim = gram.n + 1
+    dim = len(rows) - 1
     w = prec + _GUARD_BITS
-    diag = [gram.matrix[k][k].real for k in range(dim)] + [gram.target_norm]
-    for k, d in enumerate(diag):
-        if not d > 0:
+    diag = [row[-1][:2] for row in rows]
+    for k, (man, exp) in enumerate(diag):
+        if not man > 0:
             what = f"Gram pivot {k}" if k < dim else "norm of conj(z)"
-            raise GramNotPD(f"{what} is {mp.nstr(d, 6)}; polygon degenerate "
-                            "or precision exhausted")
-    exps = [-((d._mpf_[2] + d._mpf_[3]) >> 1) for d in diag]
+            raise GramNotPD(f"{what} is {mp.nstr(mp.make_mpf(from_man_exp(man, exp)), 6)}; "
+                            "polygon degenerate or precision exhausted")
+    exps = [-((exp + man.bit_length()) >> 1) for man, exp in diag]
 
     def unscaled(pivot, k, bits):  # pivot k as an mpf, rounded once to bits
         return mp.make_mpf(from_man_exp(pivot, -w - 2 * exps[k], bits, round_nearest))
 
-    # row i of the bordered lower triangle; the last row is conj(b), then t
-    rows = [[gram.matrix[i][j]._mpc_ for j in range(i + 1)] for i in range(dim)]
-    rows.append([(re, mpf_neg(im)) for re, im in (b._mpc_ for b in gram.rhs)]
-                + [(gram.target_norm._mpf_, fzero)])
-    # w_re[i], w_im[i]: row i of W = L D; l_re[j], l_im[j]: row j of L
-    w_re, w_im = [[] for _ in rows], [[] for _ in rows]
-    l_re, l_im = [[] for _ in rows], [[] for _ in rows]
+    def fixed(man, exp):  # man 2^exp truncated toward zero
+        if exp >= 0:
+            return man << exp
+        return man >> -exp if man >= 0 else -(-man >> -exp)
+
+    # m_re[i][j], m_im[i][j]: M[i][j] at scale 2^w
+    m_re, m_im = [], []
+    for i, row in enumerate(rows):
+        shifts = [w + exps[i] + e for e in exps[:i + 1]]
+        m_re.append([fixed(rm, re + sh) for (rm, re, _, _), sh in zip(row, shifts)])
+        m_im.append([fixed(im, ie + sh) for (_, _, im, ie), sh in zip(row, shifts)])
+    # row i of W = L D as w_re[i], w_im[i] and w_sum[i] = w_re + w_im; row j
+    # of L as l_re[j], l_minus[j] = l_re - l_im and l_plus[j] = l_re + l_im
+    w_re, w_im, w_sum = [[] for _ in rows], [[] for _ in rows], [[] for _ in rows]
+    l_re, l_minus, l_plus = [[] for _ in rows], [[] for _ in rows], [[] for _ in rows]
     pivots = []
     for j in range(dim + 1):
-        lr, li = l_re[j], l_im[j]
+        lr, lm, lp = l_re[j], l_minus[j], l_plus[j]
         for i in range(j, dim + 1):
-            re, im = rows[i][j]
-            shift = w + exps[i] + exps[j]
-            # W[i][j] = M[i][j] - sum_k W[i][k] conj(L[j][k]), the sum at scale 2^(2w)
-            wr, wi = w_re[i], w_im[i]
-            s_re = sum(map(mul, wr, lr)) + sum(map(mul, wi, li))
-            s_im = sum(map(mul, wi, lr)) - sum(map(mul, wr, li))
-            wr.append(geometry._fixed(re, shift) - (s_re >> w))
-            wi.append(0 if i == j else geometry._fixed(im, shift) - (s_im >> w))
+            # W[i][j] = M[i][j] - sum_k W[i][k] conj(L[j][k]), the sum at
+            # scale 2^(2w): with a + ib = W and c + id = conj(L), d = -l_im
+            k1 = sum(map(mul, w_sum[i], lr))
+            wr = m_re[i][j] - ((k1 - sum(map(mul, w_im[i], lm))) >> w)
+            wi = 0 if i == j else m_im[i][j] - ((k1 - sum(map(mul, w_re[i], lp))) >> w)
+            w_re[i].append(wr)
+            w_im[i].append(wi)
+            w_sum[i].append(wr + wi)
         d = w_re[j][j]
         pivots.append(d)
         if j < dim and not d > 0:
             raise GramNotPD(f"Gram pivot {j} is {mp.nstr(unscaled(d, j, prec), 6)}; "
                             "polygon degenerate or precision exhausted")
         for i in range(j + 1, dim + 1):
-            l_re[i].append((w_re[i][j] << w) // d)
-            l_im[i].append((w_im[i][j] << w) // d)
+            a, b = (w_re[i][j] << w) // d, (w_im[i][j] << w) // d
+            l_re[i].append(a)
+            l_minus[i].append(a - b)
+            l_plus[i].append(a + b)
     value = unscaled(pivots.pop(), dim, prec)
     if value < 0:
         raise GramNotPD(
             f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
     rhos = None
     if partials:
-        t_fix = geometry._fixed(gram.target_norm._mpf_, w + 2 * exps[dim])
-        terms = map(add, map(mul, w_re[dim], l_re[dim]), map(mul, w_im[dim], l_im[dim]))
-        rhos = tuple(unscaled(t_fix - (acc >> w), dim, prec) for acc in accumulate(terms))
+        # the real part of W conj(L), k1 - b(c + d), term by term
+        terms = map(sub, map(mul, w_sum[dim], l_re[dim]), map(mul, w_im[dim], l_minus[dim]))
+        rhos = tuple(unscaled(m_re[dim][dim] - (acc >> w), dim, prec)
+                     for acc in accumulate(terms))
     pivots = [unscaled(d, k, prec + 32) for k, d in enumerate(pivots)]
     with mp.workprec(prec + 32):
         return value, float(max(pivots) / min(pivots)), rhos
@@ -187,7 +226,7 @@ def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoRe
     A given table must have been built for p at the working precision
     (precision_bits, else the table's own); ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
-    value, cond, _ = _ldl_solve(build_gram(table, n), prec)
+    value, cond, _ = _ldl_solve(_bordered(table, n), prec)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY)
 
 
@@ -197,7 +236,7 @@ def rho_n_partials(p: geometry.Polygon, n: int, precision_bits=None, table=None)
     value, bit for bit, and partials[k] is rho_n's degree-k value on the same
     table.  Non-increasing; arguments and errors as for rho_n."""
     prec, table = _resolve(p, n, precision_bits, table)
-    value, cond, partials = _ldl_solve(build_gram(table, n), prec, partials=True)
+    value, cond, partials = _ldl_solve(_bordered(table, n), prec, partials=True)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY), partials
 
 

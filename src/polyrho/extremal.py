@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -151,6 +150,10 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
         slots.append(k)
     args = [(family, vals, n, prec) for vals in todo]
     if parallelism and parallelism > 1:
+        # imported here: the process machinery costs a tenth of the package's
+        # import time, and serial sweeps never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             solved = list(pool.map(_eval_point, args))
     else:

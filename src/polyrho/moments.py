@@ -19,10 +19,15 @@ that many bits, so a table keeps its accuracy wherever the polygon sits.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
 exact edge sums: _edge_sums scales the polygon by a power of two into the
-square (-1, 1)^2 and sums in fixed point.  _DeferredHalf keeps those ints and
-rounds an entry the first time it is read, applying the prefactor and
-rounding each part once, to nearest, at the table's precision, so the bits
-are those of an eager build in any read order.
+square (-1, 1)^2 and sums in fixed point, three multiplications to a
+complex product.  _DeferredHalf keeps those ints and rounds an entry the
+first time it is read, applying the prefactor and rounding each part once,
+to nearest, at the table's precision, so the bits are those of an eager
+build in any read order.  One int function, _nearest, does every such
+rounding, to a pair (man, exp); an entry's mpmath value is built from those
+pairs only when it is read as one, and the Gram solve (content._ldl_solve)
+shifts the pairs straight into its fixed point through MomentTable._c_parts.
+load_table decodes a cache file into the same pairs.
 
 A moment_table runs the kernel pass of its complex half and of its real half
 each on the first read of that half.  The Gram solves read only complex
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sqrt, round_nearest
+from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
 
 from . import geometry
 from .errors import InsufficientMoments, PrecisionTooLow
@@ -79,9 +84,10 @@ class MomentTable:
     complex_entries and real_entries map (m, n) to c[m][n] and I[m][n].
     moment_table gives each a mapping that runs the half's kernel pass on its
     first read and rounds each entry on that entry's first read; items()
-    rounds them all, and len() and iteration run nothing.  load_table and
-    dataclasses.replace may give plain dicts.  Treated as immutable once
-    built; safe to share across workers, built or not.
+    rounds them all, and len() and iteration run nothing.  load_table gives
+    each a mapping of the file's parts, and dataclasses.replace may give
+    plain dicts.  Treated as immutable once built; safe to share across
+    workers, built or not.
     """
 
     fingerprint: str
@@ -96,6 +102,19 @@ class MomentTable:
     def real(self, m: int, n: int):
         return self._entry(self.real_entries, "I", m, n)
 
+    def _c_parts(self, m: int, n: int):
+        """c(m, n) as ints (re_man, re_exp, im_man, im_exp), each part
+        man 2^exp, with the bits of c(m, n); from a half's parts without
+        building the mpc, else from the entry's _mpc_."""
+        entries = self.complex_entries
+        if isinstance(entries, _Half):
+            try:
+                return entries._parts((m, n))
+            except KeyError:
+                pass  # c raises InsufficientMoments
+        re, im = self.c(m, n)._mpc_
+        return (*_signed(re), *_signed(im))
+
     def _entry(self, entries, name, m, n):
         try:
             return entries[(m, n)]
@@ -106,9 +125,10 @@ class MomentTable:
 
 # ---- Green's-theorem kernel ------------------------------------------------------
 
-def _monomials(ar, ai, br, bi, deg, w):
+def _monomials(ar, ai, br, bi, deg, w, half):
     """rows[d][b] = A^(d-b) B^b for d <= deg as (re, im) ints at scale 2^w,
-    for A = ar + i ai and B = br + i bi at that scale."""
+    for A = ar + i ai and B = br + i bi at that scale; with half, B = conj(A)
+    and each row only to b = d // 2."""
     def powers(xr, xi, count):
         out = [(1 << w, 0)]
         for _ in range(count):
@@ -124,7 +144,8 @@ def _monomials(ar, ai, br, bi, deg, w):
         npow = powers((ar * ar + ai * ai) >> w, 0, deg // 2)
         for d in range(deg + 1):
             row = [(ur * nr >> w, ui * nr >> w) for (ur, ui), (nr, _) in zip(apow[d::-2], npow)]
-            row += [(ur, -ui) for ur, ui in reversed(row[:(d + 1) // 2])]
+            if not half:
+                row += [(ur, -ui) for ur, ui in reversed(row[:(d + 1) // 2])]
             rows.append(row)
         return rows
     bpow = powers(br, bi, deg)
@@ -157,7 +178,12 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
     (a degree-d monomial can be 2^-d of the largest coordinate, itself as
     small as 1/2), and the bits the sums cancel.  Each vertex's monomials
-    are built once, for the two edges that meet there."""
+    are built once, for the two edges that meet there; a complex half reads
+    them only to b = d // 2, as dA = conj(dB) never swaps.  Each product
+    (a + ib)(c + id) of x by j r, with j r per edge at hand, takes three
+    multiplications: k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c);
+    a real half, whose imaginary parts are all 0, skips im and so takes one.
+    Exact in ints, so the sums are those of the four-product form."""
     keys = _table_keys(maxdeg, kind)
     top = maxdeg + 1  # the highest anti-diagonal of J
     on_diag = [[] for _ in range(top + 1)]  # the keys read from each anti-diagonal
@@ -173,13 +199,14 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
         verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
 
     acc = {key: [0, 0] for key in keys}
-    first = end = _monomials(*verts[0], top + 1, w)
+    conj = kind == "c"  # B = conj(A); else A, B, r and every imaginary part are real
+    first = end = _monomials(*verts[0], top + 1, w, conj)
     for k, (ar, ai, br, bi) in enumerate(verts):
         cr, ci, dr, di = nxt = verts[(k + 1) % len(verts)]
         # the first vertex's table is kept for the last edge's end: n tables
         # for n vertices, three alive at once
         start = end
-        end = _monomials(*nxt, top + 1, w) if k + 1 < len(verts) else first
+        end = _monomials(*nxt, top + 1, w, conj) if k + 1 < len(verts) else first
         dar, dai, dbr, dbi = cr - ar, ci - ai, dr - br, di - bi
         swap = dbr * dbr + dbi * dbi > dar * dar + dai * dai
         pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)
@@ -189,6 +216,8 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
         # the walk runs on L = dp J, so that (i+1) L(i, j) + j r L(i+1, j-1)
         # = [P^(i+1) Q^j] with r = dq / dp; dA J is L, or r L when swapped
         rr, ri = ((qr * pr + qi * pi) << w) // norm, ((qi * pr - qr * pi) << w) // norm
+        # (c, c + d, d - c) of c + id = j r, for the three-product form
+        jr = [(j * rr, j * (rr + ri), j * (ri - rr)) for j in range(top + 1)]
         for s in range(1, top + 1):
             row0, row1 = start[s + 1], end[s + 1]
             diag = [None] * (s + 1)  # L on this anti-diagonal, by B's exponent
@@ -198,14 +227,17 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
                 b = s + 1 - j if swap else j  # B's exponent in [P^(i+1) Q^j]
                 (ur, ui), (vr, vi) = row1[b], row0[b]
                 er, ei = ur - vr, ui - vi
-                if j:
-                    er -= j * (rr * xr - ri * xi) >> w
-                    ei -= j * (rr * xi + ri * xr) >> w
+                if j:  # minus j r x
+                    c, cpd, dmc = jr[j]
+                    k1 = c * (xr + xi)
+                    er -= (k1 - xi * cpd) >> w
+                    if conj:
+                        ei -= (k1 + xr * dmc) >> w
                 xr, xi = er // (i + 1), ei // (i + 1)
                 diag[i if swap else j] = (xr, xi)
             for key in on_diag[s]:
                 ur, ui = diag[key[1] + 1]
-                if swap:
+                if swap:  # only in a real half, where ri = ui = 0
                     ur, ui = (rr * ur - ri * ui) >> w, (rr * ui + ri * ur) >> w
                 total = acc[key]
                 total[0] += ur
@@ -213,14 +245,29 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     return {(m, n): (re, im, e * (m + n + 2) - w) for (m, n), (re, im) in acc.items()}
 
 
+def _nearest(num: int, den: int, exp: int, prec: int):
+    """(man, e): the int man of at most prec bits (prec + 1 on a carry to a
+    power of two) with man 2^e nearest num / den * 2^exp, ties to even, for
+    den > 0; (0, 0) for num = 0.  The quotient is taken to at least prec + 1
+    bits, and the remainder breaks a tie in the bits below prec."""
+    if not num:
+        return 0, 0
+    a = abs(num)
+    shift = max(prec + 1 + den.bit_length() - a.bit_length(), 0)
+    q, r = divmod(a << shift, den)
+    extra = q.bit_length() - prec  # >= 1: q >= 2^prec
+    low = q & ((1 << extra) - 1)
+    q >>= extra
+    half = 1 << (extra - 1)
+    if low > half or (low == half and (r or q & 1)):
+        q += 1
+    return (-q if num < 0 else q), exp - shift + extra
+
+
 def _rounded(num: int, den: int, exp: int, prec: int):
-    """The raw mpf nearest num / den * 2^exp with prec bits, for den > 0.
-    The quotient is taken to at least prec + 1 bits, with a sticky bit for a
-    nonzero remainder, so rounding it rounds the exact value."""
-    shift = max(prec + 1 + den.bit_length() - abs(num).bit_length(), 0)
-    q, r = divmod(abs(num) << shift, den)
-    man = 2 * q + (r != 0)
-    return from_man_exp(-man if num < 0 else man, exp - shift - 1, prec, round_nearest)
+    """The raw mpf nearest num / den * 2^exp with prec bits, for den > 0:
+    _nearest's (man, e), normalized."""
+    return from_man_exp(*_nearest(num, den, exp, prec))
 
 
 def _gauss_mul(u, v):
@@ -269,14 +316,11 @@ def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits
         si += ei
 
     den, exp = (n + 1) * common, low * (m + n + 2)
-
-    def part(num, e):  # num 2^e / ((n+1) L), rounded once
-        return mp.fdiv(mp.make_mpf(from_man_exp(num, e)), den, prec=precision_bits)._mpf_
-
     if kind == "I":  # I = -S / (n+1)
-        return mp.make_mpf(part(-sr, exp))
+        return mp.make_mpf(_rounded(-sr, den, exp, precision_bits))
     # c = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)), real on the diagonal
-    return mp.make_mpc((part(si, exp - 1), part(-sr, exp - 1)))
+    return mp.make_mpc((_rounded(si, den, exp - 1, precision_bits),
+                        _rounded(-sr, den, exp - 1, precision_bits)))
 
 
 def complex_moment(p: geometry.Polygon, m: int, n: int,
@@ -300,26 +344,69 @@ def _table_keys(maxdeg: int, kind: str):
     return [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
 
 
-class _DeferredHalf(Mapping):
-    """One half of a moment table: the exact edge sums of the half, from one
-    _edge_sums pass on the first read of any entry, and each entry rounded
-    from them on its own first read.
+class _Half(Mapping):
+    """One half of a moment table, kind "c" or "I", to total degree maxdeg,
+    as int parts: (re_man, re_exp, im_man, im_exp) for c[m][n] and
+    (man, exp) for I[m][n], each part man 2^exp.  held maps the keys of
+    _table_keys to their parts; c[n][m] for n < m is the conjugate of
+    c[m][n].  Each entry's mpmath value is built on its first read.  len()
+    and iteration answer from maxdeg; the keys come in one fixed order."""
+
+    def __init__(self, maxdeg: int, kind: str, held: dict):
+        self._maxdeg = maxdeg
+        self._kind = kind
+        self._held = held
+        self._entries = {}
+
+    def _stored(self, key):
+        return self._held[key]
+
+    def _parts(self, key):
+        """The parts of the entry at key; KeyError outside the half."""
+        if self._kind == "c" and isinstance(key, tuple) and len(key) == 2 and key[0] < key[1]:
+            rm, re, im, ie = self._stored(key[::-1])
+            return rm, re, -im, ie
+        return self._stored(key)
+
+    def __getitem__(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            parts = self._parts(key)
+            if self._kind == "I":
+                entry = mp.make_mpf(from_man_exp(*parts))
+            else:
+                entry = mp.make_mpc((from_man_exp(*parts[:2]), from_man_exp(*parts[2:])))
+            self._entries[key] = entry
+        return entry
+
+    def __iter__(self):
+        for m, n in _table_keys(self._maxdeg, self._kind):
+            yield m, n
+            if self._kind == "c" and m != n:
+                yield n, m
+
+    def __len__(self) -> int:
+        return (self._maxdeg + 1) * (self._maxdeg + 2) // 2
+
+
+class _DeferredHalf(_Half):
+    """A half whose parts come from the exact edge sums of one _edge_sums
+    pass, run on the first read of any entry, each key's parts rounded from
+    them on that key's first read.
 
     Each part is rounded once, to nearest, at the table's precision by
-    _rounded, so the bits depend neither on the read order nor on the
-    caller's context.  Complex entries are rounded for m >= n, and c[n][m]
-    is filled with the conjugate at the same time.  A half given a source
-    rounds the source's edge sums instead of running its own pass.  Holds
-    the polygon and the table's parameters, not a closure, so a table
-    pickles before and after the pass.  len() and iteration answer from
-    maxdeg without a pass; the keys come in one fixed order."""
+    _nearest, so the bits depend neither on the read order nor on the
+    caller's context.  A half given a source rounds the source's edge sums
+    instead of running its own pass.  Holds the polygon and the table's
+    parameters, not a closure, so a table pickles before and after the
+    pass."""
 
     def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str,
                  source: _DeferredHalf | None = None):
+        super().__init__(maxdeg, kind, {})
         self._args = (p, maxdeg, precision_bits, kind)
         self._source = source
         self._sums = None
-        self._entries = {}
 
     def _exact_sums(self) -> dict:
         if self._source is not None:
@@ -328,42 +415,21 @@ class _DeferredHalf(Mapping):
             self._sums = _edge_sums(*self._args)
         return self._sums
 
-    def _round(self, key):
-        _, _, bits, kind = self._args
-        sums = self._exact_sums()
-        if key in sums:
+    def _stored(self, key):
+        parts = self._held.get(key)
+        if parts is None:
+            re, im, exp = self._exact_sums()[key]
             m, n = key
-        elif kind == "c" and isinstance(key, tuple) and key[::-1] in sums:
-            n, m = key  # c[n][m] for n < m is the conjugate of c[m][n]
-        else:
-            raise KeyError(key)
-        re, im, exp = sums[(m, n)]
-        if kind == "I":  # I[m][n] = -S / (n+1)
-            self._entries[key] = mp.make_mpf(_rounded(-re, n + 1, exp, bits))
-        else:
-            # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m] is
-            # a squared norm, so its imaginary part, roundoff, is dropped
-            cre = _rounded(im, n + 1, exp - 1, bits)
-            cim = fzero if m == n else _rounded(-re, n + 1, exp - 1, bits)
-            self._entries[(m, n)] = mp.make_mpc((cre, cim))
-            if m != n:
-                self._entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
-        return self._entries[key]
-
-    def __getitem__(self, key):
-        entry = self._entries.get(key)
-        return self._round(key) if entry is None else entry
-
-    def __iter__(self):
-        _, maxdeg, _, kind = self._args
-        for m, n in _table_keys(maxdeg, kind):
-            yield m, n
-            if kind == "c" and m != n:
-                yield n, m
-
-    def __len__(self) -> int:
-        maxdeg = self._args[1]
-        return (maxdeg + 1) * (maxdeg + 2) // 2
+            bits = self._args[2]
+            if self._kind == "I":  # I[m][n] = -S / (n+1)
+                parts = _nearest(-re, n + 1, exp, bits)
+            else:
+                # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m]
+                # is a squared norm, so its imaginary part, roundoff, is dropped
+                parts = _nearest(im, n + 1, exp - 1, bits) + (
+                    (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
+            self._held[key] = parts
+        return parts
 
 
 def moment_table(p: geometry.Polygon, maxdeg: int,
@@ -443,9 +509,15 @@ def _num_to_json(x):
     return [int(sign), hex(int(man)), int(exp)]
 
 
-def _num_from_json(rec):
-    """The raw mpf tuple of the number _num_to_json wrote; ValueError for any
-    other record."""
+def _signed(raw):
+    """(man, exp), man signed, of a raw mpf tuple."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _parts_from_json(rec):
+    """(man, exp), man signed, of the number _num_to_json wrote; ValueError
+    for any other record."""
     if not (isinstance(rec, list) and len(rec) == 3 and rec[0] in (0, 1)
             and isinstance(rec[1], str) and isinstance(rec[2], int)):
         raise ValueError(f"not a (sign, hex mantissa, exponent) record: {rec!r}")
@@ -453,7 +525,7 @@ def _num_from_json(rec):
     man = int(man_hex, 16)
     if man < 0:
         raise ValueError(f"negative mantissa in {rec!r}")
-    return from_man_exp(-man if sign else man, exp)
+    return (-man if sign else man), exp
 
 
 def save_table(t: MomentTable, path) -> None:
@@ -481,7 +553,9 @@ def save_table(t: MomentTable, path) -> None:
 def load_table(path) -> MomentTable:
     """Read a table written by save_table.  ValueError for any malformed
     record, for precision_bits below MIN_PRECISION_BITS, and unless the file
-    holds exactly the keys of its maxdeg: complex m >= n and every real key."""
+    holds exactly the keys of its maxdeg: complex m >= n and every real key.
+    Every record is checked and decoded to int parts here; an entry's mpmath
+    value is built on its first read, and the Gram solve reads the parts."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
@@ -494,23 +568,19 @@ def load_table(path) -> MomentTable:
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"moment cache in {path} has precision_bits {precision_bits}, "
                          f"below {MIN_PRECISION_BITS}")
+    keys = {}
     for kind, section in (("c", "complex"), ("I", "real")):
-        stored = {tuple(int(s) for s in key.split(",")) for key in doc[section]}
-        if stored != set(_table_keys(maxdeg, kind)):
+        keys[kind] = [tuple(map(int, key.split(","))) for key in doc[section]]
+        if set(keys[kind]) != set(_table_keys(maxdeg, kind)):
             raise ValueError(
                 f"{section} moments in {path} are not the keys of maxdeg {maxdeg}")
-    complex_entries = {}
-    real_entries = {}
-    for key, pair in doc["complex"].items():
+    complex_parts = {}
+    for key, (text, pair) in zip(keys["c"], doc["complex"].items()):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"complex moment {key} in {path} is not a (re, im) pair")
-        m, n = (int(s) for s in key.split(","))
-        re, im = (_num_from_json(rec) for rec in pair)
-        complex_entries[(m, n)] = mp.make_mpc((re, im))
-        if m != n:
-            complex_entries[(n, m)] = mp.make_mpc((re, mpf_neg(im)))
-    for key, rec in doc["real"].items():
-        m, n = (int(s) for s in key.split(","))
-        real_entries[(m, n)] = mp.make_mpf(_num_from_json(rec))
+            raise ValueError(f"complex moment {text} in {path} is not a (re, im) pair")
+        complex_parts[key] = _parts_from_json(pair[0]) + _parts_from_json(pair[1])
+    real_parts = {key: _parts_from_json(rec) for key, rec in zip(keys["I"], doc["real"].values())}
+    complex_entries = _Half(maxdeg, "c", complex_parts)
+    real_entries = _Half(maxdeg, "I", real_parts)
     return MomentTable(doc["fingerprint"], maxdeg, precision_bits,
                        complex_entries, real_entries)

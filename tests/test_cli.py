@@ -257,6 +257,31 @@ def test_exit_code_for_numerical_failure():
                    "--precision-bits", "0") == 3
 
 
+def test_precision_error_names_the_given_precision(capsys):
+    # the check's table is built 64 bits finer; the message is about the
+    # precision the user asked for, not that one
+    assert run_cli("rho", "--family", "windmill:2", "--n", "2",
+                   "--precision-bits", "-5") == 3
+    assert "precision_bits must be >= 64, got -5\n" in capsys.readouterr().err
+
+
+def test_a_malformed_real_record_in_a_warm_cache_is_bad_input(tmp_path, capsys):
+    # rho reads only complex moments, yet every record of the cache is checked
+    cache = tmp_path / "c.json"
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 0
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 0
+    saved = json.loads(cache.read_text())
+    for bad in ([0, "-0x5", 0], [0, "0xzz", 0], [2, "0x5", 0], [0, "0x5"]):
+        saved["real"]["2,4"] = bad
+        cache.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                       "--moment-cache", str(cache)) == 2
+        assert f"unreadable moment cache {cache}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--family", "windmill", "--param", "a", "--range", "1:inf", "--steps", "3"),
     ("sweep", "--family", "windmill", "--param", "a", "--range", "nan:2", "--steps", "3"),
@@ -379,6 +404,25 @@ def test_import_and_rho_leave_numpy_unloaded():
     with mp.workprec(300):
         ref = extremal.windmill_rho_closed(2, 1)
         assert abs(float(proc.stdout.splitlines()[-1]) - ref) <= 1e-8 * ref
+
+
+def test_import_loads_neither_the_process_pool_nor_numpy():
+    # a serial sweep never starts a pool, so only a parallel one imports it
+    import polyrho
+    script = (
+        "import sys\n"
+        "import polyrho\n"
+        "from polyrho import cli, extremal, geometry\n"
+        "spec = geometry.FamilySpec('windmill', (), ('a',))\n"
+        "extremal.sweep_family(spec, 1, 2, 3, 1)\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'numpy') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(polyrho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _claimed_and_true_digits(tmp_path, argv, n, ref):

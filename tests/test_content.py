@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from mpmath import mp
@@ -170,6 +171,72 @@ def test_rigid_motion_invariance(pentagon):
     with mp.workprec(300):
         assert abs(rotated - base) <= mp.mpf("1e-60") * (1 + abs(base))
         assert abs(moved - base) <= mp.mpf("1e-60") * (1 + abs(base))
+
+
+# sha256 of repr((value._mpf_, repr(condition_estimate))) of rho_n, and of
+# the same with [v._mpf_ for v in partials] appended for rho_n_partials, on
+# rho's check table (maxdeg 2N at bits) and on the table rounded from it at
+# bits - 64, as the rho subcommand solves them; recorded from the solve that
+# read the table through build_gram's mpc entries
+_RHO_SHA256 = {
+    ("pentagon", 18, 560): (
+        "8430f1b68fd0f354bdda03583567532717df1810cd8d30e4ee1a7a2a974dbaf2",
+        "f0a260ad9b5f4994a48070d6504d32a68265a6820b02d3cfa298f3f0c718d728",
+        "f6907910ac9ba4c0495bcfb2486c9857a7e58c5480fcdcf03b8876601b583471",
+        "42a0f6eea8ab064c476200354151b98bef4e3bae87a657be13d09ab5f42d3849"),
+    ("windmill-2", 12, 416): (
+        "7eb6733a5d7fee776c6b17d990b01e63226e6d29c8921a476a31c612fdad35f8",
+        "94303540c96f6fec6a370c1461d3aad6576c6b7d9d9c0daf5012c437463d5137",
+        "7241b6a4a16f63a418cc058560fb173a59603ada9766a29397e8ef644ddb7cb1",
+        "f41775e1a180b52f374f2bd0ec8283a4da7d3ed6241b68039366f1ad16a9804b"),
+    ("star-8-3", 12, 416): (
+        "760f1c13f254dd8ebfbbe7d679e2cddc18a59ee7bbe4c472ec06f8d9f35c0e0c",
+        "efbffca96d4a1e303192d51f233e9ac8d94c5c681098ec4fe7643ec8dbfd3579",
+        "a145e39eb34f7b4052f43e0840a0c8f37586589b7d53174ded43cae20ce7dd58",
+        "21d38ca3eb520c64ab4f78b3514e4d7fd01bb5a7a253b9e39213e3d4844dae63"),
+}
+_PINNED_POLYGONS = {
+    "pentagon": lambda: geometry.make_regular_ngon(5),
+    "windmill-2": lambda: geometry.make_windmill(2),
+    "star-8-3": lambda: geometry.random_star_polygon(8, 3),
+    # side 1.5e-3 at (100, 100): the frame defect leaves G indefinite at N=10
+    "far-triangle": lambda: geometry.polygon_new(
+        [(100, 100), (100.0015, 100), (100.00075, 100.0013)]),
+}
+
+
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,n,bits", list(_RHO_SHA256))
+def test_rho_bits_are_pinned(name, n, bits):
+    poly = _PINNED_POLYGONS[name]()
+    check = moments.moment_table(poly, 2 * n, bits)
+    digests = []
+    for t in (check, moments._rounded_table(check, bits - 64)):
+        r = content.rho_n(poly, n, table=t)
+        digests.append(_sha256((r.value._mpf_, repr(r.condition_estimate))))
+        r, partials = content.rho_n_partials(poly, n, table=t)
+        assert partials[-1] == r.value
+        digests.append(_sha256((r.value._mpf_, repr(r.condition_estimate),
+                                [v._mpf_ for v in partials])))
+    assert tuple(digests) == _RHO_SHA256[(name, n, bits)]
+
+
+@pytest.mark.parametrize("bits,message", [
+    (368, "Gram pivot 10 is -1.7106e-69; polygon degenerate or precision exhausted"),
+    (304, "Gram pivot 10 is -2.51674e-51; polygon degenerate or precision exhausted"),
+])
+def test_gram_not_pd_message_is_pinned(bits, message):
+    poly = _PINNED_POLYGONS["far-triangle"]()
+    t = moments.moment_table(poly, 20, 368)
+    if bits < 368:
+        t = moments._rounded_table(t, bits)
+    for solve in (content.rho_n, content.rho_n_partials):
+        with pytest.raises(GramNotPD) as info:
+            solve(poly, 10, table=t)
+        assert str(info.value) == message
 
 
 def test_gram_not_pd_on_tampered_table(square):

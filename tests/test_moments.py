@@ -7,7 +7,7 @@ import random
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
 from polyrho import cli, content, extremal, geometry, moments
 from polyrho.errors import InsufficientMoments, PrecisionTooLow
@@ -271,6 +271,37 @@ _DEFERRED_POLYGONS = {
 }
 
 
+# sha256 of repr(sorted(_edge_sums(...).items())) at the maxdeg and bits of
+# the certified rho's check tables (pentagon N=18, the others N=12 and N=10),
+# recorded from the kernel that took four multiplications per complex product
+_EDGE_SUM_SHA256 = {
+    ("pentagon", 36, 560): {
+        "c": "f70b4204d998242982c8784badc62a206df83995d3526066e36941a6f1315332",
+        "I": "01c68cc3e221ad9fa932b9578e80bd88c75ba1a3cfa293e60ab9639162152d58"},
+    ("windmill-2", 24, 416): {
+        "c": "1f8aa96bcc73a8b1247073a06f7d86977a484ab8f230cf2daa9fb53b05f0998c",
+        "I": "916739fb5c78d4616330b2d8a2f4f0b96d7a8b7956dd59519e4d015dd1e5d27a"},
+    ("star-8-3", 24, 416): {
+        "c": "9849681643c1bddf0c96a2f42ec93496c3e31806bd625b59382ac3bf84297d0b",
+        "I": "fee9890d2dcd38abcc78ce75550704d6d623066997fbcedf7a4fb10fffa03817"},
+    ("far-triangle", 20, 368): {
+        "c": "ef8a4a1ca8b29c08b39767e972b572f71c8a5992acb6f409036df477e5cf439a",
+        "I": "9ceb62a229a2a8daf24f05bcf80fd9c2a658b36ba191f903b1b7d1539b7348c4"},
+}
+_PINNED_POLYGONS = dict(_DEFERRED_POLYGONS, **{
+    "windmill-2": lambda: geometry.make_windmill(2),
+    "star-8-3": lambda: geometry.random_star_polygon(8, 3),
+})
+
+
+@pytest.mark.parametrize("kind", ["c", "I"])
+@pytest.mark.parametrize("name,maxdeg,bits", list(_EDGE_SUM_SHA256))
+def test_edge_sums_bits_are_pinned(name, maxdeg, bits, kind):
+    sums = moments._edge_sums(_PINNED_POLYGONS[name](), maxdeg, bits, kind)
+    digest = hashlib.sha256(repr(sorted(sums.items())).encode()).hexdigest()
+    assert digest == _EDGE_SUM_SHA256[(name, maxdeg, bits)][kind]
+
+
 @pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
 @pytest.mark.parametrize("name", list(_DEFERRED_POLYGONS))
 def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg, bits):
@@ -325,6 +356,34 @@ def test_a_rounded_table_has_the_bits_of_the_finer_sums(name, maxdeg, bits):
     check, t = pickle.loads(pickle.dumps((check, t)))
     _assert_same_bits(t, ref)
     _assert_same_bits(check, fine_ref)
+
+
+def test_nearest_rounds_the_exact_quotient_to_nearest_even():
+    # against the quotient to prec + 1 bits plus a sticky bit, rounded by
+    # from_man_exp: exact ties, carries to a power of two, zeros, negatives
+    rng = random.Random(20)
+    for _ in range(20000):
+        prec = rng.choice([1, 2, 53, 64, 256, rng.randrange(1, 700)])
+        den = rng.choice([1, 3, 1 << rng.randrange(20), rng.randrange(1, 40),
+                          rng.getrandbits(rng.randrange(1, 80)) | 1])
+        shape = rng.randrange(4)
+        if shape == 0:  # an odd multiple of half a unit in the last place
+            num = den * (2 * rng.getrandbits(prec) + 1) << rng.randrange(4)
+        elif shape == 1:  # all ones below the last place: the rounding carries
+            num = den * ((1 << (prec + rng.randrange(1, 6))) - 1)
+        elif shape == 2:
+            num = rng.getrandbits(rng.randrange(0, 1500))
+        else:
+            num = den * rng.getrandbits(rng.randrange(0, 800)) + rng.randrange(-2, 3)
+        num = -num if rng.random() < 0.5 else num
+        exp = rng.randrange(-3000, 3000)
+        man, e = moments._nearest(num, den, exp, prec)
+        shift = prec + 64 + den.bit_length()
+        q, r = divmod(abs(num) << shift, den)
+        sticky = 2 * q + (r != 0)
+        ref = from_man_exp(-sticky if num < 0 else sticky, exp - shift - 1, prec, round_nearest)
+        assert from_man_exp(man, e) == moments._rounded(num, den, exp, prec) == ref
+        assert abs(man).bit_length() <= prec or abs(man) == 1 << prec
 
 
 def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
