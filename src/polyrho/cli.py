@@ -8,6 +8,7 @@ deterministic for a fixed configuration: wall-clock timings go to stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -426,7 +427,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 # ---- argument parsing ---------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The polyrho parser, built once per process: it holds no parse's
+    results, as parse_args returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="polyrho",
         description="Polynomial Bergman content rho_N of simple polygons")

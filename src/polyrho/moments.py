@@ -19,8 +19,10 @@ that many bits, so a table keeps its accuracy wherever the polygon sits.
 
 A table half is one pass in Python ints, from the vertices' mpf mantissas to
 exact edge sums: _edge_sums scales the polygon by a power of two into the
-square (-1, 1)^2 and sums in fixed point, three multiplications to a
-complex product.  _DeferredHalf keeps those ints and rounds an entry the
+square (-1, 1)^2 and sums in fixed point, with one walk per half.  The
+complex half's walk takes three multiplications to a complex product and
+never swaps, as B = conj(A); the real half's values are all real ints, one
+multiplication to a product.  _DeferredHalf keeps those ints and rounds an entry the
 first time it is read, applying the prefactor and rounding each part once,
 to nearest, at the table's precision, so the bits are those of an eager
 build in any read order.  One int function, _nearest, does every such
@@ -125,37 +127,108 @@ class MomentTable:
 
 # ---- Green's-theorem kernel ------------------------------------------------------
 
-def _monomials(ar, ai, br, bi, deg, w, half):
-    """rows[d][b] = A^(d-b) B^b for d <= deg as (re, im) ints at scale 2^w,
-    for A = ar + i ai and B = br + i bi at that scale; with half, B = conj(A)
-    and each row only to b = d // 2."""
-    def powers(xr, xi, count):
-        out = [(1 << w, 0)]
-        for _ in range(count):
-            ur, ui = out[-1]
-            out.append(((ur * xr - ui * xi) >> w, (ur * xi + ui * xr) >> w))
-        return out
+def _edge_rows(verts, rows):
+    """(start, end, start's rows, end's rows) for each edge of verts, rows
+    the monomial table of a vertex.  Each vertex's table is built once, for
+    the two edges that meet there, and the first vertex's is kept for the
+    last edge's end: n tables for n vertices, three alive at once."""
+    first = end = rows(*verts[0])
+    for k, vert in enumerate(verts):
+        nxt = verts[(k + 1) % len(verts)]
+        start = end
+        end = rows(*nxt) if k + 1 < len(verts) else first
+        yield vert, nxt, start, end
 
-    apow = powers(ar, ai, deg)
+
+def _powers(x, count, w):
+    """x^k for k <= count at scale 2^w, each truncated from the last."""
+    out = [1 << w]
+    for _ in range(count):
+        out.append(out[-1] * x >> w)
+    return out
+
+
+def _complex_rows(x, y, deg, w):
+    """rows[d] = (re, im): the parts of |A|^(2b) A^(d-2b), the first half of
+    the row A^(d-b) conj(A)^b, for b <= d // 2 and d <= deg, A = x + iy at
+    scale 2^w."""
+    apow = [(1 << w, 0)]
+    for _ in range(deg):
+        ur, ui = apow[-1]
+        apow.append(((ur * x - ui * y) >> w, (ur * y + ui * x) >> w))
+    npow = _powers((x * x + y * y) >> w, deg // 2, w)
     rows = []
-    if br == ar and bi == -ai:
-        # B = conj(A), as at every vertex of a complex table: the first half
-        # of a row is |A|^(2b) A^(d-2b), the rest their conjugates
-        npow = powers((ar * ar + ai * ai) >> w, 0, deg // 2)
-        for d in range(deg + 1):
-            row = [(ur * nr >> w, ui * nr >> w) for (ur, ui), (nr, _) in zip(apow[d::-2], npow)]
-            if not half:
-                row += [(ur, -ui) for ur, ui in reversed(row[:(d + 1) // 2])]
-            rows.append(row)
-        return rows
-    bpow = powers(br, bi, deg)
     for d in range(deg + 1):
-        row = []
-        for b in range(d + 1):
-            (ur, ui), (vr, vi) = apow[d - b], bpow[b]
-            row.append(((ur * vr - ui * vi) >> w, (ur * vi + ui * vr) >> w))
-        rows.append(row)
+        pairs = list(zip(apow[d::-2], npow))
+        rows.append(([ur * nr >> w for (ur, _), nr in pairs],
+                     [ui * nr >> w for (_, ui), nr in pairs]))
     return rows
+
+
+def _real_rows(x, y, deg, w):
+    """rows[d][b] = x^(d-b) y^b for d <= deg at scale 2^w."""
+    xpow, ypow = _powers(x, deg, w), _powers(y, deg, w)
+    return [[u * v >> w for u, v in zip(xpow[d::-1], ypow)] for d in range(deg + 1)]
+
+
+def _complex_walk(verts, top, w):
+    """The complex half's sums by anti-diagonal s and n, as lists re[s][n]
+    and im[s][n] for n <= (s - 1) // 2; see _edge_sums.  B = conj(A), so
+    |dB| = |dA| and no edge swaps."""
+    sums_re = [[0] * ((s + 1) // 2) for s in range(top + 1)]
+    sums_im = [[0] * ((s + 1) // 2) for s in range(top + 1)]
+    edges = _edge_rows(verts, lambda x, y: _complex_rows(x, y, top + 1, w))
+    for (x0, y0), (x1, y1), start, end in edges:
+        dx, dy = x1 - x0, y1 - y0
+        norm = dx * dx + dy * dy
+        if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
+            continue
+        # r = dB / dA = conj(dA) / dA
+        rr, ri = ((dx * dx - dy * dy) << w) // norm, (-2 * dx * dy << w) // norm
+        # (c, c + d, d - c) of c + id = j r, for the three-product form
+        jc = [j * rr for j in range(top + 1)]
+        jcpd = [j * (rr + ri) for j in range(top + 1)]
+        jdmc = [j * (ri - rr) for j in range(top + 1)]
+        for s in range(1, top + 1):
+            (re1, im1), (re0, im0) = end[s + 1], start[s + 1]
+            tr, ti = sums_re[s], sums_im[s]
+            den = s + 1  # i + 1, i = s - j the exponent of P
+            xr, xi = (re1[0] - re0[0]) // den, (im1[0] - im0[0]) // den
+            for j in range(1, len(tr) + 1):
+                den -= 1
+                k1 = jc[j] * (xr + xi)
+                xr, xi = ((re1[j] - re0[j] - ((k1 - xi * jcpd[j]) >> w)) // den,
+                          (im1[j] - im0[j] - ((k1 + xr * jdmc[j]) >> w)) // den)
+                tr[j - 1] += xr
+                ti[j - 1] += xi
+    return sums_re, sums_im
+
+
+def _real_walk(verts, top, w):
+    """The real half's sums by anti-diagonal s and n, as lists re[s][n] for
+    n < s; see _edge_sums.  Every value is a real int."""
+    sums = [[0] * s for s in range(top + 1)]
+    edges = _edge_rows(verts, lambda x, y: _real_rows(x, y, top + 1, w))
+    for (x0, y0), (x1, y1), start, end in edges:
+        dx, dy = x1 - x0, y1 - y0
+        swap = dy * dy > dx * dx
+        dp, dq = (dy, dx) if swap else (dx, dy)
+        if not dp:  # an edge below the fixed-point unit: equal ends, zero sums
+            continue
+        r = (dq << w) // dp
+        jr = [j * r for j in range(top + 1)]
+        for s in range(1, top + 1):
+            diff = [u - v for u, v in zip(end[s + 1], start[s + 1])]
+            # step j gives L(s - j, j) from [P^(s-j+1) Q^j], whose B exponent
+            # is j, or s + 1 - j when swapped
+            x = 0
+            walk = [x := (e - (c * x >> w)) // den
+                    for e, c, den in zip(diff[:1:-1] if swap else diff, jr, range(s + 1, 0, -1))]
+            if swap:  # P = y: L(s - j, j) is of key (j, s - 1 - j), and dA J = r L
+                sums[s] = [t + (r * u >> w) for t, u in zip(sums[s], reversed(walk))]
+            else:  # L(s - j, j) is of key (s - j, j - 1)
+                sums[s] = [t + u for t, u in zip(sums[s], walk[1:])]
+    return sums
 
 
 def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
@@ -169,80 +242,36 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     between the edge's endpoints.  Each anti-diagonal a + b = s is walked from
     J(s, 0), or from J(0, s) with A and B swapped if |dB| > |dA|; an error in
     the first entry reaches the k-th times r^k / C(s, k), r = min/max(|dA|, |dB|).
+    The walk runs on L = dP J, so that (i+1) L(i, j) + j r L(i+1, j-1) =
+    [P^(i+1) Q^j] with r = dQ / dP; dA J is L, or r L when swapped.
 
-    The arithmetic is in ints, with complex values as (re, im) pairs.
-    Coordinates are divided by 2^e, e the top of geometry._int_image, so
-    each lies in (-1, 1), and held at scale 2^w with
+    The arithmetic is in ints.  Coordinates are divided by 2^e, e the top of
+    geometry._int_image, so each lies in (-1, 1), and held at scale 2^w with
         w = precision_bits + 2 maxdeg + 42 + max(0, _lost_bits(*image)):
     precision_bits + maxdeg + 32 working bits, 8 guard bits for the
     truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
     (a degree-d monomial can be 2^-d of the largest coordinate, itself as
-    small as 1/2), and the bits the sums cancel.  Each vertex's monomials
-    are built once, for the two edges that meet there; a complex half reads
-    them only to b = d // 2, as dA = conj(dB) never swaps.  Each product
-    (a + ib)(c + id) of x by j r, with j r per edge at hand, takes three
-    multiplications: k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c);
-    a real half, whose imaginary parts are all 0, skips im and so takes one.
-    Exact in ints, so the sums are those of the four-product form."""
+    small as 1/2), and the bits the sums cancel.  Each half has its own
+    walk.  A complex half (_complex_walk) never swaps, as |dB| = |dA|, and
+    reads each vertex's monomials only to b = d // 2; its step takes each
+    product (a + ib)(c + id) of x by j r in three multiplications,
+    k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c), with the three
+    multiples of j r per edge at hand.  In a real half (_real_walk) every
+    value is a real int: a monomial is one product, a step one product and
+    one floor division, and the swapped walk's r L one product.  Both are
+    exact in ints with the truncations of the four-product complex form, so
+    the sums are its sums."""
     keys = _table_keys(maxdeg, kind)
-    top = maxdeg + 1  # the highest anti-diagonal of J
-    on_diag = [[] for _ in range(top + 1)]  # the keys read from each anti-diagonal
-    for m, n in keys:
-        on_diag[m + n + 1].append((m, n))
-    reach = [max((n + 1 for _, n in ks), default=0) for ks in on_diag]
-
     _, _, e = image = geometry._int_image(p.vertices)
     w = precision_bits + 2 * maxdeg + 42 + max(0, _lost_bits(*image))
-    verts = []
-    for x, y in p.vertices:
-        x, y = geometry._fixed(x._mpf_, w - e), geometry._fixed(y._mpf_, w - e)
-        verts.append((x, y, x, -y) if kind == "c" else (x, 0, y, 0))
-
-    acc = {key: [0, 0] for key in keys}
-    conj = kind == "c"  # B = conj(A); else A, B, r and every imaginary part are real
-    first = end = _monomials(*verts[0], top + 1, w, conj)
-    for k, (ar, ai, br, bi) in enumerate(verts):
-        cr, ci, dr, di = nxt = verts[(k + 1) % len(verts)]
-        # the first vertex's table is kept for the last edge's end: n tables
-        # for n vertices, three alive at once
-        start = end
-        end = _monomials(*nxt, top + 1, w, conj) if k + 1 < len(verts) else first
-        dar, dai, dbr, dbi = cr - ar, ci - ai, dr - br, di - bi
-        swap = dbr * dbr + dbi * dbi > dar * dar + dai * dai
-        pr, pi, qr, qi = (dbr, dbi, dar, dai) if swap else (dar, dai, dbr, dbi)
-        norm = pr * pr + pi * pi
-        if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
-            continue
-        # the walk runs on L = dp J, so that (i+1) L(i, j) + j r L(i+1, j-1)
-        # = [P^(i+1) Q^j] with r = dq / dp; dA J is L, or r L when swapped
-        rr, ri = ((qr * pr + qi * pi) << w) // norm, ((qi * pr - qr * pi) << w) // norm
-        # (c, c + d, d - c) of c + id = j r, for the three-product form
-        jr = [(j * rr, j * (rr + ri), j * (ri - rr)) for j in range(top + 1)]
-        for s in range(1, top + 1):
-            row0, row1 = start[s + 1], end[s + 1]
-            diag = [None] * (s + 1)  # L on this anti-diagonal, by B's exponent
-            xr = xi = 0
-            for j in range(s if swap else reach[s] + 1):
-                i = s - j
-                b = s + 1 - j if swap else j  # B's exponent in [P^(i+1) Q^j]
-                (ur, ui), (vr, vi) = row1[b], row0[b]
-                er, ei = ur - vr, ui - vi
-                if j:  # minus j r x
-                    c, cpd, dmc = jr[j]
-                    k1 = c * (xr + xi)
-                    er -= (k1 - xi * cpd) >> w
-                    if conj:
-                        ei -= (k1 + xr * dmc) >> w
-                xr, xi = er // (i + 1), ei // (i + 1)
-                diag[i if swap else j] = (xr, xi)
-            for key in on_diag[s]:
-                ur, ui = diag[key[1] + 1]
-                if swap:  # only in a real half, where ri = ui = 0
-                    ur, ui = (rr * ur - ri * ui) >> w, (rr * ui + ri * ur) >> w
-                total = acc[key]
-                total[0] += ur
-                total[1] += ui
-    return {(m, n): (re, im, e * (m + n + 2) - w) for (m, n), (re, im) in acc.items()}
+    verts = [(geometry._fixed(x._mpf_, w - e), geometry._fixed(y._mpf_, w - e))
+             for x, y in p.vertices]
+    if kind == "c":
+        sums_re, sums_im = _complex_walk(verts, maxdeg + 1, w)
+        return {(m, n): (sums_re[m + n + 1][n], sums_im[m + n + 1][n], e * (m + n + 2) - w)
+                for m, n in keys}
+    sums = _real_walk(verts, maxdeg + 1, w)
+    return {(m, n): (sums[m + n + 1][n], 0, e * (m + n + 2) - w) for m, n in keys}
 
 
 def _nearest(num: int, den: int, exp: int, prec: int):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -307,6 +308,44 @@ def test_argparse_errors_become_exit_2(capsys):
     capsys.readouterr()  # swallow argparse usage text
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses one parser per process: each call of a sequence gives the
+    # exit code, stdout, stderr and file it gives alone, on a parser built
+    # for it; an option set in one call is not the default of the next
+    assert cli._build_parser() is cli._build_parser()
+    calls = [
+        ("rho", "--family", "windmill:2", "--n", "4", "--precision-bits", "300",
+         "--output", "rho-300.json"),
+        ("rho", "--family", "windmill:2", "--n", "4", "--output", "rho.json"),
+        ("moments", "--family", "windmill:2", "--maxdeg", "4", "--format", "csv",
+         "--output", "moments.csv"),
+        ("moments", "--family", "windmill:2", "--maxdeg", "4", "--output", "moments.out"),
+        ("rho", "--family", "windmill:2", "--n", "-1"),
+        ("rho", "--family", "windmill:2", "--n", "2"),
+    ]
+
+    def run(argv, folder):
+        folder.mkdir(exist_ok=True)
+        out = folder / argv[-1] if "--output" in argv else None
+        code = run_cli(*argv[:-1], str(out)) if out else run_cli(*argv)
+        captured = capsys.readouterr()
+        stdout = re.sub(r"wall time [0-9.]+s", "wall time", captured.out)
+        return code, stdout, captured.err, out.read_bytes() if out else None
+
+    in_sequence = [run(argv, tmp_path / "sequence") for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv, tmp_path / "alone"))
+    assert in_sequence == alone
+    assert [code for code, *_ in in_sequence] == [0, 0, 0, 0, 2, 0]
+    assert json.loads(in_sequence[0][3])["precision_bits"] == 300
+    assert json.loads(in_sequence[1][3])["precision_bits"] == moments.precision_for_degree(4)
+    assert in_sequence[2][3].startswith(b"m,n,c_re,c_im,I\n")
+    assert json.loads(in_sequence[3][3])["maxdeg"] == 4
+    assert "must be >= 0" in in_sequence[4][2]
+
+
 def test_precision_env_var_is_ignored(tmp_path, monkeypatch):
     # precision comes from --precision-bits or the policy, never the environment
     monkeypatch.setenv("POLYRHO_PRECISION_BITS", "192")
@@ -537,14 +576,22 @@ def test_certified_digits_are_honest_at_degree_33(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Files in PINNED_DIR: CI compares the installed console script's output
+# against them.  The moments subcommand reads every entry of both halves; its
+# files were written by the build that rounded each half at once.
+PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
+
+
+def _pinned(name):
+    with open(os.path.join(PINNED_DIR, name), "rb") as fh:
+        return fh.read().decode()
+
+
 # Output files written by the mpmath table kernel that the fixed-point kernel
 # replaced; a table that moved by more than roundoff changes these bytes.
-PINNED_PENTAGON_18 = (
-    '{\n  "value": "0.14943594794924107489416219167409492808635575149212168524352536'
-    '426149454352680313809892420293364008477959203751651793539637585541675660522341'
-    '778823798",\n  "n": 18,\n  "precision_bits": 496,\n'
-    '  "condition_estimate": 7548785467.371008,\n  "certified_digits": 149,\n'
-    '  "methods": [\n    "gram-cholesky"\n  ]\n}\n')
+# The pentagon's rho_18 is the largest op of the benchmark's certify-high-n
+# workload.
+PINNED_PENTAGON_18 = _pinned("rho-pentagon-18.json")
 PINNED_WINDMILL_12 = (
     '{\n  "value": "0.03045599621190166941080754412659628903149316650267672568595978'
     '23906064488211935939717761176444654304237837",\n  "n": 12,\n'
@@ -570,16 +617,6 @@ PINNED_SWEEP_ROWS = [
     "2.8,,0.0679206404578974,true", "2.9000000000000004,,0.0664494443903258,true",
     "3.0,,0.06469754933525246,true",
 ]
-
-
-# The moments subcommand reads every entry of both halves; these files were
-# written by the build that rounded each half at once.
-PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
-
-
-def _pinned(name):
-    with open(os.path.join(PINNED_DIR, name), "rb") as fh:
-        return fh.read().decode()
 
 
 @pytest.mark.parametrize("argv,expected", [

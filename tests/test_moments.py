@@ -273,8 +273,21 @@ _DEFERRED_POLYGONS = {
 
 # sha256 of repr(sorted(_edge_sums(...).items())) at the maxdeg and bits of
 # the certified rho's check tables (pentagon N=18, the others N=12 and N=10),
-# recorded from the kernel that took four multiplications per complex product
+# recorded from the kernel that took four multiplications per complex product;
+# then, from the kernel that walked both halves in one loop, the check table
+# of rho --n 33 on the pentagon, an edge below the fixed-point unit (the
+# thin-edge square), and verify's triangle, whose real half swaps on steep
+# edges at low degree
 _EDGE_SUM_SHA256 = {
+    ("pentagon", 66, 920): {
+        "c": "16e2bfd2a402b0616c6c49b11d0506740db1f594ab7b81dcd2090202a7fe1467",
+        "I": "c431cde4b677256699ccb09252690fce0ba3270cb29613d7956452654a43c523"},
+    ("thin-edge", 8, 256): {
+        "c": "a4138385fd088efe9fe164540df32f7c84434c643f817990b102be002e6f29a3",
+        "I": "d9dafe4a4a366641139b611409603a18695840f8395af90846f22c7bc9153d29"},
+    ("triangle", 8, 256): {
+        "c": "802dc23190ad3a4bdca0c50ab081731ffdb6ed7c4bb9affa822c1611b295afb9",
+        "I": "ed062119ab79ff7c86d230013610e8c9a6d5390138030e97e53d491e70041a2b"},
     ("pentagon", 36, 560): {
         "c": "f70b4204d998242982c8784badc62a206df83995d3526066e36941a6f1315332",
         "I": "01c68cc3e221ad9fa932b9578e80bd88c75ba1a3cfa293e60ab9639162152d58"},
@@ -291,6 +304,8 @@ _EDGE_SUM_SHA256 = {
 _PINNED_POLYGONS = dict(_DEFERRED_POLYGONS, **{
     "windmill-2": lambda: geometry.make_windmill(2),
     "star-8-3": lambda: geometry.random_star_polygon(8, 3),
+    "thin-edge": _EXACT_POLYGONS["thin-edge"],
+    "triangle": lambda: geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)]),
 })
 
 
@@ -300,6 +315,13 @@ def test_edge_sums_bits_are_pinned(name, maxdeg, bits, kind):
     sums = moments._edge_sums(_PINNED_POLYGONS[name](), maxdeg, bits, kind)
     digest = hashlib.sha256(repr(sorted(sums.items())).encode()).hexdigest()
     assert digest == _EDGE_SUM_SHA256[(name, maxdeg, bits)][kind]
+
+
+@pytest.mark.parametrize("name", list(_PINNED_POLYGONS))
+def test_real_half_sums_have_zero_imaginary_parts(name):
+    # A = x and B = y are real, so every real-half sum is a real int
+    sums = moments._edge_sums(_PINNED_POLYGONS[name](), 12, 256, "I")
+    assert sums and all(im == 0 for _, im, _ in sums.values())
 
 
 @pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
