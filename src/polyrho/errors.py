@@ -91,4 +91,4 @@ class TriangulationFailed(NumericalError):
 
 
 class IllConditioned(NumericalError):
-    """Double-precision normal equations too ill-conditioned to refine."""
+    """The float64 oracle's error bound exceeds 1e-9, or its value is not finite."""
