@@ -216,8 +216,6 @@ def _emit_sweep(sweep, cfg: argparse.Namespace) -> None:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    if cfg.steps < 3:
-        raise ValueError(f"sweep needs --steps >= 3, got {cfg.steps}")
     spec = _parse_family(cfg.family, free_names=(cfg.param,))
     sweep = extremal.sweep_family(spec, cfg.sweep_range[0], cfg.sweep_range[1],
                                   cfg.steps, cfg.n, cfg.precision_bits, cfg.parallelism)

@@ -3,10 +3,11 @@
 rho_n solves the monomial Gram system once, in fixed-point Python integers
 (_ldl_solve): rows scaled by powers of two to a unit diagonal, an LDL*
 factorization that divides only by the pivots, one rounding at the end.  It
-reads the table as ints (_bordered): each moment part as the (man, exp) the
-table rounded it to, shifted to the fixed point without an mpmath value in
+reads the table as ints: each moment part as the (man, exp) the table
+rounded it to, shifted to the fixed point without an mpmath value in
 between.  rho_n_partials reads every partial rho_0..rho_N off the same
-factor, as prefix sums of the last row's products, each rounded once.
+factor, as prefix sums of the last row's products, each rounded once; rho_n
+rounds none of them.
 rho_n_telescoping computes the same numbers by Gram-Schmidt on the monomials,
 taken as the Cholesky factorization G = L L* of the Gram matrix in floating
 point, unscaled and with square roots; row k of L^-1 gives the orthonormal
@@ -99,27 +100,15 @@ def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
     return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
 
 
-def _bordered(t: moments.MomentTable, n: int):
-    """The lower triangle of the degree-n bordered system M = [[G, b], [b*, t]]
-    of build_gram's G, b and t, row by row, each entry as the int parts
-    (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
-    G[i][j] = c[j][i], the last conj(b[k]) = conj(c[0][k+1]) and t = c[1][1],
-    whose imaginary part is dropped."""
-    _check_degree(t, n)
-    rows = [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
-    last = []
-    for k in range(n + 1):
-        rm, re, im, ie = t._c_parts(0, k + 1)
-        last.append((rm, re, -im, ie))
-    last.append(t._c_parts(1, 1)[:2] + (0, 0))
-    rows.append(last)
-    return rows
-
-
-def _ldl_solve(rows, prec: int, partials: bool = False):
+def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     """(rho, cond, rhos): rho = t - b* G^{-1} b, cond the max/min ratio of
-    G's pivots, and rhos = (rho_0, ..., rho_N) if partials, else None, for
-    the bordered system M = [[G, b], [b*, t]] given as _bordered's rows.
+    G's pivots, and rhos an iterator of rho_0, ..., rho_N, for the degree-n
+    bordered system M = [[G, b], [b*, t]] of build_gram's G, b and t.
+
+    M's lower triangle is read row by row, each entry as the int parts
+    (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
+    G[i][j] = c[j][i], the last conj(b[k]) = c[k+1][0] and t = c[1][1],
+    whose imaginary part is dropped.
 
     M is scaled by powers of two, 2^(e_k) on row and column k with
     e_k = -floor((exp + bc) / 2) from the diagonal M_kk (exp + bc =
@@ -140,8 +129,12 @@ def _ldl_solve(rows, prec: int, partials: bool = False):
     term K is the last pivot of the bordered degree-K system, whose factor is
     the leading part of this one: rho_K, bit for bit as a degree-K solve on
     the same table.  Each term is >= 0 in the ints too (L = floor(W 2^w / D)
-    has W's sign), so the rhos are non-increasing."""
-    dim = len(rows) - 1
+    has W's sign), so the rhos are non-increasing.  Each is rounded only when
+    the iterator reaches it."""
+    _check_degree(t, n)
+    rows = [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
+    rows.append([t._c_parts(k + 1, 0) for k in range(n + 1)] + [t._c_parts(1, 1)[:2] + (0, 0)])
+    dim = n + 1
     w = prec + _GUARD_BITS
     diag = [row[-1][:2] for row in rows]
     for k, (man, exp) in enumerate(diag):
@@ -195,12 +188,9 @@ def _ldl_solve(rows, prec: int, partials: bool = False):
     if value < 0:
         raise GramNotPD(
             f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
-    rhos = None
-    if partials:
-        # the real part of W conj(L), k1 - b(c + d), term by term
-        terms = map(sub, map(mul, w_sum[dim], l_re[dim]), map(mul, w_im[dim], l_minus[dim]))
-        rhos = tuple(unscaled(m_re[dim][dim] - (acc >> w), dim, prec)
-                     for acc in accumulate(terms))
+    # the real part of W conj(L), k1 - b(c + d), term by term
+    terms = map(sub, map(mul, w_sum[dim], l_re[dim]), map(mul, w_im[dim], l_minus[dim]))
+    rhos = (unscaled(m_re[dim][dim] - (acc >> w), dim, prec) for acc in accumulate(terms))
     pivots = [unscaled(d, k, prec + 32) for k, d in enumerate(pivots)]
     with mp.workprec(prec + 32):
         return value, float(max(pivots) / min(pivots)), rhos
@@ -226,7 +216,7 @@ def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoRe
     A given table must have been built for p at the working precision
     (precision_bits, else the table's own); ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
-    value, cond, _ = _ldl_solve(_bordered(table, n), prec)
+    value, cond, _ = _ldl_solve(table, n, prec)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY)
 
 
@@ -236,8 +226,8 @@ def rho_n_partials(p: geometry.Polygon, n: int, precision_bits=None, table=None)
     value, bit for bit, and partials[k] is rho_n's degree-k value on the same
     table.  Non-increasing; arguments and errors as for rho_n."""
     prec, table = _resolve(p, n, precision_bits, table)
-    value, cond, partials = _ldl_solve(_bordered(table, n), prec, partials=True)
-    return RhoResult(value, n, prec, cond, METHOD_CHOLESKY), partials
+    value, cond, partials = _ldl_solve(table, n, prec)
+    return RhoResult(value, n, prec, cond, METHOD_CHOLESKY), tuple(partials)
 
 
 def _poly_ip(pa, pb, table):

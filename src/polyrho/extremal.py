@@ -170,10 +170,12 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
 
 def sweep_family(family: geometry.FamilySpec, lo, hi, steps: int, n: int,
                  precision_bits=None, parallelism: int = 1) -> SweepResult:
-    """rho_N over a 1-D grid of the family's single free parameter; infeasible
-    points are None values, as in every sweep (see _sweep)."""
+    """rho_N at steps >= 3 values of the family's single free parameter;
+    infeasible points are None values, as in every sweep (see _sweep)."""
     if len(family.free) != 1:
         raise ValueError(f"1-D sweep needs exactly one free parameter, got {family.free}")
+    if steps < 3:
+        raise ValueError(f"sweep needs at least 3 steps, got {steps}")
     grid = [(x,) for x in _linspace(lo, hi, steps)]
     return _sweep(family, grid, n, precision_bits, parallelism)
 
@@ -181,8 +183,6 @@ def sweep_family(family: geometry.FamilySpec, lo, hi, steps: int, n: int,
 def sweep_fixed_base(a, lam_range, steps: int, n: int,
                      precision_bits=None, parallelism: int = 1) -> SweepResult:
     """rho_N of unit-area triangles with fixed base a, apex ordinate swept."""
-    if steps < 3:
-        raise ValueError(f"sweep needs at least 3 steps, got {steps}")
     family = geometry.FamilySpec("triangle-base", (("a", float(a)),), ("lambda",))
     return sweep_family(family, lam_range[0], lam_range[1], steps, n,
                         precision_bits, parallelism)
@@ -191,8 +191,6 @@ def sweep_fixed_base(a, lam_range, steps: int, n: int,
 def sweep_fixed_angle(theta, a_range, steps: int, n: int,
                       precision_bits=None, parallelism: int = 1) -> SweepResult:
     """rho_N of unit-area triangles with fixed interior angle, side length swept."""
-    if steps < 3:
-        raise ValueError(f"sweep needs at least 3 steps, got {steps}")
     family = geometry.FamilySpec("triangle-angle", (("theta", float(theta)),), ("a",))
     return sweep_family(family, a_range[0], a_range[1], steps, n,
                         precision_bits, parallelism)

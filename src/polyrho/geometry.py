@@ -8,6 +8,9 @@ vertices enter, also checks simplicity (O(V^2)), exactly: its orientation
 tests run on the vertices' mantissas as ints at one common scale, so a vertex
 on another edge is never rounded off it.  translate, rotate and scale keep a
 polygon simple and check only finiteness, distinct neighbours and area.
+steiner_symmetrize reads each slice width off the edges that cross it: the
+width is linear between vertex abscissas, so its ends on each interval are
+exact up to the rounding of the working precision.
 """
 
 from __future__ import annotations
@@ -350,34 +353,15 @@ def make_regular_ngon(n: int) -> Polygon:
 
 # ---- Steiner symmetrization ---------------------------------------------------
 
-def _slice_width(verts, x):
-    """Total 1-D measure of the vertical slice at abscissa x (x strictly between
-    two distinct vertex abscissas, so no edge endpoint lies on the slice)."""
-    ys = []
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        if (x0 < x < x1) or (x1 < x < x0):
-            t = (x - x0) / (x1 - x0)
-            ys.append(y0 + t * (y1 - y0))
-    if len(ys) % 2:
-        raise GeometryError(f"slice at x={mp.nstr(x, 8)} crossed the boundary an odd number of times")
-    ys.sort()
-    w = mp.mpf(0)
-    for i in range(0, len(ys), 2):
-        w += ys[i + 1] - ys[i]
-    return w
-
-
 def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
     """Replace every slice perpendicular to the axis by a segment of the same
     total length centered on the axis.
 
-    Area is preserved.  The slice-width function of a polygon is piecewise
-    linear between vertex abscissas, so each interval is sampled at two interior
-    points and extrapolated to one-sided limits at the breakpoints; differing
-    left/right limits become vertical edges of the output.
+    Area is preserved.  The slice width is linear between breakpoints, the
+    vertex abscissas merged where they differ by at most 2^-(prec/2)
+    relatively.  On each interval the edges spanning its midpoint span all of
+    it, and the width is |sum of sign(dx) y_e(x)| over them, evaluated at both
+    ends; differing left/right limits become vertical edges of the output.
     """
     ax = str(axis).lower()
     if ax not in ("x", "y"):
@@ -386,23 +370,29 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
         verts = p.vertices if ax == "x" else tuple((y, x) for x, y in p.vertices)
         tol = mp.mpf(2) ** (-(mp.prec // 2))
         # abscissas equal up to roundoff (mirror vertices of a symmetric
-        # polygon) are one breakpoint: sampling between them divides by zero
+        # polygon) are one breakpoint: an interval between them would put
+        # vertices apart only by roundoff into the output
         xs = []
         for x in sorted({x for x, _ in verts}):
             if not xs or x - xs[-1] > tol * (1 + abs(x) + abs(xs[-1])):
                 xs.append(x)
         k = len(xs)
-        wl = [mp.mpf(0)] * k
-        wr = [mp.mpf(0)] * k
+        wl = [mp.mpf(0)] * k  # slice width just left of each breakpoint
+        wr = [mp.mpf(0)] * k  # and just right of it
+        edges = list(zip(verts, verts[1:] + verts[:1]))
         for i in range(k - 1):
             x0, x1 = xs[i], xs[i + 1]
-            t1 = x0 + (x1 - x0) / 3
-            t2 = x0 + 2 * (x1 - x0) / 3
-            w1 = _slice_width(verts, t1)
-            w2 = _slice_width(verts, t2)
-            slope = (w2 - w1) / (t2 - t1)
-            wr[i] = w1 + slope * (x0 - t1)
-            wl[i + 1] = w1 + slope * (x1 - t1)
+            mid = (x0 + x1) / 2
+            s0 = s1 = mp.mpf(0)
+            # counterclockwise, lower edges run in +x and upper ones in -x;
+            # abs covers the clockwise order of the "y" swap
+            for (xa, ya), (xb, yb) in edges:
+                if min(xa, xb) < mid < max(xa, xb):
+                    slope = (yb - ya) / (xb - xa)
+                    sign = 1 if xb > xa else -1
+                    s0 += sign * (ya + (x0 - xa) * slope)
+                    s1 += sign * (ya + (x1 - xa) * slope)
+            wr[i], wl[i + 1] = abs(s0), abs(s1)
         wl[0] = wr[0]
         wr[k - 1] = wl[k - 1]
 
@@ -415,12 +405,10 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
             if not pts or not same(pts[-1], pt):
                 pts.append(pt)
 
-        for i in range(k):
-            push((xs[i], -wl[i] / 2))
-            push((xs[i], -wr[i] / 2))
-        for i in reversed(range(k)):
-            push((xs[i], wr[i] / 2))
-            push((xs[i], wl[i] / 2))
+        # the lower chain left to right, then its mirror image right to left
+        lower = [(x, -w / 2) for x, left, right in zip(xs, wl, wr) for w in (left, right)]
+        for pt in lower + [(x, -y) for x, y in reversed(lower)]:
+            push(pt)
         while len(pts) > 1 and same(pts[0], pts[-1]):
             pts.pop()
         if ax == "y":

@@ -598,32 +598,13 @@ PINNED_WINDMILL_12 = (
     '  "precision_bits": 352,\n  "condition_estimate": 134.41698137877148,\n'
     '  "certified_digits": 105,\n'
     '  "methods": [\n    "gram-cholesky"\n  ]\n}\n')
-PINNED_SWEEP_ROWS = [
-    "param1,param2,rho_N,feasible",
-    "0.1,,0.0664494443903258,true", "0.2,,0.06792064045789739,true",
-    "0.3,,0.069080123974194,true", "0.4,,0.06991410891484497,true",
-    "0.5,,0.07042835618556763,true", "0.6,,0.07064809871968213,true",
-    "0.7,,0.07061555472552375,true", "0.8,,0.0703855375844103,true",
-    "0.8999999999999999,,0.07002001878655299,true",
-    "0.9999999999999999,,0.06958257338518187,true", "1.1,,0.06913345917398961,true",
-    "1.2,,0.06872576172177744,true", "1.3,,0.0684027080565984,true",
-    "1.4,,0.0681960068073703,true", "1.5000000000000002,,0.06812495029526189,true",
-    "1.6,,0.0681960068073703,true", "1.7,,0.0684027080565984,true",
-    "1.8,,0.06872576172177744,true", "1.9,,0.06913345917398961,true",
-    "2.0,,0.06958257338518187,true", "2.1,,0.07002001878655299,true",
-    "2.2,,0.0703855375844103,true", "2.3,,0.07061555472552375,true",
-    "2.4000000000000004,,0.07064809871968213,true", "2.5,,0.07042835618556763,true",
-    "2.6,,0.06991410891484497,true", "2.6999999999999997,,0.069080123974194,true",
-    "2.8,,0.0679206404578974,true", "2.9000000000000004,,0.0664494443903258,true",
-    "3.0,,0.06469754933525246,true",
-]
 
 
 @pytest.mark.parametrize("argv,expected", [
     (("rho", "--family", "regular-ngon:5", "--n", "18"), PINNED_PENTAGON_18),
     (("rho", "--family", "windmill:2", "--n", "12"), PINNED_WINDMILL_12),
     (("sweep", "--family", "triangle-base:3", "--param", "lambda", "--range", "0.1:3",
-      "--steps", "30", "--n", "2"), "\r\n".join(PINNED_SWEEP_ROWS) + "\r\n"),
+      "--steps", "30", "--n", "2"), _pinned("sweep-triangle-base-30.csv")),
     (("moments", "--family", "regular-ngon:5", "--maxdeg", "12"),
      _pinned("moments-pentagon-12.json")),
     (("moments", "--family", "regular-ngon:5", "--maxdeg", "12", "--format", "csv"),

@@ -265,6 +265,24 @@ def test_gram_not_pd_at_an_interior_pivot(square):
         content.rho_n_telescoping(square, 4, table=tampered)
 
 
+@pytest.mark.parametrize("target,message", [
+    ("0", "norm of conj(z) is 0.0; polygon degenerate or precision exhausted"),
+    ("1e-30", "negative residual -0.103556 at 256 bits; precision exhausted"),
+], ids=["zero-norm", "negative-residual"])
+def test_gram_not_pd_on_the_target_norm(target, message):
+    # G = c[0][0] is fine at N = 0; only the bordered row's c[1][1] is tampered
+    poly = geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)])
+    t = moments.moment_table(poly, 2)
+    bad = dict(t.complex_entries)
+    with mp.workprec(300):
+        bad[(1, 1)] = mp.mpc(target)
+    tampered = dataclasses.replace(t, complex_entries=bad)
+    for solve in (content.rho_n, content.rho_n_partials):
+        with pytest.raises(GramNotPD) as info:
+            solve(poly, 0, table=tampered)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", [5, 18])
 def test_solve_agrees_with_telescoping(any_polygon, n):
     prec = moments.precision_for_degree(n)

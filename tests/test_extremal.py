@@ -377,3 +377,13 @@ def test_sweep_validation():
         extremal.sweep_family(spec1, 0.5, 2.0, 1, 1)  # too few steps
     with pytest.raises(ValueError):
         extremal.maximize_1d(spec1, 0.3, 1.5, 1, steps=3)
+
+
+def test_every_1d_sweep_needs_three_steps():
+    # sweep_family holds the rule for its two wrappers and the sweep subcommand
+    spec = geometry.FamilySpec("windmill", (), ("a",))
+    for sweep in (lambda: extremal.sweep_family(spec, 0.5, 2.0, 2, 1),
+                  lambda: extremal.sweep_fixed_base(3.0, (0.0, 3.0), 2, 1),
+                  lambda: extremal.sweep_fixed_angle(1.0, (1.0, 2.0), 2, 1)):
+        with pytest.raises(ValueError, match="^sweep needs at least 3 steps, got 2$"):
+            sweep()

@@ -309,6 +309,36 @@ def test_steiner_on_regular_pentagon_keeps_it():
     assert abs(content.rho1_closed(s) - content.rho1_closed(p)) < mp.mpf("1e-30")
 
 
+def _crossing_width(verts, x):
+    """The length of the line at abscissa x inside the polygon through verts,
+    x no vertex's abscissa: the edges' crossings sorted and paired."""
+    ys = sorted(y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+                for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1])
+                if min(x0, x1) < x < max(x0, x1))
+    return sum(ys[1::2]) - sum(ys[::2])
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_steiner_on_a_comb(axis):
+    # vertical edges at shared abscissas, and slices in three parts about x
+    p = geometry.polygon_new([(0, 0), (1, 0), (1, 5), (0, 5), (0, 4), (0.6, 4), (0.6, 3),
+                              (0, 3), (0, 2), (0.6, 2), (0.6, 1), (0, 1)])
+    s = geometry.steiner_symmetrize(p, axis)
+    tol = mp.mpf(2) ** -300
+    with mp.workprec(320):
+        assert abs(geometry.area(s) - geometry.area(p)) < tol
+        t = moments.moment_table(s, 3, 320)
+        odd = [(m, n) for m in range(4) for n in range(4 - m)
+               if (n if axis == "x" else m) % 2]
+        assert all(abs(t.real(m, n)) < tol for m, n in odd)
+        swap = (lambda v: v) if axis == "x" else (lambda v: [(y, x) for x, y in v])
+        before, after = swap(p.vertices), swap(s.vertices)
+        xs = sorted({x for x, _ in before})
+        for x0, x1 in zip(xs, xs[1:]):
+            mid = (x0 + x1) / 2
+            assert abs(_crossing_width(after, mid) - _crossing_width(before, mid)) < tol
+
+
 def test_steiner_rejects_bad_axis(square):
     with pytest.raises(ValueError):
         geometry.steiner_symmetrize(square, "z")
