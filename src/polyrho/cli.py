@@ -160,8 +160,6 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
-    if cfg.maxdeg < 2:
-        raise ValueError(f"--maxdeg must be >= 2, got {cfg.maxdeg}")
     poly = _load_polygon(cfg)
     prec = (moments.DEFAULT_PRECISION_BITS if cfg.precision_bits is None
             else cfg.precision_bits)
@@ -460,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compute rho_N for one polygon")
 
     mom = sub.add_parser("moments", parents=[one_polygon, result], help="dump a moment table")
-    mom.add_argument("--maxdeg", type=int, default=4)
+    mom.add_argument("--maxdeg", type=_int_at_least(2), default=4)
 
     swp = sub.add_parser("sweep", parents=[degree, result, many_polygons],
                          help="1-D parameter sweep of rho_N")

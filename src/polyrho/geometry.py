@@ -10,7 +10,11 @@ on another edge is never rounded off it.  translate, rotate and scale keep a
 polygon simple and check only finiteness, distinct neighbours and area.
 steiner_symmetrize reads each slice width off the edges that cross it: the
 width is linear between vertex abscissas, so its ends on each interval are
-exact up to the rounding of the working precision.
+exact up to the rounding of the working precision; abscissas are merged
+relative to the polygon's largest coordinate, so the result scales with the
+input.  make_equilateral_pentagon leaves membership to polygon_new's exact
+simplicity test, so an angle pair builds exactly when its pentagon is simple.
+write_polygon writes enough digits for read_polygon to return the same bits.
 """
 
 from __future__ import annotations
@@ -281,8 +285,16 @@ def make_equilateral_pentagon(theta, phi) -> Polygon:
     """Equilateral pentagon determined by two adjacent interior angles.
 
     Built with unit sides on the base (0,0)-(1,0), angle theta at (0,0) and phi
-    at (1,0), apex on the far side of the closing chord; then rescaled to area
-    1 and recentered.  theta, phi in radians.
+    at (1,0), and the apex at unit distance from both free ends, on the
+    closing chord's normal n = (-dy, dx)/d; then rescaled to area 1 and
+    recentered.  theta, phi in radians.
+
+    Raises AngleOutOfRange outside (0, pi); ApexDegenerate where the free ends
+    coincide or the chord is 2 long; ConstraintViolated where the chord is
+    longer than 2 or where polygon_new finds the chain not simple.  The
+    chain's signed area is positive (the quadrilateral of base, known sides
+    and chord, plus the triangle on n), so a simple member is counterclockwise
+    and its angles at (0,0) and (1,0) are theta and phi.
     """
     with mp.workprec(_wp()):
         theta = mp.mpf(theta)
@@ -301,21 +313,18 @@ def make_equilateral_pentagon(theta, phi) -> Polygon:
             raise ApexDegenerate("free endpoints coincide; pentagon collapses")
         if abs(2 - d) < mp.mpf("1e-12"):
             raise ApexDegenerate("apex falls on the closing chord")
-        if v1[0] > v2[0]:
-            raise ConstraintViolated(
-                "cos(theta) <= 1 - cos(phi) fails; the two known sides cross")
         if d2 > 4:
             raise ConstraintViolated(
                 "chord between the free endpoints exceeds the two remaining unit sides")
         h = mp.sqrt(1 - d2 / 4)
         mx, my = (v1[0] + v2[0]) / 2, (v1[1] + v2[1]) / 2
         nx, ny = -dy / d, dx / d
-        # apex goes on the side of the chord away from the base midpoint (1/2, 0)
-        if (mx - mp.mpf(1) / 2) * nx + my * ny < 0:
-            nx, ny = -nx, -ny
         apex = (mx + h * nx, my + h * ny)
         zero = mp.mpf(0)
-        raw = polygon_new([(zero, zero), (mp.mpf(1), zero), v2, apex, v1])
+        try:
+            raw = polygon_new([(zero, zero), (mp.mpf(1), zero), v2, apex, v1])
+        except NotSimple as exc:
+            raise ConstraintViolated(f"the pentagon crosses itself: {exc}") from None
         return normalize(raw)
 
 
@@ -358,23 +367,27 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
     total length centered on the axis.
 
     Area is preserved.  The slice width is linear between breakpoints, the
-    vertex abscissas merged where they differ by at most 2^-(prec/2)
-    relatively.  On each interval the edges spanning its midpoint span all of
-    it, and the width is |sum of sign(dx) y_e(x)| over them, evaluated at both
-    ends; differing left/right limits become vertical edges of the output.
+    vertex abscissas merged where they differ by at most 2^-(prec/2) times
+    the largest |coordinate| of the vertices: roundoff is relative to the
+    coordinates, so a copy scaled by s gives s times the output, but a
+    polygon smaller than 2^-(prec/2) of its distance from the origin has its
+    breakpoints merged.  On each interval the edges spanning its midpoint
+    span all of it, and the width is |sum of sign(dx) y_e(x)| over them,
+    evaluated at both ends; differing left/right limits become vertical edges
+    of the output.
     """
     ax = str(axis).lower()
     if ax not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     with mp.workprec(_wp()):
         verts = p.vertices if ax == "x" else tuple((y, x) for x, y in p.vertices)
-        tol = mp.mpf(2) ** (-(mp.prec // 2))
+        tol = mp.ldexp(max(abs(c) for v in verts for c in v), -(mp.prec // 2))
         # abscissas equal up to roundoff (mirror vertices of a symmetric
         # polygon) are one breakpoint: an interval between them would put
         # vertices apart only by roundoff into the output
         xs = []
         for x in sorted({x for x, _ in verts}):
-            if not xs or x - xs[-1] > tol * (1 + abs(x) + abs(xs[-1])):
+            if not xs or x - xs[-1] > tol:
                 xs.append(x)
         k = len(xs)
         wl = [mp.mpf(0)] * k  # slice width just left of each breakpoint
@@ -397,7 +410,7 @@ def steiner_symmetrize(p: Polygon, axis="x") -> Polygon:
         wr[k - 1] = wl[k - 1]
 
         def same(u, v):
-            return abs(u[1] - v[1]) <= tol * (1 + abs(u[1]) + abs(v[1])) and u[0] == v[0]
+            return abs(u[1] - v[1]) <= tol and u[0] == v[0]
 
         pts = []
 
@@ -434,10 +447,13 @@ def read_polygon(path) -> Polygon:
 
 
 def write_polygon(p: Polygon, path) -> None:
+    """Write p for read_polygon, with enough significant digits that, read
+    back at the same precision, every coordinate is the same binary float."""
+    digits = int(_wp() * math.log10(2)) + 2
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# polygon with {len(p.vertices)} vertices\n")
         for x, y in p.vertices:
-            fh.write(f"{mp.nstr(x, 50)} {mp.nstr(y, 50)}\n")
+            fh.write(f"{mp.nstr(x, digits)} {mp.nstr(y, digits)}\n")
 
 
 # ---- parametric family dispatch -------------------------------------------------

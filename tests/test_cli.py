@@ -251,6 +251,26 @@ def test_exit_codes_for_bad_input(tmp_path):
                    "--moment-cache", str(cache)) == 2
 
 
+def test_moments_maxdeg_below_2_is_a_usage_error(capsys):
+    assert run_cli("moments", "--family", "windmill:2", "--maxdeg", "1") == 2
+    assert "argument --maxdeg: must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_a_complex_record_that_is_not_a_pair_is_bad_input(tmp_path, capsys):
+    cache = tmp_path / "c.json"
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 0
+    saved = json.loads(cache.read_text())
+    record = saved["complex"]["3,1"]
+    saved["complex"]["3,1"] = record + record[:1]
+    cache.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert run_cli("rho", "--family", "windmill:2", "--n", "3",
+                   "--moment-cache", str(cache)) == 2
+    err = capsys.readouterr().err
+    assert f"complex moment 3,1 in {cache} is not a (re, im) pair" in err
+
+
 def test_exit_code_for_numerical_failure():
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
                    "--precision-bits", "32") == 3

@@ -105,6 +105,20 @@ def test_pentagon_grid_marks_infeasible_points():
     assert any(isinstance(v, float) for v in line.values)
 
 
+def test_pentagon_grid_covers_the_self_crossing_members():
+    # self-crossing members are infeasible points, not errors that abort the
+    # grid, and every simple member is evaluated
+    sweep = extremal.pentagon_grid((30, 170), (30, 170), 8, 2)
+    for pt, v in zip(sweep.grid, sweep.values):
+        try:
+            sweep.family.build(*pt)
+            feasible = True
+        except (ConstraintViolated, ApexDegenerate):
+            feasible = False
+        assert (v is not None) == feasible, pt
+    assert sweep.values.count(None) == 21
+
+
 def test_pentagon_grid_swap_symmetry():
     # the grid copies (phi, theta) from (theta, phi): compare with a fresh solve
     sweep = extremal.pentagon_grid((100.0, 116.0), (100.0, 116.0), 3, 2)
@@ -274,6 +288,15 @@ def test_maximize_rejects_bad_tol_and_range_before_evaluating(monkeypatch):
     assert calls == []
 
 
+def test_maximize_rejects_two_free_parameters_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(content, "rho_n", lambda *args: calls.append(args))
+    spec = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
+    with pytest.raises(ValueError, match="need exactly one free parameter"):
+        extremal.maximize_1d(spec, 100.0, 116.0, 1)
+    assert calls == []
+
+
 class _Curve:
     """A one-parameter stand-in family whose "polygon" is its parameter, so a
     patched content.rho_n can hand the Newton loop any curve."""
@@ -366,6 +389,16 @@ def test_sweep_csv_round_trip_one_parameter(tmp_path):
     extremal.write_sweep(sweep, path)
     back = extremal.read_sweep(path)
     assert back == sweep
+
+
+def test_read_sweep_rejects_a_foreign_header(tmp_path):
+    sweep = extremal.pentagon_grid((104.0, 112.0), (104.0, 112.0), 2, 1)
+    path = tmp_path / "grid.csv"
+    extremal.write_sweep(sweep, path)
+    rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(["theta,phi,rho_N,feasible"] + rows[1:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected sweep CSV header"):
+        extremal.read_sweep(path)
 
 
 def test_sweep_validation():

@@ -244,6 +244,24 @@ def test_equilateral_pentagon_constraints():
         geometry.make_equilateral_pentagon(-0.3, 1.0)
 
 
+def test_pentagon_membership_is_the_simplicity_test():
+    # the chord's normal points toward the base midpoint at the first three,
+    # yet each is a simple pentagon with the requested angles; (30, 60)
+    # crosses itself.  polygon_new's exact simplicity test decides both
+    spec = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
+    for angles in ((1, 90), (174, 1), (12, 96)):
+        v = spec.build(*angles).vertices
+        with mp.workprec(geometry.GEOMETRY_MIN_BITS):
+            # interior angles at the images of (0,0) and (1,0), counterclockwise
+            for i, deg in zip((0, 1), angles):
+                (ax, ay), (bx, by) = [(q[0] - v[i][0], q[1] - v[i][1])
+                                      for q in (v[i + 1], v[i - 1])]
+                got = mp.atan2(ax * by - ay * bx, ax * bx + ay * by)
+                assert abs(got - mp.radians(deg)) < mp.mpf("1e-80")
+    with pytest.raises(ConstraintViolated, match="the pentagon crosses itself"):
+        spec.build(30, 60)
+
+
 def test_equilateral_pentagon_regular_case_matches_ngon():
     reg = geometry.make_equilateral_pentagon(mp.pi * 108 / 180, mp.pi * 108 / 180)
     ngon = geometry.make_regular_ngon(5)
@@ -318,11 +336,14 @@ def _crossing_width(verts, x):
     return sum(ys[1::2]) - sum(ys[::2])
 
 
+# vertical edges at shared abscissas, and slices in three parts about x
+_COMB = ((0, 0), (1, 0), (1, 5), (0, 5), (0, 4), (0.6, 4), (0.6, 3),
+         (0, 3), (0, 2), (0.6, 2), (0.6, 1), (0, 1))
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_steiner_on_a_comb(axis):
-    # vertical edges at shared abscissas, and slices in three parts about x
-    p = geometry.polygon_new([(0, 0), (1, 0), (1, 5), (0, 5), (0, 4), (0.6, 4), (0.6, 3),
-                              (0, 3), (0, 2), (0.6, 2), (0.6, 1), (0, 1)])
+    p = geometry.polygon_new(_COMB)
     s = geometry.steiner_symmetrize(p, axis)
     tol = mp.mpf(2) ** -300
     with mp.workprec(320):
@@ -339,6 +360,23 @@ def test_steiner_on_a_comb(axis):
             assert abs(_crossing_width(after, mid) - _crossing_width(before, mid)) < tol
 
 
+@pytest.mark.parametrize("s", ["1e-50", "1e60"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_steiner_commutes_with_scaling(axis, s):
+    # the breakpoint merge is relative to the largest coordinate, so a copy
+    # scaled by s symmetrizes to s times the unit-scale output
+    for p in (geometry.make_regular_ngon(5), geometry.make_windmill(5),
+              geometry.random_star_polygon(8, 3), geometry.polygon_new(_COMB)):
+        unit = geometry.steiner_symmetrize(p, axis).vertices
+        scaled = geometry.steiner_symmetrize(geometry.scale(p, s), axis).vertices
+        assert len(scaled) == len(unit)
+        with mp.workprec(geometry.GEOMETRY_MIN_BITS):
+            r = mp.mpf(s)
+            tol = mp.ldexp(r * max(abs(c) for v in unit for c in v), -250)
+            for (x0, y0), (x1, y1) in zip(unit, scaled):
+                assert abs(x1 - r * x0) <= tol and abs(y1 - r * y0) <= tol
+
+
 def test_steiner_rejects_bad_axis(square):
     with pytest.raises(ValueError):
         geometry.steiner_symmetrize(square, "z")
@@ -352,6 +390,15 @@ def test_polygon_file_round_trip(tmp_path, pentagon):
     for (x0, y0), (x1, y1) in zip(pentagon.vertices, back.vertices):
         assert abs(x0 - x1) < mp.mpf("1e-45")
         assert abs(y0 - y1) < mp.mpf("1e-45")
+
+
+def test_written_polygons_read_back_exactly(tmp_path):
+    path = tmp_path / "polygon.txt"
+    shapes = [geometry.make_regular_ngon(5), geometry.make_windmill(2),
+              geometry.random_star_polygon(9, 4)]
+    for p in shapes + [geometry.scale(q, s) for q in shapes for s in ("1e-60", "1e60")]:
+        geometry.write_polygon(p, path)
+        assert geometry.fingerprint(geometry.read_polygon(path)) == geometry.fingerprint(p)
 
 
 def test_read_polygon_rejects_malformed(tmp_path):
