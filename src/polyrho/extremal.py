@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest, to_float
 
 from . import content, geometry, moments
 from .errors import (
@@ -112,12 +113,22 @@ class CriticalPointReport:
 
 
 def _eval_point(args):
+    """The float value of one sweep point, None where infeasible: rho_N of
+    the family's member as constructed, divided by A^2 where build would
+    normalize the member, A its exact area rounded once to prec bits (see
+    _sweep)."""
     family, vals, n, prec = args
+    make, normalized = geometry._MEMBERS[family.kind]
     try:
-        poly = family.build(*vals)
+        poly = make(family.params(*vals))
     except _INFEASIBLE:
         return None
-    return float(content.rho_n(poly, n, prec).value)
+    value = content.rho_n(poly, n, prec).value._mpf_
+    if normalized:
+        pts, low, _ = geometry._int_image(poly.vertices)
+        area = from_man_exp(geometry._twice_signed_area(pts), 2 * low - 1, prec, round_nearest)
+        value = mpf_div(value, mpf_mul(area, area, prec, round_nearest), prec, round_nearest)
+    return to_float(value, rnd=round_nearest)
 
 
 def _linspace(lo: float, hi: float, steps: int):
@@ -130,6 +141,15 @@ def _linspace(lo: float, hi: float, steps: int):
 def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
     """rho_N at each point of grid (tuples of the family's free values), run
     serially or, for parallelism > 1, on a process pool.
+
+    Each point solves the family's member as constructed, before the
+    normalize that FamilySpec.build applies to the pentagon and triangle-base
+    families: rho_N is translation-invariant and scales as area squared, so
+    rho_N(member) / A^2, with A the member's exact area rounded once at the
+    sweep's precision, is rho_N of build's unit-area copy without that
+    copy's rounding or cost.  The two agree to about 2^-250, so a float
+    value differs only where the exact one lies that close to a rounding
+    boundary.
 
     Points where the family raises ConstraintViolated, ApexDegenerate or
     AngleOutOfRange come back as None values, not errors; a grid with no
@@ -198,7 +218,9 @@ def sweep_fixed_angle(theta, a_range, steps: int, n: int,
 
 def pentagon_grid(theta_range, phi_range, steps_per_axis: int, n: int,
                   precision_bits=None, parallelism: int = 1) -> SweepResult:
-    """rho_N over a (theta, phi) degree grid of equilateral pentagons."""
+    """rho_N / A^2 over a (theta, phi) degree grid of equilateral pentagons,
+    each solved as built on the unit base, A its area (see _sweep): the
+    value of the unit-area member.  Self-crossing members are infeasible."""
     family = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
     thetas = _linspace(theta_range[0], theta_range[1], steps_per_axis)
     phis = _linspace(phi_range[0], phi_range[1], steps_per_axis)
@@ -216,7 +238,12 @@ def maximize_1d(family: geometry.FamilySpec, lo, hi, n: int, tol=1e-6,
     convergence puts the point far closer).  The class is the sign of the last
     f'' and first_derivative_residual is the last |f'|, taken before that step.
     NoBracketFound: the scan finds no extremum, or an iterate leaves its
-    bracket or has not settled after a fixed number of steps."""
+    bracket or has not settled after a fixed number of steps.
+
+    Unlike the sweeps, this solves FamilySpec.build's member: the Newton
+    differences and first_derivative_residual read rho at working precision,
+    where dividing the raw member's rho by its area squared would move them
+    at noise level, and any family with build and twin will do."""
     points = [CriticalPoint(float(x), CLASS_LOCAL_MAX if d2 < 0 else
                             CLASS_LOCAL_MIN if d2 > 0 else CLASS_UNKNOWN, float(abs(d1)))
               for x, d1, d2 in _newton_points(family, lo, hi, n, tol, steps, precision_bits)]

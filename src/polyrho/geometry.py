@@ -14,6 +14,8 @@ exact up to the rounding of the working precision; abscissas are merged
 relative to the polygon's largest coordinate, so the result scales with the
 input.  make_equilateral_pentagon leaves membership to polygon_new's exact
 simplicity test, so an angle pair builds exactly when its pentagon is simple.
+_MEMBERS says which named families build_family normalizes; sweeps solve
+those members as constructed and divide by their area squared.
 write_polygon writes enough digits for read_polygon to return the same bits.
 """
 
@@ -193,7 +195,7 @@ def translate(p: Polygon, v) -> Polygon:
 
 def rotate(p: Polygon, alpha) -> Polygon:
     with mp.workprec(_wp()):
-        c, s = mp.cos(mp.mpf(alpha)), mp.sin(mp.mpf(alpha))
+        c, s = mp.cos_sin(mp.mpf(alpha))
         return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])[0]
 
 
@@ -274,7 +276,8 @@ def make_triangle_fixed_angle(theta, a) -> Polygon:
             raise NonpositiveBase(f"side length must be positive, got {a}")
         zero = mp.mpf(0)
         corner = (zero, zero)
-        apex = (-2 * mp.cos(theta) / (a * mp.sin(theta)), 2 / a)
+        c, s = mp.cos_sin(theta)
+        apex = (-2 * c / (a * s), 2 / a)
         far = (-a, zero)
         gx = (corner[0] + apex[0] + far[0]) / 3
         gy = (corner[1] + apex[1] + far[1]) / 3
@@ -282,12 +285,22 @@ def make_triangle_fixed_angle(theta, a) -> Polygon:
 
 
 def make_equilateral_pentagon(theta, phi) -> Polygon:
-    """Equilateral pentagon determined by two adjacent interior angles.
+    """Equilateral pentagon determined by two adjacent interior angles,
+    rescaled to area 1 and recentered: normalize of _pentagon_chain(theta,
+    phi), the member as built on the unit base.  theta, phi in radians.
 
-    Built with unit sides on the base (0,0)-(1,0), angle theta at (0,0) and phi
-    at (1,0), and the apex at unit distance from both free ends, on the
-    closing chord's normal n = (-dy, dx)/d; then rescaled to area 1 and
-    recentered.  theta, phi in radians.
+    rho_N scales as area squared and ignores translation, so sweeps solve
+    the chain itself and divide by its exact area squared (see
+    extremal._sweep); this unit-area copy is for callers that want the
+    member in a common frame.
+    """
+    return normalize(_pentagon_chain(theta, phi))
+
+
+def _pentagon_chain(theta, phi) -> Polygon:
+    """The equilateral pentagon with unit sides on the base (0,0)-(1,0),
+    angle theta at (0,0) and phi at (1,0), and the apex at unit distance from
+    both free ends, on the closing chord's normal n = (-dy, dx)/d.
 
     Raises AngleOutOfRange outside (0, pi); ApexDegenerate where the free ends
     coincide or the chord is 2 long; ConstraintViolated where the chord is
@@ -302,8 +315,9 @@ def make_equilateral_pentagon(theta, phi) -> Polygon:
         for name, ang in (("theta", theta), ("phi", phi)):
             if not 0 < ang < mp.pi:
                 raise AngleOutOfRange(f"{name} must lie in (0, pi), got {ang}")
-        v1 = (mp.cos(theta), mp.sin(theta))
-        v2 = (1 - mp.cos(phi), mp.sin(phi))
+        v1 = mp.cos_sin(theta)
+        c, s = mp.cos_sin(phi)
+        v2 = (1 - c, s)
         dx, dy = v2[0] - v1[0], v2[1] - v1[1]
         d2 = dx * dx + dy * dy
         d = mp.sqrt(d2)
@@ -322,10 +336,9 @@ def make_equilateral_pentagon(theta, phi) -> Polygon:
         apex = (mx + h * nx, my + h * ny)
         zero = mp.mpf(0)
         try:
-            raw = polygon_new([(zero, zero), (mp.mpf(1), zero), v2, apex, v1])
+            return polygon_new([(zero, zero), (mp.mpf(1), zero), v2, apex, v1])
         except NotSimple as exc:
             raise ConstraintViolated(f"the pentagon crosses itself: {exc}") from None
-        return normalize(raw)
 
 
 def random_star_polygon(n_vertices: int, seed: int = 0) -> Polygon:
@@ -343,7 +356,8 @@ def random_star_polygon(n_vertices: int, seed: int = 0) -> Polygon:
             jitter = (rng.random() - 0.5) * 0.7
             ang = 2 * mp.pi * (k + jitter) / n_vertices
             rad = mp.mpf(rng.uniform(0.6, 1.4))
-            pts.append((rad * mp.cos(ang), rad * mp.sin(ang)))
+            c, s = mp.cos_sin(ang)
+            pts.append((rad * c, rad * s))
         return polygon_new(pts)
 
 
@@ -355,8 +369,8 @@ def make_regular_ngon(n: int) -> Polygon:
         r = mp.sqrt(2 / (n * mp.sin(2 * mp.pi / n)))
         pts = []
         for k in range(n):
-            ang = 2 * mp.pi * k / n
-            pts.append((r * mp.cos(ang), r * mp.sin(ang)))
+            c, s = mp.cos_sin(2 * mp.pi * k / n)
+            pts.append((r * c, r * s))
         return polygon_new(pts)
 
 
@@ -531,20 +545,36 @@ def _mirror_apex(a, lam):
     return None
 
 
+def _pentagon_member(params) -> Polygon:
+    with mp.workprec(_wp()):
+        th = mp.mpf(params["theta_deg"]) * mp.pi / 180
+        ph = mp.mpf(params["phi_deg"]) * mp.pi / 180
+    return _pentagon_chain(th, ph)
+
+
+def _regular_member(params) -> Polygon:
+    if not float(params["n"]).is_integer():
+        raise GeometryError(f"regular-ngon takes an integer n, got {params['n']}")
+    return make_regular_ngon(int(params["n"]))
+
+
+# kind -> (the family's member as constructed, from a params dict; whether
+# build_family returns normalize of that member rather than the member).
+# The members left as they are have unit area by construction.
+_MEMBERS = {
+    "windmill": (lambda params: make_windmill(params["a"]), False),
+    "triangle-base": (lambda params: make_triangle_fixed_base(params["a"], params["lambda"]),
+                      True),
+    "triangle-angle": (lambda params: make_triangle_fixed_angle(params["theta"], params["a"]),
+                       False),
+    "pentagon": (_pentagon_member, True),
+    "regular-ngon": (_regular_member, False),
+}
+
+
 def build_family(kind: str, params: dict) -> Polygon:
-    if kind == "windmill":
-        return make_windmill(params["a"])
-    if kind == "triangle-base":
-        return normalize(make_triangle_fixed_base(params["a"], params["lambda"]))
-    if kind == "triangle-angle":
-        return make_triangle_fixed_angle(params["theta"], params["a"])
-    if kind == "pentagon":
-        with mp.workprec(_wp()):
-            th = mp.mpf(params["theta_deg"]) * mp.pi / 180
-            ph = mp.mpf(params["phi_deg"]) * mp.pi / 180
-        return make_equilateral_pentagon(th, ph)
-    if kind == "regular-ngon":
-        if not float(params["n"]).is_integer():
-            raise GeometryError(f"regular-ngon takes an integer n, got {params['n']}")
-        return make_regular_ngon(int(params["n"]))
-    raise ValueError(f"unknown family {kind!r}")
+    if kind not in _MEMBERS:
+        raise ValueError(f"unknown family {kind!r}")
+    make, normalized = _MEMBERS[kind]
+    poly = make(params)
+    return normalize(poly) if normalized else poly

@@ -618,6 +618,13 @@ PINNED_WINDMILL_12 = (
     '  "precision_bits": 352,\n  "condition_estimate": 134.41698137877148,\n'
     '  "certified_digits": 105,\n'
     '  "methods": [\n    "gram-cholesky"\n  ]\n}\n')
+# Grids pinned before sweeps solved each member as built rather than its
+# unit-area copy: the whole equilateral family, self-crossing members
+# included, and the grid of the benchmark's sweep-low-n workload.
+GRID_FAMILY_ARGV = ("pentagon-grid", "--theta", "30:170", "--phi", "30:170",
+                    "--steps", "8", "--n", "2")
+GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
+                   "--steps", "7", "--n", "5")
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -629,12 +636,26 @@ PINNED_WINDMILL_12 = (
      _pinned("moments-pentagon-12.json")),
     (("moments", "--family", "regular-ngon:5", "--maxdeg", "12", "--format", "csv"),
      _pinned("moments-pentagon-12.csv")),
+    (GRID_FAMILY_ARGV, _pinned("grid-pentagon-family-8.csv")),
+    (GRID_BENCH_ARGV, _pinned("grid-pentagon-96-132-7.csv")),
 ], ids=["rho-pentagon-18", "rho-windmill-12", "sweep-triangle-base",
-        "moments-pentagon-12-json", "moments-pentagon-12-csv"])
+        "moments-pentagon-12-json", "moments-pentagon-12-csv",
+        "grid-pentagon-family", "grid-pentagon-benchmark"])
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"
     assert run_cli(*argv, "--output", str(out)) == 0
     assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (GRID_FAMILY_ARGV, "grid-pentagon-family-8.csv.json"),
+    (GRID_BENCH_ARGV, "grid-pentagon-96-132-7.csv.json"),
+], ids=["grid-pentagon-family", "grid-pentagon-benchmark"])
+def test_grid_sidecars_match_pinned_bytes(tmp_path, capsys, argv, name):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--output", str(out)) == 0
+    assert (tmp_path / "out.csv.json").read_bytes() == _pinned(name).encode()
     capsys.readouterr()
 
 

@@ -91,6 +91,49 @@ def test_parallel_sweep_matches_serial():
     assert serial.argmax == parallel.argmax
 
 
+def _built_values(sweep):
+    """float rho_N of FamilySpec.build's member, the unit-area copy where
+    the family normalizes, at every point of the sweep's grid."""
+    values = []
+    for pt in sweep.grid:
+        try:
+            poly = sweep.family.build(*pt)
+        except (ConstraintViolated, ApexDegenerate):
+            values.append(None)
+        else:
+            values.append(float(content.rho_n(poly, sweep.n).value))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_grid_values_are_those_of_the_unit_area_members(n):
+    # the whole family at 12 degrees: non-convex members, and 66 points
+    # where the chain crosses itself or does not close
+    whole = ((12.0, 168.0), (12.0, 168.0), 14, n)
+    sweep = extremal.pentagon_grid(*whole)
+    assert sum(v is None for v in sweep.values) == 66
+    assert sweep.values == _built_values(sweep)
+    if n == 2:
+        assert extremal.pentagon_grid(*whole, parallelism=2) == sweep
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_far_apex_sweep_values_are_those_of_the_unit_area_members(n):
+    # at |lambda| = 30 the member as built is a sliver 30 long at distance
+    # about 10 from the origin, which the moment kernel's guard bits cover
+    sweep = extremal.sweep_fixed_base(3.0, (-30.0, 30.0), 41, n)
+    assert sweep.values == _built_values(sweep)
+
+
+@pytest.mark.parametrize("family,lo,hi", [
+    (geometry.FamilySpec("windmill", (), ("a",)), 0.6, 4.5),
+    (geometry.FamilySpec("triangle-angle", (("theta", 1.1),), ("a",)), 0.9, 2.8),
+], ids=["windmill", "triangle-angle"])
+def test_unnormalized_family_sweeps_solve_the_built_member(family, lo, hi):
+    sweep = extremal.sweep_family(family, lo, hi, 9, 5)
+    assert sweep.values == _built_values(sweep)
+
+
 def test_pentagon_grid_marks_infeasible_points():
     sweep = extremal.pentagon_grid((60.0, 170.0), (60.0, 170.0), 4, 1)
     assert len(sweep.grid) == 16

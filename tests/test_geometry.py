@@ -431,6 +431,69 @@ def test_build_family_pentagon_takes_degrees():
     assert p.vertices == q.vertices
 
 
+# geometry.fingerprint of family members and maps, pinned while cos and sin
+# were two mpmath calls: mp.cos_sin gives the same bits.  The pentagon
+# members span a 30-degree grid; "reflex" marks the non-convex ones.
+PINNED_PENTAGON_FINGERPRINTS = {
+    (20, 110): "6e7c98d5b55b8a37",  # reflex
+    (20, 140): "14f23a11fd252034",  # reflex
+    (20, 170): "46419137d0321f89",  # reflex
+    (50, 80): "f886c5a735968089",  # reflex
+    (50, 110): "cec032e7c585aa09",  # reflex
+    (50, 140): "34a6b26cec93c86d",
+    (50, 170): "b945ee8fb65fe16b",
+    (80, 20): "1e47067069caf04d",  # reflex
+    (80, 50): "a1766d097770b830",  # reflex
+    (80, 80): "fc21422ac565ab80",
+    (80, 110): "8f750e56c41ea330",
+    (80, 140): "61c3fd4d1f2b3f8b",
+    (80, 170): "56beb4e43b017986",
+    (110, 20): "86d810a31fde796a",  # reflex
+    (110, 50): "31b4771b980c443b",  # reflex
+    (110, 80): "adf77f308744cc4d",
+    (110, 110): "8f2c6492dca5a415",
+    (140, 20): "65364ba014955dbc",  # reflex
+    (140, 50): "993ca1118f59184f",
+    (140, 80): "75e72291d00e2fec",
+    (170, 20): "18fbe93beb3bf936",  # reflex
+    (170, 50): "26065c7e3f43b4cc",
+    (170, 80): "a98c851478b0b9f6",
+}
+PINNED_STAR_FINGERPRINTS = {
+    3: "7f8eddec193b0dd6", 4: "2e4b8cb5dc7d9690", 5: "6f19b3937a5381a4",
+    6: "70dc679c2ef44977", 7: "4daec6691b9d5885", 8: "5682641c4a642398",
+    9: "f853753844a2245a", 10: "d58655d35545d395", 11: "23f872534a29de49",
+}
+PINNED_NGON_FINGERPRINTS = {
+    3: "a5b7cdfc5e96e72a", 4: "b199cc62dae0056a", 5: "a208c3c5e8f2f026",
+    6: "cd2027a74c7fcf15", 7: "0f474e1c61bccaf6", 8: "ffcfeb0848b2355f",
+}
+PINNED_ANGLE_FINGERPRINTS = {
+    0.3: "4bcd62db06f6511b", 1.1: "99c7c1cb31ed59ed", 2.5: "5a01eb084ae6e558",
+}
+
+
+def test_member_fingerprints_are_pinned():
+    got = {}
+    for (th, ph), fp in PINNED_PENTAGON_FINGERPRINTS.items():
+        got[th, ph] = geometry.fingerprint(
+            geometry.build_family("pentagon", {"theta_deg": th, "phi_deg": ph}))
+    assert got == PINNED_PENTAGON_FINGERPRINTS
+    # the rest of the 30-degree grid is infeasible
+    for th, ph in itertools.product(range(20, 180, 30), repeat=2):
+        if (th, ph) not in got:
+            with pytest.raises(GeometryError):
+                geometry.build_family("pentagon", {"theta_deg": th, "phi_deg": ph})
+    assert {v: geometry.fingerprint(geometry.random_star_polygon(v, v))
+            for v in PINNED_STAR_FINGERPRINTS} == PINNED_STAR_FINGERPRINTS
+    assert {k: geometry.fingerprint(geometry.make_regular_ngon(k))
+            for k in PINNED_NGON_FINGERPRINTS} == PINNED_NGON_FINGERPRINTS
+    assert {th: geometry.fingerprint(geometry.make_triangle_fixed_angle(th, 1.7))
+            for th in PINNED_ANGLE_FINGERPRINTS} == PINNED_ANGLE_FINGERPRINTS
+    star = geometry.random_star_polygon(6, 1)
+    assert geometry.fingerprint(geometry.rotate(star, 0.7)) == "a8eb63016174e6d4"
+
+
 @pytest.fixture
 def simplicity_checks(monkeypatch):
     """The number of _check_simple calls so far, as a one-element list."""
