@@ -8,11 +8,7 @@ cross-validation, and parameter sweeps over named polygon families.
 """
 
 from .content import (
-    BergmanBasis,
-    GramSystem,
     RhoResult,
-    build_gram,
-    orthonormality_residual,
     rho1_closed,
     rho2_closed,
     rho_n,
@@ -80,12 +76,10 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BergmanBasis",
     "CriticalPoint",
     "CriticalPointReport",
     "FamilySpec",
     "GeometryError",
-    "GramSystem",
     "MomentTable",
     "NumericalError",
     "PolyRhoError",
@@ -94,7 +88,6 @@ __all__ = [
     "SweepResult",
     "area",
     "build_family",
-    "build_gram",
     "centroid",
     "complex_moment",
     "cross_check",
@@ -108,7 +101,6 @@ __all__ = [
     "moment_table",
     "normalize",
     "oracle_rho_n",
-    "orthonormality_residual",
     "pentagon_grid",
     "polygon_new",
     "precision_for_degree",

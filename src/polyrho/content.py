@@ -10,17 +10,16 @@ factor, as prefix sums of the last row's products, each rounded once; rho_n
 rounds none of them.
 rho_n_telescoping computes the same numbers by Gram-Schmidt on the monomials,
 taken as the Cholesky factorization G = L L* of the Gram matrix in floating
-point, unscaled and with square roots; row k of L^-1 gives the orthonormal
-p_k, and L^-1 applied to the right-hand side telescopes the projection into
-every partial rho_k.  It reads the table through build_gram's mpc entries.
+point, unscaled and with square roots; L^-1 applied to the right-hand side
+telescopes the projection into every partial rho_k.  It reads the table's
+mpc entries, and returns (RhoResult, partials) as rho_n_partials does.
 Both need moments to degree 2N, read the same bits of the table, and share
 no other arithmetic; telescoping is the independent check in the tests and
 in verify's monotonicity (triangle, N=12) and pentagon-rho33 (--long)
 checks.  Both cost O(N^3).
-orthonormality_residual re-integrates the basis against the table, as the
-independent check of the basis.  Monomial Gram matrices are catastrophically
-ill-conditioned in double precision for N beyond ~12, so everything here runs
-at the moments precision policy plus guard bits.
+Monomial Gram matrices are catastrophically ill-conditioned in double
+precision for N beyond ~12, so everything here runs at the moments precision
+policy plus guard bits.
 """
 
 from __future__ import annotations
@@ -45,37 +44,12 @@ _GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
-class GramSystem:
-    """Normal equations for projecting conj(z) onto span{1, z, ..., z^N}.
-
-    matrix[j][k] = <z^k, z^j> = c[k][j]; rhs[j] = <conj(z), z^j> = c[0][j+1];
-    target_norm = <conj(z), conj(z)> = c[1][1].
-    """
-
-    n: int
-    matrix: tuple
-    rhs: tuple
-    target_norm: object
-    precision_bits: int
-
-
-@dataclass(frozen=True)
 class RhoResult:
     value: object
     n: int
     precision_bits: int
     condition_estimate: float
     method: str
-
-
-@dataclass(frozen=True)
-class BergmanBasis:
-    """Orthonormal polynomials p_0..p_N; row k of coefficients holds the
-    monomial coefficients of p_k (length k+1, leading entry last)."""
-
-    n: int
-    coefficients: tuple
-    norms: tuple
 
 
 def _gram_degree(n: int) -> int:
@@ -91,19 +65,13 @@ def _check_degree(t: moments.MomentTable, n: int) -> None:
             f"table has {t.maxdeg}")
 
 
-def build_gram(t: moments.MomentTable, n: int) -> GramSystem:
-    """The degree-n Gram system read from t, which must hold moments to
-    degree max(2n, 2); InsufficientMoments otherwise."""
-    _check_degree(t, n)
-    matrix = tuple(tuple(t.c(k, j) for k in range(n + 1)) for j in range(n + 1))
-    rhs = tuple(t.c(0, j + 1) for j in range(n + 1))
-    return GramSystem(n, matrix, rhs, t.c(1, 1).real, t.precision_bits)
-
-
 def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     """(rho, cond, rhos): rho = t - b* G^{-1} b, cond the max/min ratio of
     G's pivots, and rhos an iterator of rho_0, ..., rho_N, for the degree-n
-    bordered system M = [[G, b], [b*, t]] of build_gram's G, b and t.
+    bordered system M = [[G, b], [b*, t]]: the normal equations for projecting
+    conj(z) onto span{1, z, ..., z^N}, G[j][k] = <z^k, z^j> = c[k][j] and
+    b[j] = <conj(z), z^j> = c[0][j+1], bordered by t = <conj(z), conj(z)> =
+    c[1][1].
 
     M's lower triangle is read row by row, each entry as the int parts
     (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
@@ -230,49 +198,40 @@ def rho_n_partials(p: geometry.Polygon, n: int, precision_bits=None, table=None)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY), tuple(partials)
 
 
-def _poly_ip(pa, pb, table):
-    """<sum_i pa[i] z^i, sum_j pb[j] z^j> against the moment table."""
-    return mp.fdot((ai * mp.conj(bj), table.c(i, j))
-                   for i, ai in enumerate(pa) for j, bj in enumerate(pb))
-
-
 def rho_n_telescoping(p: geometry.Polygon, n: int, precision_bits=None, table=None):
-    """rho_N via Gram-Schmidt; returns (RhoResult, BergmanBasis, partials) where
-    partials[k] = rho_k for every k <= N (non-increasing).
+    """rho_N via Gram-Schmidt; returns (RhoResult, partials) as rho_n_partials
+    does, partials[k] = rho_k for every k <= N (non-increasing).
 
     Gram-Schmidt on the monomials is the Cholesky factorization G = L L* of
-    build_gram's matrix, here taken row by row in mpf at prec + 32 bits,
-    unscaled.  Pivot k is ||q_k||^2 for the monic q_k, so norms = diag L.  Row
-    k of L^-1, conjugated, holds the coefficients of p_k = q_k / ||q_k||, and
-    y = L^-1 b holds <conj(z), p_k>, so rho_k = t - sum_{j<=k} |y_j|^2.
-    O(N^3).  No arithmetic is shared with rho_n's solve."""
+    the Gram matrix G[k][j] = <z^j, z^k> = c[j][k], here taken row by row in
+    mpf at prec + 32 bits, unscaled.  Pivot k is ||q_k||^2 for the monic q_k,
+    and y = L^-1 b, b[k] = <conj(z), z^k> = c[0][k+1], holds <conj(z), p_k>
+    for the orthonormal p_k = q_k / ||q_k||, so rho_k = c[1][1] -
+    sum_{j<=k} |y_j|^2.  O(N^3).  No arithmetic is shared with rho_n's solve;
+    arguments and errors as for rho_n."""
     prec, table = _resolve(p, n, precision_bits, table)
-    gram = build_gram(table, n)
+    _check_degree(table, n)
+    c = table.c
     with mp.workprec(prec + 32):
         factor = []  # factor[k]: row k of L left of the diagonal
-        columns = []  # columns[j]: column j of L^-1, from row j down
         norms, y, partials = [], [], []
+        target = c(1, 1).real
         acc = mp.mpf(0)
         for k in range(n + 1):
             row = []
             for j in range(k):
-                row.append((gram.matrix[k][j] - mp.fdot(row, factor[j], conjugate=True))
-                           / norms[j])
-            nrm2 = (gram.matrix[k][k] - mp.fdot(row, row, conjugate=True)).real
+                row.append((c(j, k) - mp.fdot(row, factor[j], conjugate=True)) / norms[j])
+            nrm2 = (c(k, k) - mp.fdot(row, row, conjugate=True)).real
             if not nrm2 > 0:
                 raise GramNotPD(
                     f"Gram-Schmidt norm^2 of degree {k} is {mp.nstr(nrm2, 6)}; "
                     "precision exhausted")
             nrm = mp.sqrt(nrm2)
-            # row k of L L^-1 = I, solved for row k of L^-1
-            for j, col in enumerate(columns):
-                col.append(-mp.fdot(row[j:], col) / nrm)
-            columns.append([mp.mpc(1) / nrm])
             factor.append(row)
             norms.append(nrm)
-            y.append((gram.rhs[k] - mp.fdot(row, y)) / nrm)
+            y.append((c(0, k + 1) - mp.fdot(row, y)) / nrm)
             acc += abs(y[-1]) ** 2
-            partials.append(gram.target_norm - acc)
+            partials.append(target - acc)
         value = partials[-1]
         if not value >= 0:
             raise GramNotPD(
@@ -280,23 +239,7 @@ def rho_n_telescoping(p: geometry.Polygon, n: int, precision_bits=None, table=No
         cond = float((max(norms) / min(norms)) ** 2)
     with mp.workprec(prec):
         partials = tuple(+v for v in partials)
-        basis = tuple(tuple(+mp.conj(columns[j][k - j]) for j in range(k + 1))
-                      for k in range(n + 1))
-        norms = tuple(+v for v in norms)
-    result = RhoResult(partials[-1], n, prec, cond, METHOD_TELESCOPING)
-    return result, BergmanBasis(n, basis, norms), partials
-
-
-def orthonormality_residual(basis: BergmanBasis, table: moments.MomentTable):
-    """Max |<p_j, p_k> - delta_jk| re-integrated against the table."""
-    worst = mp.mpf(0)
-    with mp.workprec(table.precision_bits + 32):
-        for j, pj in enumerate(basis.coefficients):
-            for k in range(j + 1):
-                ip = _poly_ip(pj, basis.coefficients[k], table)
-                expect = 1 if j == k else 0
-                worst = max(worst, abs(ip - expect))
-    return +worst
+    return RhoResult(partials[-1], n, prec, cond, METHOD_TELESCOPING), partials
 
 
 def _centered(p):

@@ -8,28 +8,17 @@ from polyrho import content, geometry, moments
 from polyrho.errors import AreaNotNormalized, GramNotPD, InsufficientMoments, PrecisionTooLow
 
 
-def test_build_gram_layout(square):
-    t = moments.moment_table(square, 8)
-    g = content.build_gram(t, 3)
-    assert g.n == 3
-    assert len(g.matrix) == 4 and all(len(row) == 4 for row in g.matrix)
-    with mp.workprec(300):
-        for j in range(4):
-            for k in range(4):
-                assert g.matrix[j][k] == t.c(k, j)
-        assert g.rhs[2] == t.c(0, 3)
-        assert g.target_norm == t.c(1, 1).real
-
-
-def test_build_gram_needs_enough_moments(square):
+def test_solvers_need_enough_moments(square):
     t = moments.moment_table(square, 5)
-    with pytest.raises(InsufficientMoments, match="to degree 6,"):
-        content.build_gram(t, 3)  # needs degree 2N = 6
+    for solve in (content.rho_n, content.rho_n_partials, content.rho_n_telescoping):
+        with pytest.raises(InsufficientMoments, match="to degree 6,"):
+            solve(square, 3, table=t)  # needs degree 2N = 6
     # degree 0 still reads the target norm c[1][1], of degree 2
     t = moments.moment_table(square, 2)
-    assert content.build_gram(t, 0).n == 0
-    with pytest.raises(InsufficientMoments, match="to degree 2,"):
-        content.build_gram(dataclasses.replace(t, maxdeg=1), 0)
+    for solve in (content.rho_n, content.rho_n_partials, content.rho_n_telescoping):
+        solve(square, 0, table=t)
+        with pytest.raises(InsufficientMoments, match="to degree 2,"):
+            solve(square, 0, table=dataclasses.replace(t, maxdeg=1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -60,8 +49,7 @@ def test_dual_paths_agree(any_polygon):
     prec = moments.precision_for_degree(n)
     table = moments.moment_table(any_polygon, 2 * n + 2, prec)
     direct = content.rho_n(any_polygon, n, prec, table=table)
-    telescoped, basis, partials = content.rho_n_telescoping(
-        any_polygon, n, prec, table=table)
+    telescoped, partials = content.rho_n_telescoping(any_polygon, n, prec, table=table)
     with mp.workprec(prec + 16):
         tol = mp.mpf(2) ** (-(prec // 4))
         assert abs(direct.value - telescoped.value) <= tol * (1 + abs(direct.value))
@@ -81,7 +69,7 @@ def test_equilateral_triangle_exact_value(n):
     prec = moments.precision_for_degree(n)
     table = moments.moment_table(tri, 2 * n + 2, prec)
     direct = content.rho_n(tri, n, prec, table=table)
-    telescoped, _, partials = content.rho_n_telescoping(tri, n, prec, table=table)
+    telescoped, partials = content.rho_n_telescoping(tri, n, prec, table=table)
     with mp.workprec(prec + 32):
         exact = mp.sqrt(3) / 15
         # vertices are stored at 320 bits, which bounds the accuracy above that
@@ -99,30 +87,20 @@ def test_telescoping_high_degree(name, n):
     }[name]()
     prec = moments.precision_for_degree(n)
     table = moments.moment_table(poly, 2 * n + 2, prec)
-    _, basis, partials = content.rho_n_telescoping(poly, n, prec, table=table)
+    _, partials = content.rho_n_telescoping(poly, n, prec, table=table)
     with mp.workprec(prec + 16):
         tol = mp.mpf(2) ** (-(prec // 2))
         for k in range(n + 1):
             lower = content.rho_n(poly, k, prec, table=table).value
             assert abs(partials[k] - lower) <= tol * (1 + abs(lower)), k
-    assert content.orthonormality_residual(basis, table) <= mp.mpf(2) ** (-(prec // 4))
 
 
 def test_partials_non_increasing(any_polygon):
-    result, _, partials = content.rho_n_telescoping(any_polygon, 10)
+    result, partials = content.rho_n_telescoping(any_polygon, 10)
     with mp.workprec(result.precision_bits + 16):
         slack = mp.mpf(2) ** -120
         for k in range(len(partials) - 1):
             assert partials[k + 1] <= partials[k] + slack
-
-
-def test_orthonormality_residual(any_polygon):
-    n = 6
-    prec = moments.precision_for_degree(n)
-    table = moments.moment_table(any_polygon, 2 * n + 2, prec)
-    _, basis, _ = content.rho_n_telescoping(any_polygon, n, prec, table=table)
-    resid = content.orthonormality_residual(basis, table)
-    assert resid <= mp.mpf(2) ** (-(prec // 4))
 
 
 def test_rho1_closed_matches_gram(any_polygon):
@@ -177,7 +155,7 @@ def test_rigid_motion_invariance(pentagon):
 # the same with [v._mpf_ for v in partials] appended for rho_n_partials, on
 # rho's check table (maxdeg 2N at bits) and on the table rounded from it at
 # bits - 64, as the rho subcommand solves them; recorded from the solve that
-# read the table through build_gram's mpc entries
+# read the table's mpc entries, before it read the table as ints
 _RHO_SHA256 = {
     ("pentagon", 18, 560): (
         "8430f1b68fd0f354bdda03583567532717df1810cd8d30e4ee1a7a2a974dbaf2",
@@ -222,6 +200,36 @@ def test_rho_bits_are_pinned(name, n, bits):
         digests.append(_sha256((r.value._mpf_, repr(r.condition_estimate),
                                 [v._mpf_ for v in partials])))
     assert tuple(digests) == _RHO_SHA256[(name, n, bits)]
+
+
+# sha256 of repr((value._mpf_, repr(condition_estimate), [v._mpf_ for v in
+# partials])) of rho_n_telescoping on the same two tables per polygon,
+# recorded when telescoping also built the orthonormal basis; on these tables
+# they equal rho_n_partials' digests above
+_TELESCOPING_SHA256 = {
+    ("pentagon", 18, 560): (
+        "f0a260ad9b5f4994a48070d6504d32a68265a6820b02d3cfa298f3f0c718d728",
+        "42a0f6eea8ab064c476200354151b98bef4e3bae87a657be13d09ab5f42d3849"),
+    ("windmill-2", 12, 416): (
+        "94303540c96f6fec6a370c1461d3aad6576c6b7d9d9c0daf5012c437463d5137",
+        "f41775e1a180b52f374f2bd0ec8283a4da7d3ed6241b68039366f1ad16a9804b"),
+    ("star-8-3", 12, 416): (
+        "efbffca96d4a1e303192d51f233e9ac8d94c5c681098ec4fe7643ec8dbfd3579",
+        "21d38ca3eb520c64ab4f78b3514e4d7fd01bb5a7a253b9e39213e3d4844dae63"),
+}
+
+
+@pytest.mark.parametrize("name,n,bits", list(_TELESCOPING_SHA256))
+def test_telescoping_bits_are_pinned(name, n, bits):
+    poly = _PINNED_POLYGONS[name]()
+    check = moments.moment_table(poly, 2 * n, bits)
+    digests = []
+    for t in (check, moments._rounded_table(check, bits - 64)):
+        r, partials = content.rho_n_telescoping(poly, n, table=t)
+        assert r.method == content.METHOD_TELESCOPING and partials[-1] == r.value
+        digests.append(_sha256((r.value._mpf_, repr(r.condition_estimate),
+                                [v._mpf_ for v in partials])))
+    assert tuple(digests) == _TELESCOPING_SHA256[(name, n, bits)]
 
 
 @pytest.mark.parametrize("bits,message", [
@@ -288,8 +296,8 @@ def test_solve_agrees_with_telescoping(any_polygon, n):
     prec = moments.precision_for_degree(n)
     table = moments.moment_table(any_polygon, 2 * n + 2, prec)
     direct = content.rho_n(any_polygon, n, prec, table=table)
-    telescoped, _, telescoped_partials = content.rho_n_telescoping(any_polygon, n, prec,
-                                                                   table=table)
+    telescoped, telescoped_partials = content.rho_n_telescoping(any_polygon, n, prec,
+                                                                table=table)
     _, partials = content.rho_n_partials(any_polygon, n, prec, table=table)
     with mp.workprec(prec + 32):
         tol = mp.mpf(2) ** -prec * direct.condition_estimate
@@ -332,24 +340,6 @@ def test_solve_keeps_its_digits_on_a_tiny_copy():
             assert abs(tiny / s ** 4 - exact) <= 2 * abs(centred - exact) + mp.mpf(2) ** -300
 
 
-@pytest.mark.parametrize("name", ["pentagon", "windmill-20"])
-def test_basis_has_a_real_positive_leading_coefficient(name):
-    # orthonormality leaves each p_k's phase free; Gram-Schmidt fixes it by
-    # p_k = q_k / ||q_k|| with q_k monic, so the leading coefficient is 1 / ||q_k||
-    poly = {
-        "pentagon": lambda: geometry.make_regular_ngon(5),
-        "windmill-20": lambda: geometry.make_windmill(20),
-    }[name]()
-    n = 12
-    result, basis, _ = content.rho_n_telescoping(poly, n)
-    prec = result.precision_bits
-    with mp.workprec(prec + 32):
-        for k, row in enumerate(basis.coefficients):
-            assert len(row) == k + 1
-            assert row[k].imag == 0, k
-            assert abs(row[k].real * basis.norms[k] - 1) <= mp.mpf(2) ** (8 - prec), k
-
-
 def test_degree_zero(square):
     # best constant approximation of conj(z); for a centered shape the
     # projection is zero and rho_0 equals the second moment
@@ -363,7 +353,7 @@ def test_degree_zero(square):
 def test_explicit_precision_respected(square, triangle):
     r = content.rho_n(square, 2, precision_bits=512)
     assert r.precision_bits == 512
-    t, _, _ = content.rho_n_telescoping(square, 2, precision_bits=512)
+    t, _ = content.rho_n_telescoping(square, 2, precision_bits=512)
     assert t.precision_bits == 512
     # a table only serves the polygon and precision it was built for
     table_256 = moments.moment_table(triangle, 6, 256)
