@@ -28,8 +28,20 @@ to nearest, at the table's precision, so the bits are those of an eager
 build in any read order.  One int function, _nearest, does every such
 rounding, to a pair (man, exp); an entry's mpmath value is built from those
 pairs only when it is read as one, and the Gram solve (content._ldl_solve)
-shifts the pairs straight into its fixed point through MomentTable._c_parts.
+shifts the pairs straight into its fixed point, reading its whole block
+through MomentTable._gram_parts in one pass.
 load_table decodes a cache file into the same pairs.
+
+Inside _reusing_prior_member, which extremal._sweep runs its serial loop in,
+a complex walk takes from the polygon walked just before it the monomial
+rows of each vertex whose ints match and the walk terms of each edge the two
+share, and then holds its own in their place: one polygon's rows, and the
+terms of its edges whose two ends were vertices of the polygon before it
+(_PriorMember).  Rows and terms are integer
+arithmetic, a pure function of a vertex's or an edge's ints, the degree
+and w, and a walk reuses them only where all of these match, so its sums
+are the ints of a fresh walk; _edge_sums applies the scale 2^e after it.
+Every walk outside that block runs fresh.
 
 A moment_table runs the kernel pass of its complex half and of its real half
 each on the first read of that half.  The Gram solves read only complex
@@ -45,8 +57,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, lcm
+from operator import add
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
@@ -117,6 +133,31 @@ class MomentTable:
         re, im = self.c(m, n)._mpc_
         return (*_signed(re), *_signed(im))
 
+    def _gram_parts(self, n: int):
+        """The rows of content._ldl_solve's bordered degree-n block, each
+        entry the parts _c_parts gives: row i <= n holds c(j, i) for j <= i,
+        and the last row c(k + 1, 0) for k <= n and c(1, 1) with its
+        imaginary part dropped.  A half's parts are read in one pass and
+        conjugated here where j < i; any other mapping goes through
+        _c_parts entry by entry."""
+        entries = self.complex_entries
+        if isinstance(entries, _Half):
+            keys = [(i, j) for i in range(n + 1) for j in range(i + 1)]
+            keys += [(k + 1, 0) for k in range(n + 1)] + [(1, 1)]
+            try:
+                parts = iter(entries._stored_all(keys))
+            except KeyError:
+                pass  # _c_parts raises InsufficientMoments
+            else:
+                rows = [[(rm, re, -im, ie) for rm, re, im, ie in islice(parts, i)] + [next(parts)]
+                        for i in range(n + 1)]
+                rows.append(list(islice(parts, n + 1)) + [next(parts)[:2] + (0, 0)])
+                return rows
+        rows = [[self._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
+        rows.append([self._c_parts(k + 1, 0) for k in range(n + 1)]
+                    + [self._c_parts(1, 1)[:2] + (0, 0)])
+        return rows
+
     def _entry(self, entries, name, m, n):
         try:
             return entries[(m, n)]
@@ -127,16 +168,21 @@ class MomentTable:
 
 # ---- Green's-theorem kernel ------------------------------------------------------
 
-def _edge_rows(verts, rows):
+def _edge_rows(verts, rows, held=None):
     """(start, end, start's rows, end's rows) for each edge of verts, rows
     the monomial table of a vertex.  Each vertex's table is built once, for
     the two edges that meet there, and the first vertex's is kept for the
-    last edge's end: n tables for n vertices, three alive at once."""
-    first = end = rows(*verts[0])
+    last edge's end: n tables for n vertices, three alive at once.  A vertex
+    that held, a dict, maps to a table takes that table instead of a build."""
+    def table(vert):
+        found = held.get(vert) if held else None
+        return rows(*vert) if found is None else found
+
+    first = end = table(verts[0])
     for k, vert in enumerate(verts):
         nxt = verts[(k + 1) % len(verts)]
         start = end
-        end = rows(*nxt) if k + 1 < len(verts) else first
+        end = table(nxt) if k + 1 < len(verts) else first
         yield vert, nxt, start, end
 
 
@@ -171,36 +217,108 @@ def _real_rows(x, y, deg, w):
     return [[u * v >> w for u, v in zip(xpow[d::-1], ypow)] for d in range(deg + 1)]
 
 
+class _PriorMember:
+    """The complex kernel work of the polygon walked last, for the next walk
+    at the same (top, w): rows maps each of its vertices, as int points, to
+    the vertex's _complex_rows, and walks maps each of its edges (start, end)
+    whose two ends were vertices of the polygon before it to the edge's walk
+    terms, (re[s], im[s]) by anti-diagonal.  The next walk takes a vertex's
+    rows and an edge's terms from here where its ints match, and then holds
+    its own in their place: one polygon at a time.
+
+    Rows and terms are pure functions of the vertices' ints, top and w, and
+    the sums are sums of ints, so a walk that reuses them returns the same
+    ints as a fresh one."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.key = None   # (top, w) of the polygon held
+        self.rows = {}
+        self.walks = {}
+
+
+# the _PriorMember of the running _reusing_prior_member block, else None
+_prior = ContextVar("_prior", default=None)
+
+
+@contextmanager
+def _reusing_prior_member():
+    """Run the body with a fresh _PriorMember for its complex walks, emptied
+    and unset on the way out.  extremal._sweep runs its serial loop in one,
+    where consecutive members share vertices and edges; every other walk
+    runs fresh."""
+    prior = _PriorMember()
+    token = _prior.set(prior)
+    try:
+        yield
+    finally:
+        _prior.reset(token)
+        prior.clear()
+
+
+def _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im):
+    """Add one edge's terms to the complex half's sums (see _complex_walk),
+    from its int ends and their _complex_rows."""
+    (x0, y0), (x1, y1) = start, end
+    dx, dy = x1 - x0, y1 - y0
+    norm = dx * dx + dy * dy
+    if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
+        return
+    # r = dB / dA = conj(dA) / dA
+    rr, ri = ((dx * dx - dy * dy) << w) // norm, (-2 * dx * dy << w) // norm
+    # (c, c + d, d - c) of c + id = j r, for the three-product form
+    jc = [j * rr for j in range(top + 1)]
+    jcpd = [j * (rr + ri) for j in range(top + 1)]
+    jdmc = [j * (ri - rr) for j in range(top + 1)]
+    for s in range(1, top + 1):
+        (re1, im1), (re0, im0) = rows1[s + 1], rows0[s + 1]
+        tr, ti = sums_re[s], sums_im[s]
+        den = s + 1  # i + 1, i = s - j the exponent of P
+        xr, xi = (re1[0] - re0[0]) // den, (im1[0] - im0[0]) // den
+        for j in range(1, len(tr) + 1):
+            den -= 1
+            k1 = jc[j] * (xr + xi)
+            xr, xi = ((re1[j] - re0[j] - ((k1 - xi * jcpd[j]) >> w)) // den,
+                      (im1[j] - im0[j] - ((k1 + xr * jdmc[j]) >> w)) // den)
+            tr[j - 1] += xr
+            ti[j - 1] += xi
+
+
 def _complex_walk(verts, top, w):
     """The complex half's sums by anti-diagonal s and n, as lists re[s][n]
     and im[s][n] for n <= (s - 1) // 2; see _edge_sums.  B = conj(A), so
-    |dB| = |dA| and no edge swaps."""
-    sums_re = [[0] * ((s + 1) // 2) for s in range(top + 1)]
-    sums_im = [[0] * ((s + 1) // 2) for s in range(top + 1)]
-    edges = _edge_rows(verts, lambda x, y: _complex_rows(x, y, top + 1, w))
-    for (x0, y0), (x1, y1), start, end in edges:
-        dx, dy = x1 - x0, y1 - y0
-        norm = dx * dx + dy * dy
-        if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
+    |dB| = |dA| and no edge swaps.  Inside _reusing_prior_member, the rows
+    and edge terms of the polygon walked before are taken, not recomputed."""
+    def zeros():
+        return [[0] * ((s + 1) // 2) for s in range(top + 1)]
+
+    def rows(x, y):
+        return _complex_rows(x, y, top + 1, w)
+
+    sums_re, sums_im = zeros(), zeros()
+    prior = _prior.get()
+    if prior is None:
+        for start, end, rows0, rows1 in _edge_rows(verts, rows):
+            _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im)
+        return sums_re, sums_im
+    held, walks = (prior.rows, prior.walks) if prior.key == (top, w) else ({}, {})
+    kept_rows, kept_walks = {}, {}
+    for start, end, rows0, rows1 in _edge_rows(verts, rows, held):
+        kept_rows[start] = rows0
+        if not (start in held and end in held):  # an edge unlikely to recur
+            _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im)
             continue
-        # r = dB / dA = conj(dA) / dA
-        rr, ri = ((dx * dx - dy * dy) << w) // norm, (-2 * dx * dy << w) // norm
-        # (c, c + d, d - c) of c + id = j r, for the three-product form
-        jc = [j * rr for j in range(top + 1)]
-        jcpd = [j * (rr + ri) for j in range(top + 1)]
-        jdmc = [j * (ri - rr) for j in range(top + 1)]
-        for s in range(1, top + 1):
-            (re1, im1), (re0, im0) = end[s + 1], start[s + 1]
-            tr, ti = sums_re[s], sums_im[s]
-            den = s + 1  # i + 1, i = s - j the exponent of P
-            xr, xi = (re1[0] - re0[0]) // den, (im1[0] - im0[0]) // den
-            for j in range(1, len(tr) + 1):
-                den -= 1
-                k1 = jc[j] * (xr + xi)
-                xr, xi = ((re1[j] - re0[j] - ((k1 - xi * jcpd[j]) >> w)) // den,
-                          (im1[j] - im0[j] - ((k1 + xr * jdmc[j]) >> w)) // den)
-                tr[j - 1] += xr
-                ti[j - 1] += xi
+        terms = walks.get((start, end))
+        if terms is None:
+            terms = zeros(), zeros()
+            _complex_edge(start, end, rows0, rows1, top, w, *terms)
+        kept_walks[start, end] = terms
+        for sums, part in zip((sums_re, sums_im), terms):
+            for s in range(1, top + 1):
+                sums[s] = list(map(add, sums[s], part[s]))
+    prior.key, prior.rows, prior.walks = (top, w), kept_rows, kept_walks
     return sums_re, sums_im
 
 
@@ -390,6 +508,12 @@ class _Half(Mapping):
     def _stored(self, key):
         return self._held[key]
 
+    def _stored_all(self, keys):
+        """The parts of each key, every one of _table_keys; KeyError outside
+        the half."""
+        held = self._held
+        return [held[key] for key in keys]
+
     def _parts(self, key):
         """The parts of the entry at key; KeyError outside the half."""
         if self._kind == "c" and isinstance(key, tuple) and len(key) == 2 and key[0] < key[1]:
@@ -447,18 +571,31 @@ class _DeferredHalf(_Half):
     def _stored(self, key):
         parts = self._held.get(key)
         if parts is None:
-            re, im, exp = self._exact_sums()[key]
-            m, n = key
-            bits = self._args[2]
-            if self._kind == "I":  # I[m][n] = -S / (n+1)
-                parts = _nearest(-re, n + 1, exp, bits)
-            else:
-                # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m]
-                # is a squared norm, so its imaginary part, roundoff, is dropped
-                parts = _nearest(im, n + 1, exp - 1, bits) + (
-                    (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
-            self._held[key] = parts
+            parts = self._held[key] = self._round(key, self._exact_sums())
         return parts
+
+    def _stored_all(self, keys):
+        """_stored of each key in one pass: the missing parts rounded from
+        the exact sums as _stored rounds them, and held."""
+        held = self._held
+        missing = [key for key in keys if key not in held]
+        if missing:
+            sums = self._exact_sums()
+            for key in missing:
+                held[key] = self._round(key, sums)
+        return [held[key] for key in keys]
+
+    def _round(self, key, sums):
+        """The parts of key, rounded from the exact sums."""
+        re, im, exp = sums[key]
+        m, n = key
+        bits = self._args[2]
+        if self._kind == "I":  # I[m][n] = -S / (n+1)
+            return _nearest(-re, n + 1, exp, bits)
+        # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m] is a
+        # squared norm, so its imaginary part, roundoff, is dropped
+        return _nearest(im, n + 1, exp - 1, bits) + (
+            (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
 
 
 def moment_table(p: geometry.Polygon, maxdeg: int,

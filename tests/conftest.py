@@ -1,6 +1,6 @@
 import pytest
 
-from polyrho import geometry
+from polyrho import geometry, moments
 
 # shared shape set: convex/non-convex, 3-6 vertices, all area 1 except the
 # scalene triangle (area 0.4) which exercises the non-normalized paths
@@ -36,3 +36,17 @@ def triangle():
 @pytest.fixture
 def pentagon():
     return FIXTURE_BUILDERS["pentagon"]()
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """{"rows": calls of moments._complex_rows, "edges": calls of
+    moments._complex_edge}, counted from here on: the complex kernel's
+    vertex-row builds and edge walks."""
+    count = {"rows": 0, "edges": 0}
+    for key, name in (("rows", "_complex_rows"), ("edges", "_complex_edge")):
+        def counted(*args, _inner=getattr(moments, name), _key=key):
+            count[_key] += 1
+            return _inner(*args)
+        monkeypatch.setattr(moments, name, counted)
+    return count

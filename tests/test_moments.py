@@ -10,7 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
 from polyrho import cli, content, extremal, geometry, moments
-from polyrho.errors import InsufficientMoments, PrecisionTooLow
+from polyrho.errors import ConstraintViolated, InsufficientMoments, PrecisionTooLow
 
 
 def test_low_order_square_moments(square):
@@ -670,3 +670,78 @@ def test_table_fingerprint_depends_on_polygon_and_precision(square, triangle):
     assert moments.table_fingerprint(square, 256) != moments.table_fingerprint(square, 320)
     assert moments.moment_table(square, 4).fingerprint == \
         moments.table_fingerprint(square, moments.DEFAULT_PRECISION_BITS)
+
+
+def _gram_tables(tmp_path, poly, maxdeg, bits):
+    """The four kinds of table the Gram solve reads, each unread: deferred,
+    rounded from a finer pass, loaded from a file, and a dict table."""
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(poly, maxdeg, bits), path)
+    source = moments.moment_table(poly, maxdeg, bits)
+    as_dict = dataclasses.replace(source, complex_entries=dict(source.complex_entries.items()))
+    return {"deferred": moments.moment_table(poly, maxdeg, bits),
+            "rounded": moments._rounded_table(moments.moment_table(poly, maxdeg, bits + 64), bits),
+            "loaded": moments.load_table(path),
+            "dict": as_dict}
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+@pytest.mark.parametrize("kind", ["deferred", "rounded", "loaded", "dict"])
+def test_gram_parts_are_the_c_parts_of_the_block(tmp_path, pentagon, kind, n):
+    t = _gram_tables(tmp_path, pentagon, 24, 352)[kind]
+    rows = t._gram_parts(n)  # the block's first read of the table
+    assert rows == [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)] + \
+        [[t._c_parts(k + 1, 0) for k in range(n + 1)] + [t._c_parts(1, 1)[:2] + (0, 0)]]
+    assert t._gram_parts(n) == rows  # later reads get the same bits
+
+
+def _pentagon_row(theta, phis):
+    """The pentagon members at theta and each of phis that builds."""
+    members = []
+    for phi in phis:
+        try:
+            members.append(geometry._MEMBERS["pentagon"][0]({"theta_deg": theta, "phi_deg": phi}))
+        except ConstraintViolated:
+            pass
+    return members
+
+
+def _triangle_base_members():
+    """The members of the triangle-base:3 sweep over lambda in 0.1:3, 30 steps."""
+    family = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    return [geometry._MEMBERS["triangle-base"][0](family.params(lam))
+            for lam in extremal._linspace(0.1, 3.0, 30)]
+
+
+@pytest.mark.parametrize("members,n", [
+    (lambda: _pentagon_row(102.0, extremal._linspace(96.0, 132.0, 7)), 5),
+    (lambda: _pentagon_row(114.0, extremal._linspace(96.0, 132.0, 7)), 10),
+    (_triangle_base_members, 2),
+], ids=["pentagon-row-n5", "pentagon-row-n10", "triangle-base-sweep"])
+def test_reused_walks_give_the_sums_of_fresh_ones(kernel_work, members, n):
+    polys = members()
+    maxdeg, bits = content._gram_degree(n), moments.precision_for_degree(n)
+    fresh = [moments._edge_sums(p, maxdeg, bits, "c") for p in polys]
+    kernel_work.update(rows=0, edges=0)
+    with moments._reusing_prior_member():
+        reused = [moments._edge_sums(p, maxdeg, bits, "c") for p in polys]
+    assert reused == fresh
+    # consecutive members share an edge, so the reuse is not vacuous
+    assert kernel_work["rows"] < kernel_work["edges"] < sum(len(p) for p in polys)
+
+
+def test_walks_at_another_top_or_width_reuse_nothing(kernel_work):
+    # the vertex (0, 0) is the int point (0, 0) at every width, but its rows
+    # are not: a member walked at another (top, w) takes nothing from the last
+    poly = _triangle_base_members()[3]
+    walks = [(4, 256), (4, 320), (10, 320), (4, 256)]
+    fresh = [moments._edge_sums(poly, maxdeg, bits, "c") for maxdeg, bits in walks]
+    kernel_work.update(rows=0, edges=0)
+    with moments._reusing_prior_member():
+        reused = [moments._edge_sums(poly, maxdeg, bits, "c") for maxdeg, bits in walks]
+        assert kernel_work == {"rows": 12, "edges": 12}
+        # at the same (top, w) again: the rows, then the edges' terms too
+        again = [moments._edge_sums(poly, 4, 256, "c") for _ in range(2)]
+    assert reused == fresh
+    assert again == fresh[:1] * 2
+    assert kernel_work == {"rows": 12, "edges": 15}
