@@ -73,8 +73,8 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     b[j] = <conj(z), z^j> = c[0][j+1], bordered by t = <conj(z), conj(z)> =
     c[1][1].
 
-    M's lower triangle is read in one pass, t._gram_parts, each entry as the
-    int parts (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
+    M's lower triangle is read row by row, each entry as the int parts
+    (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
     G[i][j] = c[j][i], the last conj(b[k]) = c[k+1][0] and t = c[1][1],
     whose imaginary part is dropped.
 
@@ -100,7 +100,8 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     has W's sign), so the rhos are non-increasing.  Each is rounded only when
     the iterator reaches it."""
     _check_degree(t, n)
-    rows = t._gram_parts(n)
+    rows = [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
+    rows.append([t._c_parts(k + 1, 0) for k in range(n + 1)] + [t._c_parts(1, 1)[:2] + (0, 0)])
     dim = n + 1
     w = prec + _GUARD_BITS
     diag = [row[-1][:2] for row in rows]

@@ -28,8 +28,7 @@ to nearest, at the table's precision, so the bits are those of an eager
 build in any read order.  One int function, _nearest, does every such
 rounding, to a pair (man, exp); an entry's mpmath value is built from those
 pairs only when it is read as one, and the Gram solve (content._ldl_solve)
-shifts the pairs straight into its fixed point, reading its whole block
-through MomentTable._gram_parts in one pass.
+shifts the pairs straight into its fixed point through MomentTable._c_parts.
 load_table decodes a cache file into the same pairs.
 
 Inside _reusing_prior_member, which extremal._sweep runs its serial loop in,
@@ -60,7 +59,6 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import islice
 from math import comb, lcm
 from operator import add
 
@@ -132,31 +130,6 @@ class MomentTable:
                 pass  # c raises InsufficientMoments
         re, im = self.c(m, n)._mpc_
         return (*_signed(re), *_signed(im))
-
-    def _gram_parts(self, n: int):
-        """The rows of content._ldl_solve's bordered degree-n block, each
-        entry the parts _c_parts gives: row i <= n holds c(j, i) for j <= i,
-        and the last row c(k + 1, 0) for k <= n and c(1, 1) with its
-        imaginary part dropped.  A half's parts are read in one pass and
-        conjugated here where j < i; any other mapping goes through
-        _c_parts entry by entry."""
-        entries = self.complex_entries
-        if isinstance(entries, _Half):
-            keys = [(i, j) for i in range(n + 1) for j in range(i + 1)]
-            keys += [(k + 1, 0) for k in range(n + 1)] + [(1, 1)]
-            try:
-                parts = iter(entries._stored_all(keys))
-            except KeyError:
-                pass  # _c_parts raises InsufficientMoments
-            else:
-                rows = [[(rm, re, -im, ie) for rm, re, im, ie in islice(parts, i)] + [next(parts)]
-                        for i in range(n + 1)]
-                rows.append(list(islice(parts, n + 1)) + [next(parts)[:2] + (0, 0)])
-                return rows
-        rows = [[self._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
-        rows.append([self._c_parts(k + 1, 0) for k in range(n + 1)]
-                    + [self._c_parts(1, 1)[:2] + (0, 0)])
-        return rows
 
     def _entry(self, entries, name, m, n):
         try:
@@ -299,11 +272,8 @@ def _complex_walk(verts, top, w):
 
     sums_re, sums_im = zeros(), zeros()
     prior = _prior.get()
-    if prior is None:
-        for start, end, rows0, rows1 in _edge_rows(verts, rows):
-            _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im)
-        return sums_re, sums_im
-    held, walks = (prior.rows, prior.walks) if prior.key == (top, w) else ({}, {})
+    held, walks = (prior.rows, prior.walks) if prior is not None and prior.key == (top, w) \
+        else ({}, {})
     kept_rows, kept_walks = {}, {}
     for start, end, rows0, rows1 in _edge_rows(verts, rows, held):
         kept_rows[start] = rows0
@@ -318,7 +288,8 @@ def _complex_walk(verts, top, w):
         for sums, part in zip((sums_re, sums_im), terms):
             for s in range(1, top + 1):
                 sums[s] = list(map(add, sums[s], part[s]))
-    prior.key, prior.rows, prior.walks = (top, w), kept_rows, kept_walks
+    if prior is not None:
+        prior.key, prior.rows, prior.walks = (top, w), kept_rows, kept_walks
     return sums_re, sums_im
 
 
@@ -508,12 +479,6 @@ class _Half(Mapping):
     def _stored(self, key):
         return self._held[key]
 
-    def _stored_all(self, keys):
-        """The parts of each key, every one of _table_keys; KeyError outside
-        the half."""
-        held = self._held
-        return [held[key] for key in keys]
-
     def _parts(self, key):
         """The parts of the entry at key; KeyError outside the half."""
         if self._kind == "c" and isinstance(key, tuple) and len(key) == 2 and key[0] < key[1]:
@@ -571,31 +536,18 @@ class _DeferredHalf(_Half):
     def _stored(self, key):
         parts = self._held.get(key)
         if parts is None:
-            parts = self._held[key] = self._round(key, self._exact_sums())
+            re, im, exp = self._exact_sums()[key]
+            m, n = key
+            bits = self._args[2]
+            if self._kind == "I":  # I[m][n] = -S / (n+1)
+                parts = _nearest(-re, n + 1, exp, bits)
+            else:
+                # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m]
+                # is a squared norm, so its imaginary part, roundoff, is dropped
+                parts = _nearest(im, n + 1, exp - 1, bits) + (
+                    (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
+            self._held[key] = parts
         return parts
-
-    def _stored_all(self, keys):
-        """_stored of each key in one pass: the missing parts rounded from
-        the exact sums as _stored rounds them, and held."""
-        held = self._held
-        missing = [key for key in keys if key not in held]
-        if missing:
-            sums = self._exact_sums()
-            for key in missing:
-                held[key] = self._round(key, sums)
-        return [held[key] for key in keys]
-
-    def _round(self, key, sums):
-        """The parts of key, rounded from the exact sums."""
-        re, im, exp = sums[key]
-        m, n = key
-        bits = self._args[2]
-        if self._kind == "I":  # I[m][n] = -S / (n+1)
-            return _nearest(-re, n + 1, exp, bits)
-        # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m] is a
-        # squared norm, so its imaginary part, roundoff, is dropped
-        return _nearest(im, n + 1, exp - 1, bits) + (
-            (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
 
 
 def moment_table(p: geometry.Polygon, maxdeg: int,

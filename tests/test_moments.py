@@ -672,29 +672,6 @@ def test_table_fingerprint_depends_on_polygon_and_precision(square, triangle):
         moments.table_fingerprint(square, moments.DEFAULT_PRECISION_BITS)
 
 
-def _gram_tables(tmp_path, poly, maxdeg, bits):
-    """The four kinds of table the Gram solve reads, each unread: deferred,
-    rounded from a finer pass, loaded from a file, and a dict table."""
-    path = tmp_path / "table.json"
-    moments.save_table(moments.moment_table(poly, maxdeg, bits), path)
-    source = moments.moment_table(poly, maxdeg, bits)
-    as_dict = dataclasses.replace(source, complex_entries=dict(source.complex_entries.items()))
-    return {"deferred": moments.moment_table(poly, maxdeg, bits),
-            "rounded": moments._rounded_table(moments.moment_table(poly, maxdeg, bits + 64), bits),
-            "loaded": moments.load_table(path),
-            "dict": as_dict}
-
-
-@pytest.mark.parametrize("n", [0, 1, 5, 12])
-@pytest.mark.parametrize("kind", ["deferred", "rounded", "loaded", "dict"])
-def test_gram_parts_are_the_c_parts_of_the_block(tmp_path, pentagon, kind, n):
-    t = _gram_tables(tmp_path, pentagon, 24, 352)[kind]
-    rows = t._gram_parts(n)  # the block's first read of the table
-    assert rows == [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)] + \
-        [[t._c_parts(k + 1, 0) for k in range(n + 1)] + [t._c_parts(1, 1)[:2] + (0, 0)]]
-    assert t._gram_parts(n) == rows  # later reads get the same bits
-
-
 def _pentagon_row(theta, phis):
     """The pentagon members at theta and each of phis that builds."""
     members = []
