@@ -255,7 +255,10 @@ def _check_t_star():
     return ok, f"threshold {mp.nstr(threshold, 8)}, poly residual {mp.nstr(resid, 3)}"
 
 
+@functools.lru_cache(maxsize=1)
 def _verify_fixtures():
+    """The verify suite's polygons, built once per process: six checks read
+    them, and polygons are immutable."""
     return (
         ("square", geometry.polygon_new([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])),
         ("triangle", geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)])),

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest, to_float
+from mpmath.libmp import mpf_div, round_nearest, to_float
 
 from . import content, geometry, moments
 from .errors import (
@@ -125,9 +125,7 @@ def _eval_point(args):
         return None
     value = content.rho_n(poly, n, prec).value._mpf_
     if normalized:
-        pts, low, _ = geometry._int_image(poly.vertices)
-        area = from_man_exp(geometry._twice_signed_area(pts), 2 * low - 1, prec, round_nearest)
-        value = mpf_div(value, mpf_mul(area, area, prec, round_nearest), prec, round_nearest)
+        value = mpf_div(value, geometry._area_squared(poly, prec), prec, round_nearest)
     return to_float(value, rnd=round_nearest)
 
 

@@ -14,6 +14,10 @@ exact up to the rounding of the working precision; abscissas are merged
 relative to the polygon's largest coordinate, so the result scales with the
 input.  make_equilateral_pentagon leaves membership to polygon_new's exact
 simplicity test, so an angle pair builds exactly when its pentagon is simple.
+Each polygon keeps its exact integer frame (_Frame: the vertices as ints at
+one scale 2^low, the top exponent, the exact twice signed area) and its
+fingerprint, each computed once; moments and extremal read them from the
+polygon instead of rebuilding them.
 _MEMBERS says which named families build_family normalizes; sweeps solve
 those members as constructed and divide by their area squared.
 write_polygon writes enough digits for read_polygon to return the same bits.
@@ -25,9 +29,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_float, mpf_sub
+from mpmath.libmp import from_float, from_man_exp, mpf_mul, mpf_sub, round_nearest
 
 from .errors import (
     AngleOutOfRange,
@@ -49,14 +55,46 @@ def _wp() -> int:
     return max(mp.prec, GEOMETRY_MIN_BITS)
 
 
+class _Frame(NamedTuple):
+    """A polygon's exact integer frame: pts, its vertices in its order as
+    int points at scale 2^low, and top, as _int_image gives them, and
+    twice_area, the exact twice signed area of pts."""
+
+    pts: tuple
+    low: int
+    top: int
+    twice_area: int
+
+
+def _frame_of(verts) -> _Frame:
+    pts, low, top = _int_image(verts)
+    return _Frame(tuple(pts), low, top, _twice_signed_area(pts))
+
+
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon, vertices in counterclockwise order, mpmath coordinates."""
+    """Simple polygon, vertices in counterclockwise order, mpmath coordinates.
+
+    A polygon keeps its exact integer frame, _frame (a _Frame: the vertices
+    as int points at one scale 2^low, in this order, the top exponent of
+    the coordinates and the exact twice signed area, positive), and its
+    fingerprint, _fingerprint, each computed on first use.  _polygon stores
+    the frame it oriented the vertices by, so a polygon that polygon_new or
+    a map built never computes its frame again.  Neither takes part in
+    equality, hashing or repr, and both pickle with the polygon."""
 
     vertices: tuple
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _frame(self) -> _Frame:
+        return _frame_of(self.vertices)
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return fingerprint(self)
 
 
 def _fixed(raw, shift):
@@ -101,12 +139,13 @@ def _int_image(verts):
     return [(_fixed(x, -low), _fixed(y, -low)) for x, y in raws], low, top
 
 
-def _check_simple(verts, pts):
-    """Raise NotSimple unless the closed chain through verts is simple.
+def _check_simple(p: Polygon):
+    """Raise NotSimple unless p's boundary is simple.
 
-    pts is _int_image's points of verts, in the same order, so the
-    orientation signs are exact.  Raise DegenerateVertex for two distinct
-    vertices that the image's truncation merges."""
+    The orientation tests run on the int points of p's frame, so their signs
+    are exact.  Raise DegenerateVertex for two distinct vertices that the
+    frame's truncation merges."""
+    verts, pts = p.vertices, p._frame.pts
     first = {}
     for i, pt in enumerate(pts):
         j = first.setdefault(pt, i)
@@ -130,11 +169,13 @@ def _check_simple(verts, pts):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 
-def _polygon(verts):
+def _polygon(verts) -> Polygon:
     """polygon_new's O(V) checks, on mpf pairs; vertices keep their bits.
-    Returns the polygon and _int_image's points of its vertices, in its
-    order; the zero-area test and the orientation come from those points'
-    exact area, not from a sum rounded at _wp()."""
+    The zero-area test and the orientation come from the exact area of the
+    vertices' integer frame, not from a sum rounded at _wp().  The polygon
+    keeps that frame as its _frame: _int_image's int points, low and top,
+    and the twice signed area, with the points reversed and the area
+    negated along with the vertices for clockwise input."""
     for i, (x, y) in enumerate(verts):
         if not (mp.isfinite(x) and mp.isfinite(y)):
             raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
@@ -144,14 +185,15 @@ def _polygon(verts):
     for i in range(n):
         if verts[i] == verts[(i + 1) % n]:
             raise DegenerateVertex(f"vertices {i} and {(i + 1) % n} coincide")
-    pts, _, _ = _int_image(verts)
-    s2 = _twice_signed_area(pts)
-    if s2 == 0:
+    frame = _frame_of(verts)
+    if frame.twice_area == 0:
         raise NotSimple("vertex list encloses zero area")
-    if s2 < 0:
+    if frame.twice_area < 0:
         verts.reverse()
-        pts.reverse()
-    return Polygon(tuple(verts)), pts
+        frame = frame._replace(pts=frame.pts[::-1], twice_area=-frame.twice_area)
+    p = Polygon(tuple(verts))
+    object.__setattr__(p, "_frame", frame)  # what the cached property would compute
+    return p
 
 
 def polygon_new(points) -> Polygon:
@@ -161,8 +203,8 @@ def polygon_new(points) -> Polygon:
     str, mpf).  Raises GeometryError, TooFewVertices, DegenerateVertex, or NotSimple.
     """
     with mp.workprec(_wp()):
-        p, pts = _polygon([(mp.mpf(x), mp.mpf(y)) for x, y in points])
-        _check_simple(p.vertices, pts)
+        p = _polygon([(mp.mpf(x), mp.mpf(y)) for x, y in points])
+        _check_simple(p)
         return p
 
 
@@ -190,13 +232,13 @@ def centroid(p: Polygon):
 def translate(p: Polygon, v) -> Polygon:
     with mp.workprec(_wp()):
         vx, vy = mp.mpf(v[0]), mp.mpf(v[1])
-        return _polygon([(x + vx, y + vy) for x, y in p.vertices])[0]
+        return _polygon([(x + vx, y + vy) for x, y in p.vertices])
 
 
 def rotate(p: Polygon, alpha) -> Polygon:
     with mp.workprec(_wp()):
         c, s = mp.cos_sin(mp.mpf(alpha))
-        return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])[0]
+        return _polygon([(c * x - s * y, s * x + c * y) for x, y in p.vertices])
 
 
 def scale(p: Polygon, r) -> Polygon:
@@ -204,7 +246,7 @@ def scale(p: Polygon, r) -> Polygon:
         r = mp.mpf(r)
         if not r > 0:
             raise NonpositiveScale(f"scale factor must be positive, got {r}")
-        return _polygon([(r * x, r * y) for x, y in p.vertices])[0]
+        return _polygon([(r * x, r * y) for x, y in p.vertices])
 
 
 def normalize(p: Polygon) -> Polygon:
@@ -215,8 +257,17 @@ def normalize(p: Polygon) -> Polygon:
         return translate(q, (-cx, -cy))
 
 
+def _area_squared(p: Polygon, prec: int):
+    """A^2 as a raw mpf, A p's area rounded once, to nearest, at prec bits
+    from the exact twice area of its frame, then squared at prec bits."""
+    frame = p._frame
+    a = from_man_exp(frame.twice_area, 2 * frame.low - 1, prec, round_nearest)
+    return mpf_mul(a, a, prec, round_nearest)
+
+
 def fingerprint(p: Polygon) -> str:
-    """Stable hash of the exact stored vertex values."""
+    """Stable hash of the exact stored vertex values.  p keeps it as
+    p._fingerprint, which the moment tables read."""
     h = hashlib.sha256()
     for x, y in p.vertices:
         h.update(repr(x._mpf_).encode())

@@ -88,7 +88,7 @@ def _check_precision(precision_bits: int) -> None:
 
 def table_fingerprint(p: geometry.Polygon, precision_bits: int) -> str:
     h = hashlib.sha256()
-    h.update(geometry.fingerprint(p).encode())
+    h.update(p._fingerprint.encode())
     h.update(str(precision_bits).encode())
     return h.hexdigest()[:16]
 
@@ -335,8 +335,8 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     [P^(i+1) Q^j] with r = dQ / dP; dA J is L, or r L when swapped.
 
     The arithmetic is in ints.  Coordinates are divided by 2^e, e the top of
-    geometry._int_image, so each lies in (-1, 1), and held at scale 2^w with
-        w = precision_bits + 2 maxdeg + 42 + max(0, _lost_bits(*image)):
+    p's integer frame, so each lies in (-1, 1), and held at scale 2^w with
+        w = precision_bits + 2 maxdeg + 42 + max(0, _lost_bits(p._frame)):
     precision_bits + maxdeg + 32 working bits, 8 guard bits for the
     truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
     (a degree-d monomial can be 2^-d of the largest coordinate, itself as
@@ -351,8 +351,9 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     exact in ints with the truncations of the four-product complex form, so
     the sums are its sums."""
     keys = _table_keys(maxdeg, kind)
-    _, _, e = image = geometry._int_image(p.vertices)
-    w = precision_bits + 2 * maxdeg + 42 + max(0, _lost_bits(*image))
+    frame = p._frame
+    e = frame.top
+    w = precision_bits + 2 * maxdeg + 42 + max(0, _lost_bits(frame))
     verts = [(geometry._fixed(x._mpf_, w - e), geometry._fixed(y._mpf_, w - e))
              for x, y in p.vertices]
     if kind == "c":
@@ -406,7 +407,7 @@ def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits
     """c[m][n] (kind "c") or I[m][n] (kind "I"), each part rounded once, to
     nearest, at precision_bits from its exact value.
 
-    On geometry._int_image's points, at scale 2^low, an edge's integral is
+    On the int points of p's frame, at scale 2^low, an edge's integral is
         dA sum_{j,k} C(m,j) C(n+1,k) A0^(m-j) dA^j B0^(n+1-k) dB^k / (j+k+1),
     so with L = lcm(1..m+n+2) the edge sum is S 2^(low (m+n+2)) / L for a
     Gaussian int S.  Per edge, each k takes small multiples of the m+1 terms
@@ -414,8 +415,8 @@ def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits
     _check_precision(precision_bits)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be nonnegative")
-    pts, low, _ = geometry._int_image(p.vertices)
-    verts = [((x, y), (x, -y)) if kind == "c" else ((x, 0), (y, 0)) for x, y in pts]
+    frame = p._frame
+    verts = [((x, y), (x, -y)) if kind == "c" else ((x, 0), (y, 0)) for x, y in frame.pts]
     common = lcm(*range(1, m + n + 3))  # L, clearing every 1 / (j+k+1)
     weights = [[comb(n + 1, k) * comb(m, j) * (common // (j + k + 1)) for j in range(m + 1)]
                for k in range(n + 2)]
@@ -433,7 +434,7 @@ def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits
         sr += er
         si += ei
 
-    den, exp = (n + 1) * common, low * (m + n + 2)
+    den, exp = (n + 1) * common, frame.low * (m + n + 2)
     if kind == "I":  # I = -S / (n+1)
         return mp.make_mpf(_rounded(-sr, den, exp, precision_bits))
     # c = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)), real on the diagonal
@@ -569,14 +570,14 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
                        _DeferredHalf(p, maxdeg, precision_bits, "I"))
 
 
-def _lost_bits(pts, low: int, top: int) -> int:
+def _lost_bits(frame) -> int:
     """About the bits _edge_sums loses to cancellation, on top of the total
-    degree, from an int image (pts, low, top) of the vertices, as
-    geometry._int_image gives it: log2(2^(2 top) / |area|), with 2^top the
-    kernel's scale, from the largest coordinate.  That is about 2 log2(R / s)
-    for a side-s polygon at distance R from the origin and log2(L / h) for a
-    length-L sliver of height h.  The area is summed exactly on the points."""
-    return 2 * (top - low) + 1 - abs(geometry._twice_signed_area(pts)).bit_length()
+    degree, from a polygon's integer frame: log2(2^(2 top) / |area|), with
+    2^top the kernel's scale, from the largest coordinate, and the frame's
+    exact area.  That is about 2 log2(R / s) for a side-s polygon at
+    distance R from the origin and log2(L / h) for a length-L sliver of
+    height h."""
+    return 2 * (frame.top - frame.low) + 1 - abs(frame.twice_area).bit_length()
 
 
 def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:

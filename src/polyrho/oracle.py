@@ -11,6 +11,7 @@ small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +43,10 @@ def _point_in_tri(pt, a, b, c, eps) -> bool:
 
 
 def triangulate(p: geometry.Polygon) -> TriMesh:
-    """Fan for convex polygons, ear clipping otherwise; n-2 triangles."""
+    """Fan for convex polygons, ear clipping otherwise; n-2 triangles of the
+    polygon's vertices rounded to float64.  Raises TriangulationFailed when
+    their areas do not sum to the exact area of those float64 vertices
+    within 1e-12 of it."""
     verts = [(float(x), float(y)) for x, y in p.vertices]
     n = len(verts)
     scale = max(max(abs(x), abs(y)) for x, y in verts)
@@ -76,10 +80,13 @@ def triangulate(p: geometry.Polygon) -> TriMesh:
         tris.append((verts[idx[0]], verts[idx[1]], verts[idx[2]]))
 
     total = sum(_tri_area2(t) for t in tris) / 2.0
-    target = float(geometry.area(p))
+    # the rounding to float64 alone can move a small polygon far from the
+    # origin by more than the bound, so compare with the area of what is tiled
+    target = float(sum(Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
+                       for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]))) / 2.0
     if abs(total - target) > 1e-12 * abs(target):
         raise TriangulationFailed(
-            f"triangle areas sum to {total!r}, polygon area is {target!r}")
+            f"triangle areas sum to {total!r}, the float64 vertices enclose {target!r}")
     return TriMesh(tuple(tris))
 
 
@@ -100,7 +107,12 @@ def _reference_rule(degree: int):
     return xs, ys, ws
 
 
+@lru_cache(maxsize=8)
 def _mesh_nodes(mesh: TriMesh, degree: int):
+    """(z, w): the nodes and weights of _reference_rule(degree) mapped onto
+    every triangle of the mesh, read-only.  Kept for the last few (mesh,
+    degree) pairs, so quad_moment over many (m, n) of one mesh builds them
+    once per degree."""
     xs, ys, ws = _reference_rule(degree)
     zs = []
     weights = []
@@ -109,7 +121,9 @@ def _mesh_nodes(mesh: TriMesh, degree: int):
         py = p0[1] + xs * (p1[1] - p0[1]) + ys * (p2[1] - p0[1])
         zs.append(px + 1j * py)
         weights.append(ws * _tri_area2((p0, p1, p2)))
-    return np.concatenate(zs), np.concatenate(weights)
+    z, w = np.concatenate(zs), np.concatenate(weights)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def quad_moment(mesh: TriMesh, m: int, n: int) -> complex:

@@ -50,3 +50,19 @@ def kernel_work(monkeypatch):
             return _inner(*args)
         monkeypatch.setattr(moments, name, counted)
     return count
+
+
+@pytest.fixture
+def frame_work(monkeypatch):
+    """{"image": calls of geometry._int_image, "area": of
+    geometry._twice_signed_area, "fingerprint": of geometry.fingerprint},
+    counted from here on: the builds of a polygon's exact integer frame and
+    of its fingerprint."""
+    count = {"image": 0, "area": 0, "fingerprint": 0}
+    for key, name in (("image", "_int_image"), ("area", "_twice_signed_area"),
+                      ("fingerprint", "fingerprint")):
+        def counted(*args, _inner=getattr(geometry, name), _key=key):
+            count[_key] += 1
+            return _inner(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    return count

@@ -728,6 +728,41 @@ def test_rho_runs_one_complex_kernel_pass(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_certified_rho_hashes_its_polygon_once(tmp_path, frame_work, capsys):
+    # the answer's table, the check's table, both solves and a cache share
+    # one hash, and the polygon's build its one frame
+    star = tmp_path / "star.txt"
+    geometry.write_polygon(geometry.random_star_polygon(7, 2), star)
+    cache = str(tmp_path / "cache.json")
+    for source, extra in ((("--family", "windmill:2"), ()),
+                          (("--polygon", str(star)), ()),
+                          (("--polygon", str(star)), ("--moment-cache", cache)),
+                          (("--polygon", str(star)), ("--moment-cache", cache))):
+        frame_work.update(image=0, area=0, fingerprint=0)
+        assert run_cli("rho", *source, "--n", "4", *extra) == 0
+        assert frame_work == {"image": 1, "area": 1, "fingerprint": 1}
+    capsys.readouterr()
+
+
+def test_clockwise_file_gives_the_bytes_of_its_counterclockwise_copy(tmp_path, capsys):
+    ccw, cw = tmp_path / "ccw.txt", tmp_path / "cw.txt"
+    geometry.write_polygon(geometry.random_star_polygon(7, 2), ccw)
+    lines = ccw.read_text().splitlines(keepends=True)
+    cw.write_text(lines[0] + "".join(reversed(lines[1:])))
+    outputs = []
+    for path in (ccw, cw):
+        out = tmp_path / (path.stem + ".json")
+        assert run_cli("rho", "--polygon", str(path), "--n", "6", "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+        poly = geometry.read_polygon(path)
+        pts, low, top = geometry._int_image(poly.vertices)
+        assert poly._frame == (tuple(pts), low, top, geometry._twice_signed_area(pts))
+        assert poly._frame.twice_area > 0
+    assert outputs[0] == outputs[1]
+    assert geometry.read_polygon(cw) == geometry.read_polygon(ccw)
+    capsys.readouterr()
+
+
 def test_rho_exits_3_when_the_check_agrees_in_no_digit(monkeypatch, capsys):
     rho_n = content.rho_n
 

@@ -555,3 +555,12 @@ def test_rho_after_a_sweep_walks_fresh_and_sweeps_do_not_share_work(kernel_work,
     content.rho_n(geometry._MEMBERS["triangle-base"][0]({"a": 3.0, "lambda": 3.0}), 2)
     assert kernel_work == {"rows": 6, "edges": 6}
     capsys.readouterr()
+
+
+def test_each_sweep_member_builds_its_frame_and_fingerprint_once(frame_work, monkeypatch):
+    # the member's build orients it by its frame, which its kernel pass, its
+    # area and its table's fingerprint then read
+    evals = _counting(monkeypatch, extremal, "_eval_point")
+    extremal.sweep_fixed_base(3.0, (0.1, 3.0), 30, 2)
+    assert len(evals) == 24
+    assert frame_work == {"image": 24, "area": 24, "fingerprint": 24}

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -159,6 +160,44 @@ def test_fingerprint_sensitivity(square, triangle):
     assert geometry.fingerprint(square) != geometry.fingerprint(triangle)
     assert geometry.fingerprint(square) != geometry.fingerprint(
         geometry.translate(square, (1e-20, 0)))
+
+
+def _made_every_way():
+    """Polygons from each way one is made: a vertex list in either order, the
+    maps, a family build and a Steiner symmetrization."""
+    star = geometry.random_star_polygon(7, 2)
+    return [star, geometry.polygon_new(star.vertices[::-1]),
+            geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)]),
+            geometry.translate(star, (3, -1)), geometry.rotate(star, 0.7),
+            geometry.scale(star, "1e-30"), geometry.normalize(star),
+            geometry.build_family("pentagon", {"theta_deg": 100, "phi_deg": 120}),
+            geometry.steiner_symmetrize(geometry.make_windmill(2))]
+
+
+def test_polygons_keep_the_frame_of_their_stored_vertices():
+    for p in _made_every_way():
+        pts, low, top = geometry._int_image(p.vertices)
+        assert p._frame == (tuple(pts), low, top, geometry._twice_signed_area(pts))
+        assert p._frame.twice_area > 0
+        # a polygon made any other way computes the same frame on first use
+        bare = geometry.Polygon(p.vertices)
+        assert "_frame" not in vars(bare) and bare._frame == p._frame
+
+
+def test_kept_frame_and_fingerprint_leave_equality_hash_and_repr_alone():
+    for p in _made_every_way():
+        bare = geometry.Polygon(p.vertices)
+        assert geometry.fingerprint(p) == p._fingerprint
+        assert bare == p and hash(bare) == hash(p) and repr(bare) == repr(p)
+
+
+def test_pickled_polygon_round_trips_with_its_frame():
+    for p in _made_every_way():
+        assert p._fingerprint == geometry.fingerprint(p)
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p
+        assert vars(back)["_frame"] == p._frame
+        assert vars(back)["_fingerprint"] == p._fingerprint
 
 
 @pytest.mark.parametrize("a", [0.3, 1, 2, 10])

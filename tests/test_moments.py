@@ -438,8 +438,7 @@ def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
     ([("1e-1000000000", 0), (1, 0), (1, 1), (0, 1)], 0, 2),
 ])
 def test_cancellation_bits_see_far_and_thin_polygons(vertices, low, high):
-    image = geometry._int_image(geometry.polygon_new(vertices).vertices)
-    assert low <= moments._lost_bits(*image) <= high
+    assert low <= moments._lost_bits(geometry.polygon_new(vertices)._frame) <= high
 
 
 @pytest.mark.parametrize("maxdeg,bits", [(12, 256), (26, 352)])
