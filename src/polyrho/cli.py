@@ -120,8 +120,9 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
             else cfg.precision_bits)
     maxdeg = content._gram_degree(cfg.n)
     t0 = time.perf_counter()
+    # before the cache is read, and before the check's table at prec + 64 does
+    moments._check_precision(prec)
     table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
-    moments._check_precision(prec)  # before the check's table at prec + 64 does
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
     # cached, so error in a cached table shows.  On a miss the table at prec
     # is rounded from that pass's exact sums, whose error, shared with the
@@ -163,6 +164,7 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     poly = _load_polygon(cfg)
     prec = (moments.DEFAULT_PRECISION_BITS if cfg.precision_bits is None
             else cfg.precision_bits)
+    moments._check_precision(prec)  # before the cache is read
     table = _cached_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
     if table is None:
         table = moments.moment_table(poly, cfg.maxdeg, prec)

@@ -160,8 +160,9 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
     the vertex rows and shared-edge walk terms of the member solved just
     before it, where their ints, degree and width match, and holds only
     that one member's.  Those are the ints a fresh pass would compute, so
-    every value is unchanged; the store is dropped when the loop ends or
-    raises, and the pool path runs every pass fresh.
+    every value is unchanged; the store, a plain dict holding one entry
+    under the walk's (degree, width), is emptied and unset when the loop
+    ends or raises, and the pool path runs every pass fresh.
     """
     prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
     todo = []   # the points evaluated, in grid order

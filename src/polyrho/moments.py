@@ -17,38 +17,38 @@ and height h loses log2(L / h) as its edge sums cancel down to its area.
 _lost_bits measures either loss, and the table kernel widens its scale by
 that many bits, so a table keeps its accuracy wherever the polygon sits.
 
-A table half is one pass in Python ints, from the vertices' mpf mantissas to
-exact edge sums: _edge_sums scales the polygon by a power of two into the
+A kernel pass (_Pass) runs in Python ints, from the vertices' mpf mantissas
+to exact edge sums: _edge_sums scales the polygon by a power of two into the
 square (-1, 1)^2 and sums in fixed point, with one walk per half.  The
 complex half's walk takes three multiplications to a complex product and
 never swaps, as B = conj(A); the real half's values are all real ints, one
-multiplication to a product.  _DeferredHalf keeps those ints and rounds an entry the
-first time it is read, applying the prefactor and rounding each part once,
-to nearest, at the table's precision, so the bits are those of an eager
-build in any read order.  One int function, _nearest, does every such
-rounding, to a pair (man, exp); an entry's mpmath value is built from those
-pairs only when it is read as one, and the Gram solve (content._ldl_solve)
-shifts the pairs straight into its fixed point through MomentTable._c_parts.
-load_table decodes a cache file into the same pairs.
+multiplication to a product.  A _Pass runs on its first call and keeps the
+sums.  A table half (_Half) over a pass rounds an entry the first time it is
+read, applying the prefactor and rounding each part once, to nearest, at the
+table's precision, so the bits are those of an eager build in any read
+order.  One int function, _nearest, does every such rounding, to a pair
+(man, exp); an entry's mpmath value is built from those pairs only when it
+is read as one, and the Gram solve (content._ldl_solve) shifts the pairs
+straight into its fixed point through MomentTable._c_parts.  load_table
+decodes a cache file into the same pairs, held by a half with no pass.
+
+A moment_table's two halves each run their pass on the first read of that
+half.  The Gram solves read only complex moments, about half of them, and
+the closed forms for rho_1 and rho_2 only real ones; cross_check, save_table
+and the moments subcommand read every entry.  _rounded_table builds a second
+table, at a lower precision, over the same two passes: rho certifies its
+digits against a table 64 bits finer and rounds the table it answers from
+out of the same sums.
 
 Inside _reusing_prior_member, which extremal._sweep runs its serial loop in,
-a complex walk takes from the polygon walked just before it the monomial
-rows of each vertex whose ints match and the walk terms of each edge the two
-share, and then holds its own in their place: one polygon's rows, and the
-terms of its edges whose two ends were vertices of the polygon before it
-(_PriorMember).  Rows and terms are integer
-arithmetic, a pure function of a vertex's or an edge's ints, the degree
-and w, and a walk reuses them only where all of these match, so its sums
-are the ints of a fresh walk; _edge_sums applies the scale 2^e after it.
-Every walk outside that block runs fresh.
-
-A moment_table runs the kernel pass of its complex half and of its real half
-each on the first read of that half.  The Gram solves read only complex
-moments, about half of them, and the closed forms for rho_1 and rho_2 only
-real ones; cross_check, save_table and the moments subcommand read every
-entry.  _rounded_table rounds a second table, at a lower precision, from the
-edge sums of a first: rho certifies its digits against a table 64 bits finer
-and rounds the table it answers from out of the same pass.
+a complex walk takes from the polygon walked just before it, at the same
+degree and w, the monomial rows of each vertex whose ints match and the walk
+terms of each edge the two share, and then holds its own in their place in
+a plain dict, {(top, w): (rows, walks)}: one polygon's rows, and the terms
+of its edges whose two ends were vertices of the polygon before it.  Rows
+and terms are a pure function of a vertex's or an edge's ints, the degree
+and w, so the sums are the ints of a fresh walk; _edge_sums applies the
+scale 2^e after it.  Every walk outside that block runs fresh.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def table_fingerprint(p: geometry.Polygon, precision_bits: int) -> str:
 class MomentTable:
     """All complex and real moments of one polygon up to total degree maxdeg.
 
-    complex_entries and real_entries map (m, n) to c[m][n] and I[m][n].
-    moment_table gives each a mapping that runs the half's kernel pass on its
-    first read and rounds each entry on that entry's first read; items()
-    rounds them all, and len() and iteration run nothing.  load_table gives
-    each a mapping of the file's parts, and dataclasses.replace may give
-    plain dicts.  Treated as immutable once built; safe to share across
-    workers, built or not.
+    complex_entries and real_entries map (m, n) to c[m][n] and I[m][n], each
+    a _Half: over a kernel pass, run on the half's first read, rounding each
+    entry on that entry's first read (moment_table, _rounded_table), or
+    holding a cache file's parts (load_table).  items() builds them all, and
+    len() and iteration run nothing; dataclasses.replace may give plain
+    dicts.  Treated as immutable once built; safe to share across workers,
+    built or not.
     """
 
     fingerprint: str
@@ -190,45 +190,28 @@ def _real_rows(x, y, deg, w):
     return [[u * v >> w for u, v in zip(xpow[d::-1], ypow)] for d in range(deg + 1)]
 
 
-class _PriorMember:
-    """The complex kernel work of the polygon walked last, for the next walk
-    at the same (top, w): rows maps each of its vertices, as int points, to
-    the vertex's _complex_rows, and walks maps each of its edges (start, end)
-    whose two ends were vertices of the polygon before it to the edge's walk
-    terms, (re[s], im[s]) by anti-diagonal.  The next walk takes a vertex's
-    rows and an edge's terms from here where its ints match, and then holds
-    its own in their place: one polygon at a time.
-
-    Rows and terms are pure functions of the vertices' ints, top and w, and
-    the sums are sums of ints, so a walk that reuses them returns the same
-    ints as a fresh one."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.key = None   # (top, w) of the polygon held
-        self.rows = {}
-        self.walks = {}
-
-
-# the _PriorMember of the running _reusing_prior_member block, else None
+# the store of the running _reusing_prior_member block, else None: a dict
+# {(top, w): (rows, walks)} holding the complex kernel work of the polygon
+# walked last, rows mapping each of its vertices, as int points, to the
+# vertex's _complex_rows and walks each of its edges (start, end) whose two
+# ends were vertices of the polygon before it to the edge's walk terms,
+# (re[s], im[s]) by anti-diagonal
 _prior = ContextVar("_prior", default=None)
 
 
 @contextmanager
 def _reusing_prior_member():
-    """Run the body with a fresh _PriorMember for its complex walks, emptied
-    and unset on the way out.  extremal._sweep runs its serial loop in one,
+    """Run the body with an empty store for its complex walks, emptied and
+    unset on the way out.  extremal._sweep runs its serial loop in one,
     where consecutive members share vertices and edges; every other walk
     runs fresh."""
-    prior = _PriorMember()
-    token = _prior.set(prior)
+    store = {}
+    token = _prior.set(store)
     try:
         yield
     finally:
         _prior.reset(token)
-        prior.clear()
+        store.clear()
 
 
 def _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im):
@@ -271,9 +254,8 @@ def _complex_walk(verts, top, w):
         return _complex_rows(x, y, top + 1, w)
 
     sums_re, sums_im = zeros(), zeros()
-    prior = _prior.get()
-    held, walks = (prior.rows, prior.walks) if prior is not None and prior.key == (top, w) \
-        else ({}, {})
+    store = _prior.get()
+    held, walks = ({}, {}) if store is None else store.get((top, w), ({}, {}))
     kept_rows, kept_walks = {}, {}
     for start, end, rows0, rows1 in _edge_rows(verts, rows, held):
         kept_rows[start] = rows0
@@ -288,8 +270,9 @@ def _complex_walk(verts, top, w):
         for sums, part in zip((sums_re, sums_im), terms):
             for s in range(1, top + 1):
                 sums[s] = list(map(add, sums[s], part[s]))
-    if prior is not None:
-        prior.key, prior.rows, prior.walks = (top, w), kept_rows, kept_walks
+    if store is not None:
+        store.clear()
+        store[top, w] = kept_rows, kept_walks
     return sums_re, sums_im
 
 
@@ -463,22 +446,56 @@ def _table_keys(maxdeg: int, kind: str):
     return [(m, n) for m in range(maxdeg + 1) for n in range(maxdeg - m + 1)]
 
 
+class _Pass:
+    """One kernel pass: the edge sums of p's half kind to total degree
+    maxdeg, _edge_sums at precision_bits, run on the first call and kept.
+    Holds the polygon and the pass parameters, not a closure, so it pickles
+    before and after the pass; every table rounded from it shares it."""
+
+    def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str):
+        self.p, self.maxdeg, self.precision_bits, self.kind = p, maxdeg, precision_bits, kind
+        self.sums = None
+
+    def __call__(self) -> dict:
+        if self.sums is None:
+            self.sums = _edge_sums(self.p, self.maxdeg, self.precision_bits, self.kind)
+        return self.sums
+
+
 class _Half(Mapping):
     """One half of a moment table, kind "c" or "I", to total degree maxdeg,
     as int parts: (re_man, re_exp, im_man, im_exp) for c[m][n] and
     (man, exp) for I[m][n], each part man 2^exp.  held maps the keys of
     _table_keys to their parts; c[n][m] for n < m is the conjugate of
-    c[m][n].  Each entry's mpmath value is built on its first read.  len()
-    and iteration answer from maxdeg; the keys come in one fixed order."""
+    c[m][n].  A half given a kernel, a _Pass, holds nothing at first and
+    rounds each key's parts from the pass's edge sums on that key's first
+    read: each part once, to nearest, at precision_bits by _nearest, so the
+    bits depend neither on the read order nor on the caller's context.
+    Each entry's mpmath value is built on its first read.  len() and
+    iteration answer from maxdeg; the keys come in one fixed order."""
 
-    def __init__(self, maxdeg: int, kind: str, held: dict):
-        self._maxdeg = maxdeg
-        self._kind = kind
-        self._held = held
+    def __init__(self, maxdeg: int, kind: str, held: dict,
+                 kernel: _Pass | None = None, precision_bits: int = 0):
+        self._maxdeg, self._kind, self._held = maxdeg, kind, held
+        self._pass, self._bits = kernel, precision_bits
         self._entries = {}
 
     def _stored(self, key):
-        return self._held[key]
+        parts = self._held.get(key)
+        if parts is None:
+            if self._pass is None:
+                raise KeyError(key)
+            re, im, exp = self._pass()[key]
+            m, n = key
+            if self._kind == "I":  # I[m][n] = -S / (n+1)
+                parts = _nearest(-re, n + 1, exp, self._bits)
+            else:
+                # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m]
+                # is a squared norm, so its imaginary part, roundoff, is dropped
+                parts = _nearest(im, n + 1, exp - 1, self._bits) + (
+                    (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, self._bits))
+            self._held[key] = parts
+        return parts
 
     def _parts(self, key):
         """The parts of the entry at key; KeyError outside the half."""
@@ -508,47 +525,12 @@ class _Half(Mapping):
         return (self._maxdeg + 1) * (self._maxdeg + 2) // 2
 
 
-class _DeferredHalf(_Half):
-    """A half whose parts come from the exact edge sums of one _edge_sums
-    pass, run on the first read of any entry, each key's parts rounded from
-    them on that key's first read.
-
-    Each part is rounded once, to nearest, at the table's precision by
-    _nearest, so the bits depend neither on the read order nor on the
-    caller's context.  A half given a source rounds the source's edge sums
-    instead of running its own pass.  Holds the polygon and the table's
-    parameters, not a closure, so a table pickles before and after the
-    pass."""
-
-    def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str,
-                 source: _DeferredHalf | None = None):
-        super().__init__(maxdeg, kind, {})
-        self._args = (p, maxdeg, precision_bits, kind)
-        self._source = source
-        self._sums = None
-
-    def _exact_sums(self) -> dict:
-        if self._source is not None:
-            return self._source._exact_sums()
-        if self._sums is None:
-            self._sums = _edge_sums(*self._args)
-        return self._sums
-
-    def _stored(self, key):
-        parts = self._held.get(key)
-        if parts is None:
-            re, im, exp = self._exact_sums()[key]
-            m, n = key
-            bits = self._args[2]
-            if self._kind == "I":  # I[m][n] = -S / (n+1)
-                parts = _nearest(-re, n + 1, exp, bits)
-            else:
-                # c[m][n] = S / (2i(n+1)) = (Im S - i Re S) / (2(n+1)); c[m][m]
-                # is a squared norm, so its imaginary part, roundoff, is dropped
-                parts = _nearest(im, n + 1, exp - 1, bits) + (
-                    (0, 0) if m == n else _nearest(-re, n + 1, exp - 1, bits))
-            self._held[key] = parts
-        return parts
+def _table_over(passes, precision_bits: int) -> MomentTable:
+    """The table at precision_bits whose halves round the edge sums of
+    passes, its complex and its real _Pass."""
+    p, maxdeg = passes[0].p, passes[0].maxdeg
+    return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
+                       *(_Half(maxdeg, k.kind, {}, k, precision_bits) for k in passes))
 
 
 def moment_table(p: geometry.Polygon, maxdeg: int,
@@ -565,9 +547,8 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
     if maxdeg < 2:
         raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
     _check_precision(precision_bits)
-    return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
-                       _DeferredHalf(p, maxdeg, precision_bits, "c"),
-                       _DeferredHalf(p, maxdeg, precision_bits, "I"))
+    return _table_over([_Pass(p, maxdeg, precision_bits, kind) for kind in ("c", "I")],
+                       precision_bits)
 
 
 def _lost_bits(frame) -> int:
@@ -581,16 +562,14 @@ def _lost_bits(frame) -> int:
 
 
 def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:
-    """The moments of t, a moment_table, at precision_bits <= its own: each
-    part rounded once, to nearest, from the exact edge sums of t's kernel
-    passes, which both tables share.  The sums carry the accuracy of t's
-    precision, so a part can differ from a separate build at precision_bits,
-    but only where that build's kernel error shows."""
+    """The moments of t, a moment_table or a table rounded from one, at
+    precision_bits <= its own: each part rounded once, to nearest, from the
+    exact edge sums of t's kernel passes, which both tables share.  The sums
+    carry the accuracy of the first table's precision, so a part can differ
+    from a separate build at precision_bits, but only where that build's
+    kernel error shows."""
     _check_precision(precision_bits)
-    p, maxdeg, _, _ = t.complex_entries._args
-    return MomentTable(table_fingerprint(p, precision_bits), maxdeg, precision_bits,
-                       _DeferredHalf(p, maxdeg, precision_bits, "c", t.complex_entries),
-                       _DeferredHalf(p, maxdeg, precision_bits, "I", t.real_entries))
+    return _table_over([t.complex_entries._pass, t.real_entries._pass], precision_bits)
 
 
 def cross_check(t: MomentTable):
@@ -648,7 +627,8 @@ def _parts_from_json(rec):
 
 
 def save_table(t: MomentTable, path) -> None:
-    """Write a table as JSON with exact (sign, mantissa, exponent) numbers."""
+    """Write a table as JSON with exact (sign, mantissa, exponent) numbers:
+    the complex keys m >= n and every real key, in _table_keys order."""
     doc = {
         "version": CACHE_FORMAT_VERSION,
         "fingerprint": t.fingerprint,
@@ -656,12 +636,9 @@ def save_table(t: MomentTable, path) -> None:
         "precision_bits": t.precision_bits,
         "complex": {
             f"{m},{n}": [_num_to_json(val.real), _num_to_json(val.imag)]
-            for (m, n), val in t.complex_entries.items() if m >= n
+            for m, n in _table_keys(t.maxdeg, "c") for val in (t.c(m, n),)
         },
-        "real": {
-            f"{m},{n}": _num_to_json(val)
-            for (m, n), val in t.real_entries.items()
-        },
+        "real": {f"{m},{n}": _num_to_json(t.real(m, n)) for m, n in _table_keys(t.maxdeg, "I")},
     }
     # json.dumps encodes in C; json.dump always takes the pure-Python encoder
     text = json.dumps(doc) + "\n"

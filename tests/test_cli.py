@@ -242,13 +242,16 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert run_cli("rho", "--family", "windmill:2", "--n", "3",
                    "--moment-cache", str(cache)) == 2
     # a cache below the minimum precision, with a fingerprint that matches it,
-    # is bad input: without the cache the same command is a numerical failure
+    # is bad input; asking for that precision is a numerical failure, found
+    # before the cache is read
     windmill = geometry.make_windmill(2)
     moments.save_table(moments.moment_table(windmill, 4), cache)
     cache.write_text(json.dumps(dict(json.loads(cache.read_text()), precision_bits=8,
                                      fingerprint=moments.table_fingerprint(windmill, 8))))
-    assert run_cli("rho", "--family", "windmill:2", "--n", "1", "--precision-bits=8",
+    assert run_cli("rho", "--family", "windmill:2", "--n", "1",
                    "--moment-cache", str(cache)) == 2
+    assert run_cli("rho", "--family", "windmill:2", "--n", "1", "--precision-bits=8",
+                   "--moment-cache", str(cache)) == 3
 
 
 def test_moments_maxdeg_below_2_is_a_usage_error(capsys):
@@ -276,6 +279,21 @@ def test_exit_code_for_numerical_failure():
                    "--precision-bits", "32") == 3
     assert run_cli("rho", "--family", "windmill:1", "--n", "1",
                    "--precision-bits", "0") == 3
+
+
+@pytest.mark.parametrize("cache", ["none", "malformed", "other-precision"])
+@pytest.mark.parametrize("argv", [("rho", "--n", "2"), ("moments", "--maxdeg", "6")],
+                         ids=["rho", "moments"])
+def test_precision_is_checked_before_the_cache_is_read(tmp_path, argv, cache):
+    # the same command fails the same way whatever file --moment-cache names
+    path = tmp_path / "c.json"
+    if cache == "malformed":
+        path.write_text("{not json")
+    elif cache == "other-precision":
+        moments.save_table(moments.moment_table(geometry.make_windmill(2), 6), path)
+    assert run_cli(*argv, "--family", "windmill:2", "--precision-bits", "32",
+                   "--moment-cache", str(path)) == 3
+    assert path.exists() == (cache != "none")
 
 
 def test_precision_error_names_the_given_precision(capsys):

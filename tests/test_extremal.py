@@ -466,25 +466,26 @@ def test_every_1d_sweep_needs_three_steps():
 
 
 def _watching_prior(monkeypatch):
-    """The _PriorMember of every complex walk, checked after each walk to
-    hold that walk's polygon only: its vertices' rows and, of its edges,
-    only ones between vertices of the polygon before it."""
+    """The store of every complex walk, checked after each walk to hold that
+    walk's polygon only, under its (top, w): its vertices' rows and, of its
+    edges, only ones between vertices of the polygon before it."""
     seen = []
     inner = moments._complex_walk
 
     def walk(verts, top, w):
         sums = inner(verts, top, w)
-        prior = moments._prior.get()
-        if prior is not None:
+        store = moments._prior.get()
+        if store is not None:
             edges = set(zip(verts, verts[1:] + verts[:1]))
-            assert prior.key == (top, w)
-            assert set(prior.rows) == set(verts)
-            assert set(prior.walks) <= edges
-            if seen and seen[-1][0] is prior:
-                assert all(u in seen[-1][1] and v in seen[-1][1] for u, v in prior.walks)
+            assert list(store) == [(top, w)]
+            rows, walks = store[top, w]
+            assert set(rows) == set(verts)
+            assert set(walks) <= edges
+            if seen and seen[-1][0] is store:
+                assert all(u in seen[-1][1] and v in seen[-1][1] for u, v in walks)
             else:
-                assert not prior.walks
-            seen.append((prior, set(verts)))
+                assert not walks
+            seen.append((store, set(verts)))
         return sums
 
     monkeypatch.setattr(moments, "_complex_walk", walk)
@@ -493,14 +494,14 @@ def _watching_prior(monkeypatch):
 
 def _assert_store_gone(seen):
     assert moments._prior.get() is None
-    for prior, _ in seen:
-        assert (prior.key, prior.rows, prior.walks) == (None, {}, {})
+    for store, _ in seen:
+        assert store == {}
 
 
 def test_member_reuse_holds_one_member_and_ends_with_the_sweep(monkeypatch):
     seen = _watching_prior(monkeypatch)
     extremal.pentagon_grid((96.0, 132.0), (96.0, 132.0), 7, 2)
-    assert len(seen) == 21 and len({id(prior) for prior, _ in seen}) == 1
+    assert len(seen) == 21 and len({id(store) for store, _ in seen}) == 1
     _assert_store_gone(seen)
     # an infeasible grid walks nothing, and a member that raises ends the
     # sweep; neither leaves a store behind

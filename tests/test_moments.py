@@ -370,14 +370,39 @@ def test_a_rounded_table_has_the_bits_of_the_finer_sums(name, maxdeg, bits):
             _assert_same_bits(t, ref)
             _assert_same_bits(check, fine_ref)
 
-    # the pair pickles before its pass, sharing one set of sums, and after it
+    # the pair pickles before its pass, sharing one pass per half, and after it
     check = moments.moment_table(poly, maxdeg, fine)
     check, t = pickle.loads(pickle.dumps((check, moments._rounded_table(check, bits))))
-    assert t.complex_entries._source is check.complex_entries
+    assert t.complex_entries._pass is check.complex_entries._pass
+    assert t.real_entries._pass is check.real_entries._pass
     _first_reads(t, maxdeg)
     check, t = pickle.loads(pickle.dumps((check, t)))
     _assert_same_bits(t, ref)
     _assert_same_bits(check, fine_ref)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_rounded_copies_share_one_pass_per_half(monkeypatch, first):
+    # a table, its rounded copy and a copy rounded from that copy: one
+    # _edge_sums call per half between them, whichever is read first, and
+    # the second copy's parts are rounded from the first table's sums
+    poly, maxdeg = geometry.make_windmill(20), 8
+    calls = []
+    kernel = moments._edge_sums
+
+    def counted(p, maxdeg, precision_bits, kind):
+        calls.append((precision_bits, kind))
+        return kernel(p, maxdeg, precision_bits, kind)
+
+    monkeypatch.setattr(moments, "_edge_sums", counted)
+    tables = [moments.moment_table(poly, maxdeg, 384)]
+    for bits in (320, 256):
+        tables.append(moments._rounded_table(tables[-1], bits))
+    for t in tables[first:] + tables[:first]:
+        _first_reads(t, maxdeg)
+    assert sorted(calls) == [(384, "I"), (384, "c")]
+    monkeypatch.undo()
+    _assert_same_bits(tables[2], _eager_reference(poly, maxdeg, 256, 384))
 
 
 def test_nearest_rounds_the_exact_quotient_to_nearest_even():
@@ -415,8 +440,8 @@ def test_a_rounded_table_rounds_the_sums_not_the_finer_entries():
     bits, fine = 256, 320
     half_way = ((1 << bits) + 1) << 70
     check = moments.moment_table(geometry.make_regular_ngon(5), 4, fine)
-    check.complex_entries._sums = {(0, 0): (0, half_way + 1, 1)}  # c[0][0] = Im S / 2
-    check.real_entries._sums = {(0, 0): (-half_way - 1, 0, 0)}  # I[0][0] = -S
+    check.complex_entries._pass.sums = {(0, 0): (0, half_way + 1, 1)}  # c[0][0] = Im S / 2
+    check.real_entries._pass.sums = {(0, 0): (-half_way - 1, 0, 0)}  # I[0][0] = -S
     t = moments._rounded_table(check, bits)
     up = mp.make_mpf(from_man_exp((1 << (bits - 1)) + 1, 71))
     assert t.c(0, 0).real == t.real(0, 0) == up
