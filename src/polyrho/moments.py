@@ -27,10 +27,10 @@ sums.  A table half (_Half) over a pass rounds an entry the first time it is
 read, applying the prefactor and rounding each part once, to nearest, at the
 table's precision, so the bits are those of an eager build in any read
 order.  One int function, _nearest, does every such rounding, to a pair
-(man, exp); an entry's mpmath value is built from those pairs only when it
-is read as one, and the Gram solve (content._ldl_solve) shifts the pairs
-straight into its fixed point through MomentTable._c_parts.  load_table
-decodes a cache file into the same pairs, held by a half with no pass.
+(man, exp).  The package reads only pairs: the Gram solve shifts them into
+its fixed point (MomentTable._c_parts), cross_check and save_table read
+them, and load_table decodes a cache file into them for a half with no
+pass; an entry's mpmath value is built only when it is read as one.
 
 A moment_table's two halves each run their pass on the first read of that
 half.  The Gram solves read only complex moments, about half of them, and
@@ -100,10 +100,10 @@ class MomentTable:
     complex_entries and real_entries map (m, n) to c[m][n] and I[m][n], each
     a _Half: over a kernel pass, run on the half's first read, rounding each
     entry on that entry's first read (moment_table, _rounded_table), or
-    holding a cache file's parts (load_table).  items() builds them all, and
-    len() and iteration run nothing; dataclasses.replace may give plain
-    dicts.  Treated as immutable once built; safe to share across workers,
-    built or not.
+    holding a cache file's parts (load_table).  The package reads the parts;
+    c, real and the Mapping are the read view, building an entry's mpmath
+    value, items() all of them, while len() and iteration run nothing.
+    Treated as immutable once built; safe to share across workers.
     """
 
     fingerprint: str
@@ -113,27 +113,18 @@ class MomentTable:
     real_entries: Mapping
 
     def c(self, m: int, n: int):
-        return self._entry(self.complex_entries, "c", m, n)
+        return self._entry(self.complex_entries.__getitem__, "c", m, n)
 
     def real(self, m: int, n: int):
-        return self._entry(self.real_entries, "I", m, n)
+        return self._entry(self.real_entries.__getitem__, "I", m, n)
 
     def _c_parts(self, m: int, n: int):
-        """c(m, n) as ints (re_man, re_exp, im_man, im_exp), each part
-        man 2^exp, with the bits of c(m, n); from a half's parts without
-        building the mpc, else from the entry's _mpc_."""
-        entries = self.complex_entries
-        if isinstance(entries, _Half):
-            try:
-                return entries._parts((m, n))
-            except KeyError:
-                pass  # c raises InsufficientMoments
-        re, im = self.c(m, n)._mpc_
-        return (*_signed(re), *_signed(im))
+        """c(m, n) as its int parts (re_man, re_exp, im_man, im_exp)."""
+        return self._entry(self.complex_entries._parts, "c", m, n)
 
-    def _entry(self, entries, name, m, n):
+    def _entry(self, read, name, m, n):
         try:
-            return entries[(m, n)]
+            return read((m, n))
         except KeyError:
             raise InsufficientMoments(
                 f"{name}[{m}][{n}] not in table (maxdeg {self.maxdeg})") from None
@@ -471,8 +462,8 @@ class _Half(Mapping):
     rounds each key's parts from the pass's edge sums on that key's first
     read: each part once, to nearest, at precision_bits by _nearest, so the
     bits depend neither on the read order nor on the caller's context.
-    Each entry's mpmath value is built on its first read.  len() and
-    iteration answer from maxdeg; the keys come in one fixed order."""
+    The package reads _parts; the Mapping builds an entry's mpmath value on
+    its first read.  len() and iteration answer from maxdeg, in one order."""
 
     def __init__(self, maxdeg: int, kind: str, held: dict,
                  kernel: _Pass | None = None, precision_bits: int = 0):
@@ -576,41 +567,39 @@ def cross_check(t: MomentTable):
     """Max residual of the identity expanding z^m conj(z)^n over real moments:
     c[m][n] = sum_{j,k} C(m,j) C(n,k) i^j (-i)^k I[m+n-j-k][j+k].
 
-    Summed exactly, in ints: every part is taken at the common scale 2^low,
-    low the least exponent of any nonzero part, and the largest residual
-    |c - sum| is rounded once, to nearest, at the table's precision."""
-    complex_raw = {key: val._mpc_ for key, val in t.complex_entries.items()}
-    real_raw = {key: val._mpf_ for key, val in t.real_entries.items()}
-    parts = [*(x for pair in complex_raw.values() for x in pair), *real_raw.values()]
-    low = min((exp for _, man, exp, _ in parts if man), default=0)
-    real = {key: geometry._fixed(x, -low) for key, x in real_raw.items()}
+    Summed exactly, in ints, from the halves' parts at the common scale
+    2^low, low the least exponent of any nonzero part, over m >= n, as
+    c[n][m]'s residual is c[m][n]'s; the largest |c - sum| is rounded once,
+    to nearest, at the table's precision."""
+    complex_parts = {key: t.complex_entries._parts(key) for key in _table_keys(t.maxdeg, "c")}
+    real_parts = {key: t.real_entries._parts(key) for key in _table_keys(t.maxdeg, "I")}
+    low = min((e for parts in (*complex_parts.values(), *real_parts.values())
+               for man, e in zip(parts[::2], parts[1::2]) if man), default=0)
+
+    def fixed(man, exp):  # exact: a nonzero part's exp is at least low
+        return man << (exp - low) if man else 0
+
+    real = {key: fixed(*parts) for key, parts in real_parts.items()}
     worst = 0  # the largest |c - sum|^2, at scale 2^(2 low)
-    for (m, n), (cre, cim) in complex_raw.items():
+    for (m, n), (re_man, re_exp, im_man, im_exp) in complex_parts.items():
         acc = [0, 0, 0, 0]  # the sum's terms by their unit i^q, q = 0..3
         for j in range(m + 1):
             cmj = comb(m, j)
             for k in range(n + 1):
                 # i^j (-i)^k = i^(j + 3k)
                 acc[(j + 3 * k) % 4] += cmj * comb(n, k) * real[(m + n - j - k, j + k)]
-        re = geometry._fixed(cre, -low) - (acc[0] - acc[2])
-        im = geometry._fixed(cim, -low) - (acc[1] - acc[3])
+        re = fixed(re_man, re_exp) - (acc[0] - acc[2])
+        im = fixed(im_man, im_exp) - (acc[1] - acc[3])
         worst = max(worst, re * re + im * im)
     return mp.make_mpf(mpf_sqrt(from_man_exp(worst, 2 * low), t.precision_bits, round_nearest))
 
 
 # ---- cache files ----------------------------------------------------------------
 
-def _num_to_json(x):
-    # x is an mpf; x._mpf_ is exact, while mp.mpf(x) would round to the
-    # ambient context precision
-    sign, man, exp, _ = x._mpf_
+def _num_to_json(man: int, exp: int):
+    """The record (sign, hex mantissa, exponent) of man 2^exp, normalized."""
+    sign, man, exp, _ = from_man_exp(man, exp)
     return [int(sign), hex(int(man)), int(exp)]
-
-
-def _signed(raw):
-    """(man, exp), man signed, of a raw mpf tuple."""
-    sign, man, exp, _ = raw
-    return (-man if sign else man), exp
 
 
 def _parts_from_json(rec):
@@ -627,7 +616,7 @@ def _parts_from_json(rec):
 
 
 def save_table(t: MomentTable, path) -> None:
-    """Write a table as JSON with exact (sign, mantissa, exponent) numbers:
+    """Write a table's parts as exact JSON (sign, mantissa, exponent) records:
     the complex keys m >= n and every real key, in _table_keys order."""
     doc = {
         "version": CACHE_FORMAT_VERSION,
@@ -635,10 +624,11 @@ def save_table(t: MomentTable, path) -> None:
         "maxdeg": t.maxdeg,
         "precision_bits": t.precision_bits,
         "complex": {
-            f"{m},{n}": [_num_to_json(val.real), _num_to_json(val.imag)]
-            for m, n in _table_keys(t.maxdeg, "c") for val in (t.c(m, n),)
+            f"{m},{n}": [_num_to_json(*parts[:2]), _num_to_json(*parts[2:])]
+            for m, n in _table_keys(t.maxdeg, "c") for parts in (t.complex_entries._parts((m, n)),)
         },
-        "real": {f"{m},{n}": _num_to_json(t.real(m, n)) for m, n in _table_keys(t.maxdeg, "I")},
+        "real": {f"{m},{n}": _num_to_json(*t.real_entries._parts((m, n)))
+                 for m, n in _table_keys(t.maxdeg, "I")},
     }
     # json.dumps encodes in C; json.dump always takes the pure-Python encoder
     text = json.dumps(doc) + "\n"
@@ -647,36 +637,36 @@ def save_table(t: MomentTable, path) -> None:
 
 
 def load_table(path) -> MomentTable:
-    """Read a table written by save_table.  ValueError for any malformed
-    record, for precision_bits below MIN_PRECISION_BITS, and unless the file
-    holds exactly the keys of its maxdeg: complex m >= n and every real key.
-    Every record is checked and decoded to int parts here; an entry's mpmath
-    value is built on its first read, and the Gram solve reads the parts."""
+    """Read a table written by save_table.  ValueError for a malformed header
+    or record, for precision_bits below MIN_PRECISION_BITS, and unless each
+    section holds exactly the keys of a maxdeg >= 0 as save_table spells
+    them, counted first.  Every record is checked and decoded to parts here."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported moment cache version in {path}")
     precision_bits, maxdeg = doc.get("precision_bits"), doc.get("maxdeg")
     if not (isinstance(doc.get("fingerprint"), str) and isinstance(precision_bits, int)
-            and isinstance(maxdeg, int) and isinstance(doc.get("complex"), dict)
+            and isinstance(maxdeg, int) and maxdeg >= 0 and isinstance(doc.get("complex"), dict)
             and isinstance(doc.get("real"), dict)):
         raise ValueError(f"malformed moment cache header in {path}")
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"moment cache in {path} has precision_bits {precision_bits}, "
                          f"below {MIN_PRECISION_BITS}")
-    keys = {}
-    for kind, section in (("c", "complex"), ("I", "real")):
-        keys[kind] = [tuple(map(int, key.split(","))) for key in doc[section]]
-        if set(keys[kind]) != set(_table_keys(maxdeg, kind)):
-            raise ValueError(
-                f"{section} moments in {path} are not the keys of maxdeg {maxdeg}")
-    complex_parts = {}
-    for key, (text, pair) in zip(keys["c"], doc["complex"].items()):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"complex moment {text} in {path} is not a (re, im) pair")
-        complex_parts[key] = _parts_from_json(pair[0]) + _parts_from_json(pair[1])
-    real_parts = {key: _parts_from_json(rec) for key, rec in zip(keys["I"], doc["real"].values())}
-    complex_entries = _Half(maxdeg, "c", complex_parts)
-    real_entries = _Half(maxdeg, "I", real_parts)
-    return MomentTable(doc["fingerprint"], maxdeg, precision_bits,
-                       complex_entries, real_entries)
+    halves = []
+    for kind, section, count in (("c", "complex", (maxdeg + 2) ** 2 // 4),
+                                 ("I", "real", (maxdeg + 1) * (maxdeg + 2) // 2)):
+        found = doc[section]
+        texts = len(found) == count and {f"{m},{n}": (m, n) for m, n in _table_keys(maxdeg, kind)}
+        if not texts or texts.keys() != found.keys():
+            raise ValueError(f"{section} moments in {path} are not the keys of maxdeg {maxdeg}")
+        parts = {}
+        for text, rec in found.items():
+            if kind == "I":
+                parts[texts[text]] = _parts_from_json(rec)
+            elif isinstance(rec, list) and len(rec) == 2:
+                parts[texts[text]] = _parts_from_json(rec[0]) + _parts_from_json(rec[1])
+            else:
+                raise ValueError(f"complex moment {text} in {path} is not a (re, im) pair")
+        halves.append(_Half(maxdeg, kind, parts))
+    return MomentTable(doc["fingerprint"], maxdeg, precision_bits, *halves)

@@ -321,6 +321,25 @@ def test_a_malformed_real_record_in_a_warm_cache_is_bad_input(tmp_path, capsys):
         assert f"unreadable moment cache {cache}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["beside", "instead"])
+def test_a_cache_key_spelled_another_way_is_bad_input(tmp_path, capsys, edit):
+    # "01,1" is c[1][1]'s key read as ints: beside "1,1" its record would
+    # replace c[1][1], and in place of "1,1" it would pass for it
+    cache = tmp_path / "c.json"
+    argv = ("--family", "windmill:2", "--moment-cache", str(cache))
+    assert run_cli("moments", "--maxdeg", "4", *argv) == 0
+    saved = json.loads(cache.read_text())
+    if edit == "beside":
+        saved["complex"]["01,1"] = [[0, "0x1", 0], [0, "0x0", 0]]  # c[1][1] = 1
+    else:
+        saved["complex"]["01,1"] = saved["complex"].pop("1,1")
+    cache.write_text(json.dumps(saved))
+    for command in (("moments", "--maxdeg", "4"), ("rho", "--n", "2")):
+        capsys.readouterr()
+        assert run_cli(*command, *argv) == 2
+        assert f"unreadable moment cache {cache}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--family", "windmill", "--param", "a", "--range", "1:inf", "--steps", "3"),
     ("sweep", "--family", "windmill", "--param", "a", "--range", "nan:2", "--steps", "3"),

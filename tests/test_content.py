@@ -247,12 +247,16 @@ def test_gram_not_pd_message_is_pinned(bits, message):
         assert str(info.value) == message
 
 
+def _tampered(t, parts):
+    """t with the complex parts of parts' keys, m >= n, replaced; every
+    other entry is rounded from t's own kernel pass."""
+    bad = moments._Half(t.maxdeg, "c", dict(parts), t.complex_entries._pass, t.precision_bits)
+    return dataclasses.replace(t, complex_entries=bad)
+
+
 def test_gram_not_pd_on_tampered_table(square):
     t = moments.moment_table(square, 6)
-    bad = dict(t.complex_entries)
-    with mp.workprec(300):
-        bad[(1, 1)] = mp.mpc(-1)  # breaks positive definiteness
-    tampered = dataclasses.replace(t, complex_entries=bad)
+    tampered = _tampered(t, {(1, 1): (-1, 0, 0, 0)})  # c[1][1] = -1 breaks definiteness
     for solve in (content.rho_n, content.rho_n_partials, content.rho_n_telescoping):
         with pytest.raises(GramNotPD):
             solve(square, 2, table=tampered)
@@ -262,10 +266,7 @@ def test_gram_not_pd_at_an_interior_pivot(square):
     # the diagonal stays positive, so only the factorization can see that
     # c[0][3] = 10 (against c[0][0] = 1 and a small c[3][3]) makes G indefinite
     t = moments.moment_table(square, 10)
-    bad = dict(t.complex_entries)
-    with mp.workprec(300):
-        bad[(0, 3)] = bad[(3, 0)] = mp.mpc(10)
-    tampered = dataclasses.replace(t, complex_entries=bad)
+    tampered = _tampered(t, {(3, 0): (10, 0, 0, 0)})  # and c[0][3], its conjugate
     for solve in (content.rho_n, content.rho_n_partials):
         with pytest.raises(GramNotPD, match="pivot 3 "):
             solve(square, 4, table=tampered)
@@ -274,17 +275,15 @@ def test_gram_not_pd_at_an_interior_pivot(square):
 
 
 @pytest.mark.parametrize("target,message", [
-    ("0", "norm of conj(z) is 0.0; polygon degenerate or precision exhausted"),
-    ("1e-30", "negative residual -0.103556 at 256 bits; precision exhausted"),
+    ((0, 0), "norm of conj(z) is 0.0; polygon degenerate or precision exhausted"),
+    (moments._nearest(1, 10**30, 0, 300),  # 1e-30 at 300 bits
+     "negative residual -0.103556 at 256 bits; precision exhausted"),
 ], ids=["zero-norm", "negative-residual"])
 def test_gram_not_pd_on_the_target_norm(target, message):
     # G = c[0][0] is fine at N = 0; only the bordered row's c[1][1] is tampered
     poly = geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)])
     t = moments.moment_table(poly, 2)
-    bad = dict(t.complex_entries)
-    with mp.workprec(300):
-        bad[(1, 1)] = mp.mpc(target)
-    tampered = dataclasses.replace(t, complex_entries=bad)
+    tampered = _tampered(t, {(1, 1): target + (0, 0)})
     for solve in (content.rho_n, content.rho_n_partials):
         with pytest.raises(GramNotPD) as info:
             solve(poly, 0, table=tampered)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from polyrho import cli, content, extremal, geometry, moments
 from polyrho.errors import ConstraintViolated, InsufficientMoments, PrecisionTooLow
@@ -228,24 +228,21 @@ def test_table_scales_with_the_polygon(name, s):
 
 
 def _eager_reference(p, maxdeg, bits, sums_bits=None):
-    """Both halves rounded at once, in the caller's context, from the edge
-    sums of one kernel pass at sums_bits (default bits): each part is
-    _rounded of its exact sum."""
-    halves = {}
+    """Both halves rounded at once from the edge sums of one kernel pass at
+    sums_bits (default bits), each part _nearest of its exact sum, and held
+    in halves with no pass."""
+    halves = []
     for kind in ("c", "I"):
-        entries = halves[kind] = {}
+        parts = {}
         for (m, n), (re, im, exp) in moments._edge_sums(p, maxdeg, sums_bits or bits,
                                                         kind).items():
             if kind == "I":
-                entries[(m, n)] = mp.make_mpf(moments._rounded(-re, n + 1, exp, bits))
+                parts[(m, n)] = moments._nearest(-re, n + 1, exp, bits)
                 continue
-            cre = moments._rounded(im, n + 1, exp - 1, bits)
-            cim = fzero if m == n else moments._rounded(-re, n + 1, exp - 1, bits)
-            entries[(m, n)] = mp.make_mpc((cre, cim))
-            if m != n:
-                entries[(n, m)] = mp.make_mpc((cre, mpf_neg(cim)))
-    return moments.MomentTable(moments.table_fingerprint(p, bits), maxdeg, bits,
-                               halves["c"], halves["I"])
+            parts[(m, n)] = moments._nearest(im, n + 1, exp - 1, bits) + (
+                (0, 0) if m == n else moments._nearest(-re, n + 1, exp - 1, bits))
+        halves.append(moments._Half(maxdeg, kind, parts))
+    return moments.MomentTable(moments.table_fingerprint(p, bits), maxdeg, bits, *halves)
 
 
 def _raw(entries):
@@ -566,13 +563,79 @@ def test_cross_check_residual_small(any_polygon):
     assert moments.cross_check(t) < mp.mpf(2) ** (-t.precision_bits + 20)
 
 
+def test_cross_check_residual_small_with_only_positive_exponents(square):
+    # on a square 2^400 wide every nonzero part has a positive exponent, so
+    # the common scale 2^low has low > 0; the zero parts (0, 0), such as the
+    # imaginary part of c[1][1], are not shifted by -low
+    t = moments.moment_table(geometry.scale(square, mp.mpf(2) ** 400), 6)
+    assert moments.cross_check(t) < mp.mpf(2) ** (400 * 8 + 20 - t.precision_bits)
+
+
 def test_cross_check_flags_tampered_table(square):
     t = moments.moment_table(square, 6)
-    bad_real = dict(t.real_entries)
     with mp.workprec(300):
-        bad_real[(2, 2)] = bad_real[(2, 2)] + mp.mpf("1e-30")
+        sign, man, exp, _ = (t.real(2, 2) + mp.mpf("1e-30"))._mpf_
+    # I[2][2] moved by 1e-30; every other entry rounded from t's own pass
+    bad_real = moments._Half(t.maxdeg, "I", {(2, 2): (-man if sign else man, exp)},
+                             t.real_entries._pass, t.precision_bits)
     tampered = dataclasses.replace(t, real_entries=bad_real)
     assert moments.cross_check(tampered) > mp.mpf("1e-32")
+
+
+# sha256 of repr(cross_check(t)._mpf_) for tables at (maxdeg, bits) and
+# their _rounded_table copies 64 bits coarser, recorded when cross_check
+# summed the entries' mpmath values rather than the halves' int parts
+_CROSS_CHECK_SHA256 = {
+    ("pentagon", 8, 256, "table"):
+        "e2a45bec90870e54924c907b06bf41ac724fb6a6f43bc508c104872968cf267b",
+    ("pentagon", 8, 256, "rounded"):
+        "c73d0bb86f23bc25442bb41e0a24652f4778acd2c77499d2fb12b5406e046400",
+    ("pentagon", 26, 352, "table"):
+        "f80352e436a2094d0527b39c5bf224758d38c01e5ad57995e85dbd1575681fbf",
+    ("pentagon", 26, 352, "rounded"):
+        "83b2daa2abd3e554fb07092f1f5d736d33877e5da641c94e3a2f441a1843519d",
+    ("windmill-2", 8, 256, "table"):
+        "661b51b423d6ad034dfc6c294981695179add649bf524e1de3e658269702b42f",
+    ("windmill-2", 8, 256, "rounded"):
+        "ec5dbf48867ca400d7059f0aef527e59cc238c94654045907da3c6a3ccc3a44d",
+    ("windmill-2", 26, 352, "table"):
+        "1f8eb991a0ecc6af6c18183c0de027df43a79685346c5cc68e4cd5d294845c05",
+    ("windmill-2", 26, 352, "rounded"):
+        "ed5398ab43e910ef58fd96a3c15259417a1c0e7ee3e4b5390985a6e8da680cd9",
+    ("star-8-3", 8, 256, "table"):
+        "9633b78452983c768d187ea9fe12fbfb9745a0d39972eabff322dc64d69dcf20",
+    ("star-8-3", 8, 256, "rounded"):
+        "5fbc0ad3bcca4d13d8d8fa198c3da17991c350057c796716abc645f3e592f1ef",
+    ("star-8-3", 26, 352, "table"):
+        "f1cc1c6b5664851447c29800f22d765fd7ecd3c362e654f7ccb563d27d7bd9aa",
+    ("star-8-3", 26, 352, "rounded"):
+        "0173e40da3500b633bbd72daf645ea2c3347f367f33b3211e2f18c7c6bf77ec4",
+    ("far-triangle", 8, 256, "table"):
+        "6c15912dff3c0cec3be781a9839bbb085125073fef6b315fe2e32b947147eecc",
+    ("far-triangle", 8, 256, "rounded"):
+        "0e0d9fa5a4da9890805f9cd9515c43896b883b8225d58296fdafe433deba692e",
+    ("far-triangle", 26, 352, "table"):
+        "96b70531ee3515ed4b9b5c133fc86a9078367e7c97c4b28539b3d1434e61a52e",
+    ("far-triangle", 26, 352, "rounded"):
+        "16bf6888515d71125f2610fc4585976ba142d85ef27d355b9f7fd8193a51839f",
+}
+
+
+@pytest.mark.parametrize("name,maxdeg,bits,copy", list(_CROSS_CHECK_SHA256))
+def test_cross_check_bits_are_pinned(name, maxdeg, bits, copy):
+    t = moments.moment_table(_PINNED_POLYGONS[name](), maxdeg, bits)
+    if copy == "rounded":
+        t = moments._rounded_table(t, bits - 64)
+    digest = hashlib.sha256(repr(moments.cross_check(t)._mpf_).encode()).hexdigest()
+    assert digest == _CROSS_CHECK_SHA256[(name, maxdeg, bits, copy)]
+
+
+def test_cross_check_and_save_table_build_no_mpmath_entry(tmp_path, pentagon):
+    # both read every entry, as the int parts the halves hold
+    t = moments.moment_table(pentagon, 8)
+    moments.cross_check(t)
+    moments.save_table(t, tmp_path / "table.json")
+    assert t.complex_entries._entries == {} and t.real_entries._entries == {}
 
 
 def test_doubling_precision_regression(any_polygon):
@@ -665,6 +728,52 @@ def test_cache_rejects_keys_other_than_its_maxdeg(tmp_path, square, edit):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="not the keys of maxdeg"):
+        moments.load_table(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["complex"].update({"01,1": doc["complex"].pop("1,1")}),
+    lambda doc: doc["complex"].update({"01,1": doc["complex"]["2,1"]}),
+    lambda doc: doc["real"].update({" 0,8": doc["real"].pop("0,8")}),
+], ids=["complex-key-respelled", "complex-key-respelled-beside-the-original",
+        "real-key-respelled"])
+def test_cache_rejects_keys_spelled_another_way(tmp_path, square, edit):
+    # "01,1" is the key (1, 1) read as ints; a file holds only the spellings
+    # save_table writes, so no record can pass for or replace another
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(square, 8), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not the keys of maxdeg 8"):
+        moments.load_table(path)
+
+
+def test_cache_counts_records_before_listing_keys(tmp_path, monkeypatch):
+    # a small file claiming maxdeg 10**6 is rejected by its record counts,
+    # before any key of that degree is listed
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"version": moments.CACHE_FORMAT_VERSION, "fingerprint": "0",
+                                "maxdeg": 10**6, "precision_bits": 256,
+                                "complex": {}, "real": {}}))
+    table_keys = moments._table_keys
+
+    def spy(maxdeg, kind):
+        assert maxdeg < 1000, f"listed the keys of maxdeg {maxdeg}"
+        return table_keys(maxdeg, kind)
+
+    monkeypatch.setattr(moments, "_table_keys", spy)
+    with pytest.raises(ValueError, match="not the keys of maxdeg 1000000"):
+        moments.load_table(path)
+
+
+def test_cache_rejects_a_negative_maxdeg(tmp_path):
+    # maxdeg -1 promises no key at all, so empty sections would match it
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"version": moments.CACHE_FORMAT_VERSION, "fingerprint": "0",
+                                "maxdeg": -1, "precision_bits": 256,
+                                "complex": {}, "real": {}}))
+    with pytest.raises(ValueError, match="malformed moment cache header"):
         moments.load_table(path)
 
 
