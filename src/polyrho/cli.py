@@ -77,20 +77,24 @@ def _load_polygon(cfg: argparse.Namespace) -> geometry.Polygon:
     return _parse_family(cfg.family).build()
 
 
-def _cached_table(poly, maxdeg, prec, cache_path):
-    """The table in cache_path if it was built for poly at prec to at least
-    maxdeg, else None; ValueError if the file exists but is unreadable."""
-    if not (cache_path and os.path.exists(cache_path)):
-        return None
-    try:
-        cached = moments.load_table(cache_path)
-    except ValueError as exc:
-        raise ValueError(f"unreadable moment cache {cache_path}: {exc}") from exc
-    if (cached.fingerprint == moments.table_fingerprint(poly, prec)
-            and cached.maxdeg >= maxdeg
-            and cached.precision_bits == prec):
-        return cached
-    return None
+def _table(cfg, poly, maxdeg, prec, build):
+    """The table in cfg.moment_cache if the file holds one built for poly at
+    prec to at least maxdeg, else build()'s, written to cfg.moment_cache when
+    one is named; ValueError if the file exists but is unreadable."""
+    path = cfg.moment_cache
+    if path and os.path.exists(path):
+        try:
+            cached = moments.load_table(path)
+        except ValueError as exc:
+            raise ValueError(f"unreadable moment cache {path}: {exc}") from exc
+        if (cached.fingerprint == moments.table_fingerprint(poly, prec)
+                and cached.maxdeg >= maxdeg
+                and cached.precision_bits == prec):
+            return cached
+    table = build()
+    if path:
+        moments.save_table(table, path)
+    return table
 
 
 def _digits_for_bits(bits: int) -> int:
@@ -118,20 +122,16 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
     poly = _load_polygon(cfg)
     prec = (moments.precision_for_degree(cfg.n) if cfg.precision_bits is None
             else cfg.precision_bits)
-    maxdeg = content._gram_degree(cfg.n)
     t0 = time.perf_counter()
     # before the cache is read, and before the check's table at prec + 64 does
     moments._check_precision(prec)
-    table = _cached_table(poly, maxdeg, prec, cfg.moment_cache)
-    # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, never
-    # cached, so error in a cached table shows.  On a miss the table at prec
-    # is rounded from that pass's exact sums, whose error, shared with the
-    # check and so unseen by it, is 96 bits below the rounding to prec
-    check_table = moments.moment_table(poly, maxdeg, prec + _CHECK_EXTRA_BITS)
-    if table is None:
-        table = moments._rounded_table(check_table, prec)
-        if cfg.moment_cache:
-            moments.save_table(table, cfg.moment_cache)
+    # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, run on
+    # its first read, after the cache's, and never cached, so error in a cached
+    # table shows.  On a miss the table at prec is rounded from that pass's
+    # sums, whose error, shared with the check, is 96 bits below that rounding
+    _, check_table = content._resolve(poly, cfg.n, prec + _CHECK_EXTRA_BITS, None)
+    table = _table(cfg, poly, check_table.maxdeg, prec,
+                   lambda: moments._rounded_table(check_table, prec))
     direct = content.rho_n(poly, cfg.n, prec, table=table)
     check = content.rho_n(poly, cfg.n, prec + _CHECK_EXTRA_BITS, table=check_table)
     wall = time.perf_counter() - t0
@@ -165,35 +165,32 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     prec = (moments.DEFAULT_PRECISION_BITS if cfg.precision_bits is None
             else cfg.precision_bits)
     moments._check_precision(prec)  # before the cache is read
-    table = _cached_table(poly, cfg.maxdeg, prec, cfg.moment_cache)
-    if table is None:
-        table = moments.moment_table(poly, cfg.maxdeg, prec)
-        if cfg.moment_cache:
-            moments.save_table(table, cfg.moment_cache)
+    table = _table(cfg, poly, cfg.maxdeg, prec,
+                   lambda: moments.moment_table(poly, cfg.maxdeg, prec))
     dps = _digits_for_bits(prec)
-    keys = sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)
+    rows = [(m, n, table.c(m, n), table.real(m, n))
+            for m, n in sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)]
     # a part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)
     # is zero up to roundoff and prints as 0, not as roundoff digits
     scale = {}
-    for m, n in keys:
-        scale[m + n] = max(scale.get(m + n, 1), abs(table.c(m, n)), abs(table.real(m, n)))
+    for m, n, c, i in rows:
+        scale[m + n] = max(scale.get(m + n, 1), abs(c), abs(i))
     roundoff = mp.mpf(2) ** (16 - prec)
 
-    def parts(m, n):
-        c = table.c(m, n)
+    def parts(m, n, c, i):
         return ["0" if abs(x) < roundoff * scale[m + n] else mp.nstr(x, dps)
-                for x in (c.real, c.imag, table.real(m, n))]
+                for x in (c.real, c.imag, i)]
 
     if cfg.fmt == "csv":
         buf = io.StringIO()
         buf.write("m,n,c_re,c_im,I\n")
-        for m, n in keys:
-            buf.write(",".join([str(m), str(n), *parts(m, n)]) + "\n")
+        for m, n, c, i in rows:
+            buf.write(",".join([str(m), str(n), *parts(m, n, c, i)]) + "\n")
         payload = buf.getvalue()
     else:
         entries = []
-        for m, n in keys:
-            c_re, c_im, i_part = parts(m, n)
+        for m, n, c, i in rows:
+            c_re, c_im, i_part = parts(m, n, c, i)
             entries.append({"m": m, "n": n, "c": [c_re, c_im], "I": i_part})
         doc = {
             "fingerprint": table.fingerprint,
@@ -332,10 +329,9 @@ def _check_monotonicity():
     # rho_0..rho_12 off one factor per fixture; on the triangle, telescoping,
     # the independent solver, must give the same partials on the same table
     n = 12
-    prec = moments.precision_for_degree(n)
     ok = True
     for name, poly in _verify_fixtures():
-        table = moments.moment_table(poly, content._gram_degree(n), prec)
+        _, table = content._resolve(poly, n, None, None)
         result, partials = content.rho_n_partials(poly, n, table=table)
         ok = ok and all(partials[k + 1] <= partials[k] for k in range(n))
         if name == "triangle":
@@ -389,9 +385,8 @@ def _check_pentagon_swap():
 
 def _check_pentagon_rho33():
     poly = geometry.make_regular_ngon(5)
-    prec = moments.precision_for_degree(33)
-    table = moments.moment_table(poly, content._gram_degree(33), prec)
-    result, partials = content.rho_n_partials(poly, 33, prec, table=table)
+    _, table = content._resolve(poly, 33, None, None)
+    result, partials = content.rho_n_partials(poly, 33, table=table)
     gap, bound = _path_gap(poly, table, result, partials)
     ok = result.value >= mp.mpf("0.149429") and gap <= bound
     return ok, (f"rho_33 = {mp.nstr(result.value, 10)}, path rel err {mp.nstr(gap, 3)} "

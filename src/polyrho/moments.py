@@ -27,10 +27,10 @@ sums.  A table half (_Half) over a pass rounds an entry the first time it is
 read, applying the prefactor and rounding each part once, to nearest, at the
 table's precision, so the bits are those of an eager build in any read
 order.  One int function, _nearest, does every such rounding, to a pair
-(man, exp).  The package reads only pairs: the Gram solve shifts them into
-its fixed point (MomentTable._c_parts), cross_check and save_table read
-them, and load_table decodes a cache file into them for a half with no
-pass; an entry's mpmath value is built only when it is read as one.
+(man, exp).  A half holds only pairs, and the package reads only pairs: the
+Gram solve shifts them into its fixed point (MomentTable._c_parts),
+cross_check and save_table read them, and load_table decodes a cache file
+into them.  Each read of an entry as an mpmath value builds it anew.
 
 A moment_table's two halves each run their pass on the first read of that
 half.  The Gram solves read only complex moments, about half of them, and
@@ -102,7 +102,7 @@ class MomentTable:
     entry on that entry's first read (moment_table, _rounded_table), or
     holding a cache file's parts (load_table).  The package reads the parts;
     c, real and the Mapping are the read view, building an entry's mpmath
-    value, items() all of them, while len() and iteration run nothing.
+    value from its parts on each read, while len() and iteration run nothing.
     Treated as immutable once built; safe to share across workers.
     """
 
@@ -462,14 +462,13 @@ class _Half(Mapping):
     rounds each key's parts from the pass's edge sums on that key's first
     read: each part once, to nearest, at precision_bits by _nearest, so the
     bits depend neither on the read order nor on the caller's context.
-    The package reads _parts; the Mapping builds an entry's mpmath value on
-    its first read.  len() and iteration answer from maxdeg, in one order."""
+    The package reads _parts; the Mapping builds an entry's mpmath value
+    anew on each read.  len() and iteration answer from maxdeg, in one order."""
 
     def __init__(self, maxdeg: int, kind: str, held: dict,
                  kernel: _Pass | None = None, precision_bits: int = 0):
         self._maxdeg, self._kind, self._held = maxdeg, kind, held
         self._pass, self._bits = kernel, precision_bits
-        self._entries = {}
 
     def _stored(self, key):
         parts = self._held.get(key)
@@ -496,15 +495,10 @@ class _Half(Mapping):
         return self._stored(key)
 
     def __getitem__(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            parts = self._parts(key)
-            if self._kind == "I":
-                entry = mp.make_mpf(from_man_exp(*parts))
-            else:
-                entry = mp.make_mpc((from_man_exp(*parts[:2]), from_man_exp(*parts[2:])))
-            self._entries[key] = entry
-        return entry
+        parts = self._parts(key)
+        if self._kind == "I":
+            return mp.make_mpf(from_man_exp(*parts))
+        return mp.make_mpc((from_man_exp(*parts[:2]), from_man_exp(*parts[2:])))
 
     def __iter__(self):
         for m, n in _table_keys(self._maxdeg, self._kind):
@@ -603,16 +597,17 @@ def _num_to_json(man: int, exp: int):
 
 
 def _parts_from_json(rec):
-    """(man, exp), man signed, of the number _num_to_json wrote; ValueError
-    for any other record."""
-    if not (isinstance(rec, list) and len(rec) == 3 and rec[0] in (0, 1)
-            and isinstance(rec[1], str) and isinstance(rec[2], int)):
-        raise ValueError(f"not a (sign, hex mantissa, exponent) record: {rec!r}")
-    sign, man_hex, exp = rec
-    man = int(man_hex, 16)
-    if man < 0:
-        raise ValueError(f"negative mantissa in {rec!r}")
-    return (-man if sign else man), exp
+    """(man, exp), man signed, of a record exactly as _num_to_json writes it,
+    [sign, hex(man), exp] with sign 0 or 1 and man odd, or [0, "0x0", 0];
+    ValueError for any other record, another spelling of its number included."""
+    if type(rec) is list and len(rec) == 3:
+        sign, text, exp = rec
+        if type(sign) is int and type(text) is str and type(exp) is int:
+            man = int(text, 16)
+            if (sign in (0, 1) and man >= 0 and hex(man) == text
+                    and (man & 1 or rec == [0, "0x0", 0])):
+                return (-man if sign else man), exp
+    raise ValueError(f"not a (sign, hex mantissa, exponent) record as save_table writes: {rec!r}")
 
 
 def save_table(t: MomentTable, path) -> None:
@@ -646,8 +641,8 @@ def load_table(path) -> MomentTable:
     if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported moment cache version in {path}")
     precision_bits, maxdeg = doc.get("precision_bits"), doc.get("maxdeg")
-    if not (isinstance(doc.get("fingerprint"), str) and isinstance(precision_bits, int)
-            and isinstance(maxdeg, int) and maxdeg >= 0 and isinstance(doc.get("complex"), dict)
+    if not (isinstance(doc.get("fingerprint"), str) and type(precision_bits) is int
+            and type(maxdeg) is int and maxdeg >= 0 and isinstance(doc.get("complex"), dict)
             and isinstance(doc.get("real"), dict)):
         raise ValueError(f"malformed moment cache header in {path}")
     if precision_bits < MIN_PRECISION_BITS:

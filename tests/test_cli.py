@@ -340,6 +340,62 @@ def test_a_cache_key_spelled_another_way_is_bad_input(tmp_path, capsys, edit):
         assert f"unreadable moment cache {cache}" in capsys.readouterr().err
 
 
+def _keys_of_maxdeg_1_under_maxdeg_true(doc):
+    doc["complex"] = {k: doc["complex"][k] for k in ("0,0", "1,0")}
+    doc["real"] = {k: doc["real"][k] for k in ("0,0", "1,0", "0,1")}
+    doc["maxdeg"] = True
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["real"].update({"0,0": [0, "0x1", True]}),
+    lambda doc: doc["real"].update({"0,0": [1.0, "0x1", 0]}),
+    lambda doc: doc["real"].update({"0,0": [0, "1", 0]}),
+    lambda doc: doc["real"].update({"0,0": [0, " 0X1 ", 0]}),
+    lambda doc: doc["real"].update({"0,0": [0, "0x1_0", -4]}),
+    lambda doc: doc["real"].update({"0,0": [0, "0x2", -1]}),
+    lambda doc: doc["real"].update({"1,0": [1, "0x0", 0]}),
+    lambda doc: doc["real"].update({"1,0": [0, "0x0", 5]}),
+    _keys_of_maxdeg_1_under_maxdeg_true,
+], ids=["exponent-true", "sign-float", "mantissa-without-prefix", "mantissa-padded-upper",
+        "mantissa-underscored", "mantissa-even", "zero-signed", "zero-with-exponent",
+        "maxdeg-true"])
+def test_a_cache_value_in_another_form_than_save_table_writes_is_bad_input(
+        tmp_path, capsys, edit):
+    # each edit spells a number another way than save_table does: I[0][0] = 1
+    # as 1 x 2^true, -1, 1, 1, 16 x 2^-4 and 2 x 2^-1, zero signed or with an
+    # exponent, and the header's maxdeg 1 as true
+    cache = tmp_path / "c.json"
+    argv = ("--family", "windmill:2", "--moment-cache", str(cache))
+    assert run_cli("moments", "--maxdeg", "4", *argv) == 0
+    doc = json.loads(cache.read_text())
+    edit(doc)
+    cache.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        moments.load_table(cache)
+    for command in (("moments", "--maxdeg", "4"), ("rho", "--n", "2")):
+        capsys.readouterr()
+        assert run_cli(*command, *argv) == 2
+        assert f"unreadable moment cache {cache}" in capsys.readouterr().err
+
+
+def test_an_infeasible_grid_below_the_least_precision_is_a_numerical_failure(capsys):
+    # every member of this grid self-crosses; the precision is checked first
+    assert run_cli("pentagon-grid", "--theta", "170:175", "--phi", "170:175",
+                   "--steps", "2", "--n", "2", "--precision-bits", "8") == 3
+    assert "precision_bits must be >= 64, got 8\n" in capsys.readouterr().err
+
+
+def test_a_grid_below_the_least_precision_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_cli("pentagon-grid", "--theta", "100:110", "--phi", "100:110", "--steps", "2",
+                   "--n", "2", "--precision-bits", "8", "--parallelism", "2") == 3
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--family", "windmill", "--param", "a", "--range", "1:inf", "--steps", "3"),
     ("sweep", "--family", "windmill", "--param", "a", "--range", "nan:2", "--steps", "3"),

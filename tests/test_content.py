@@ -290,6 +290,15 @@ def test_gram_not_pd_on_the_target_norm(target, message):
         assert str(info.value) == message
 
 
+def test_telescoping_raises_on_a_negative_residual():
+    # at N = 0 the residual c[1][1] - |c[0][1]|^2 / c[0][0] goes negative with
+    # c[1][1] = 2^-100; at N >= 1 the Gram-Schmidt norm check would fire first
+    poly = geometry.polygon_new([(0, 0), (1, 0), (0.3, 0.8)])
+    tampered = _tampered(moments.moment_table(poly, 2), {(1, 1): (1, -100, 0, 0)})
+    with pytest.raises(GramNotPD, match="^negative residual -.* at 256 bits; precision exhausted$"):
+        content.rho_n_telescoping(poly, 0, table=tampered)
+
+
 @pytest.mark.parametrize("n", [5, 18])
 def test_solve_agrees_with_telescoping(any_polygon, n):
     prec = moments.precision_for_degree(n)

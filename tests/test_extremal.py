@@ -11,6 +11,7 @@ from polyrho.errors import (
     EmptyFeasibleSet,
     NoBracketFound,
     NonpositiveParameter,
+    PrecisionTooLow,
 )
 
 
@@ -250,6 +251,14 @@ def test_symmetric_grid_same_serial_and_in_a_pool():
 def test_pentagon_grid_empty_region_raises():
     with pytest.raises(EmptyFeasibleSet):
         extremal.pentagon_grid((165.0, 172.0), (165.0, 172.0), 3, 1)
+
+
+def test_maximize_checks_precision_before_building_a_member(monkeypatch):
+    builds = _counting(monkeypatch, geometry.FamilySpec, "build")
+    spec = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+    with pytest.raises(PrecisionTooLow, match="got 8$"):
+        extremal.maximize_1d(spec, 0, 3, 2, precision_bits=8)
+    assert builds == []
 
 
 def test_maximize_finds_windmill_minimum():

@@ -461,6 +461,21 @@ def test_family_spec_validation():
     assert abs(geometry.area(t) - 1) < mp.mpf("1e-60")
 
 
+def test_build_family_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        geometry.build_family("nope", {})
+
+
+def test_triangle_fixed_angle_rejects_a_nonpositive_side():
+    with pytest.raises(NonpositiveBase):
+        geometry.make_triangle_fixed_angle(1, 0)
+
+
+def test_triangle_base_has_no_twin_for_an_int_base():
+    # the mirror apex a - lambda is taken only for a finite float a
+    assert geometry.FamilySpec("triangle-base", (("a", 3),), ("lambda",)).twin(1.0) is None
+
+
 def test_build_family_pentagon_takes_degrees():
     spec = geometry.FamilySpec("pentagon", (), ("theta_deg", "phi_deg"))
     p = spec.build(108, 108)

@@ -630,12 +630,19 @@ def test_cross_check_bits_are_pinned(name, maxdeg, bits, copy):
     assert digest == _CROSS_CHECK_SHA256[(name, maxdeg, bits, copy)]
 
 
-def test_cross_check_and_save_table_build_no_mpmath_entry(tmp_path, pentagon):
+def test_cross_check_and_save_table_build_no_mpmath_entry(tmp_path, monkeypatch, pentagon):
     # both read every entry, as the int parts the halves hold
     t = moments.moment_table(pentagon, 8)
+    reads, getitem = [], moments._Half.__getitem__
+
+    def spy(half, key):
+        reads.append(key)
+        return getitem(half, key)
+
+    monkeypatch.setattr(moments._Half, "__getitem__", spy)
     moments.cross_check(t)
     moments.save_table(t, tmp_path / "table.json")
-    assert t.complex_entries._entries == {} and t.real_entries._entries == {}
+    assert reads == []
 
 
 def test_doubling_precision_regression(any_polygon):
@@ -691,6 +698,16 @@ def test_cache_round_trip_is_exact(tmp_path, pentagon):
         {k: v._mpc_ for k, v in t.complex_entries.items()}
     assert {k: v._mpf_ for k, v in back.real_entries.items()} == \
         {k: v._mpf_ for k, v in t.real_entries.items()}
+
+
+def test_a_loaded_table_has_no_entry_past_its_keys(tmp_path):
+    path = tmp_path / "table.json"
+    moments.save_table(moments.moment_table(geometry.make_windmill(2), 4), path)
+    t = moments.load_table(path)
+    with pytest.raises(InsufficientMoments, match=r"^c\[9\]\[0\] not in table \(maxdeg 4\)$"):
+        t.c(9, 0)
+    with pytest.raises(InsufficientMoments):
+        t.real(0, 5)
 
 
 def test_saved_cache_bytes_are_pinned(tmp_path, triangle):
