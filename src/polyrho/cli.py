@@ -128,7 +128,10 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, run on
     # its first read, after the cache's, and never cached, so error in a cached
     # table shows.  On a miss the table at prec is rounded from that pass's
-    # sums, whose error, shared with the check, is 96 bits below that rounding
+    # sums, whose error, shared with the check, stays at least 96 bits below
+    # that rounding (measured with the column walk, against sqrt(c[m][m] c[n][n]):
+    # 152 and 192 bits on the pentagon at N = 18 and 33, 123 on windmill:2
+    # at N = 12)
     _, check_table = content._resolve(poly, cfg.n, prec + _CHECK_EXTRA_BITS, None)
     table = _table(cfg, poly, check_table.maxdeg, prec,
                    lambda: moments._rounded_table(check_table, prec))

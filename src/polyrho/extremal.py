@@ -156,15 +156,6 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
     feasible point raises EmptyFeasibleSet.  A point whose family.twin is an
     earlier grid point, by exact equality, takes that point's value (None
     included) instead of being evaluated: rho_N is the same on both.
-
-    A serial sweep evaluates its points inside
-    moments._reusing_prior_member: each member's complex kernel pass takes
-    the vertex rows and shared-edge walk terms of the member solved just
-    before it, where their ints, degree and width match, and holds only
-    that one member's.  Those are the ints a fresh pass would compute, so
-    every value is unchanged; the store, a plain dict holding one entry
-    under the walk's (degree, width), is emptied and unset when the loop
-    ends or raises, and the pool path runs every pass fresh.
     """
     prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
     moments._check_precision(prec)
@@ -187,8 +178,7 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             solved = list(pool.map(_eval_point, args))
     else:
-        with moments._reusing_prior_member():
-            solved = [_eval_point(a) for a in args]
+        solved = [_eval_point(a) for a in args]
     values = [solved[k] for k in slots]
     best = None
     for pt, val in zip(grid, values):

@@ -5,26 +5,30 @@ of x^m y^n dx dy.  Green's theorem turns both into the same sum over edges,
     dA * integral_0^1 (A0 + t dA)^m (B0 + t dB)^(n+1) dt,
 with A = z and B = conj(z) and the prefactor 1 / (2i(n+1)) for c, and A = x,
 B = y and the prefactor -1 / (n+1) for I (P. J. Davis, J. Approx. Theory 19,
-1977).  The table kernel, _edge_sums, integrates by parts along each
-anti-diagonal and carries the total degree plus 32 guard bits above the
-entries' precision.  The single-entry reference, _exact_moment, expands each
-edge binomially in Gaussian ints and rounds the exact sum once, so
-complex_moment and real_moment are correctly rounded.  The recurrence's
-endpoint differences lose ~log2(max |vertex| / min |edge|) bits on top of
-the edge sum's cancellation of as many: under 10 bits in all in a polygon's
-own frame, 30 on a side-1.5e-3 triangle at (100, 100).  A sliver of length L
-and height h loses log2(L / h) as its edge sums cancel down to its area.
-_lost_bits measures either loss, and the table kernel widens its scale by
-that many bits, so a table keeps its accuracy wherever the polygon sits.
+1977).  The table kernel, _edge_sums, integrates by parts: down each column
+m of the complex half, in the direction that damps its errors (W. Gautschi,
+SIAM Review 9, 1967), and along each anti-diagonal of the real half.  It
+carries the total degree plus 32 guard bits above the entries' precision.
+The single-entry reference, _exact_moment, expands each edge binomially in
+Gaussian ints and rounds the exact sum once, so complex_moment and
+real_moment are correctly rounded.  The recurrence's endpoint differences
+lose ~log2(max |vertex| / min |edge|) bits on top of the edge sum's
+cancellation of as many: under 10 bits in all in a polygon's own frame, 30
+on a side-1.5e-3 triangle at (100, 100).  A sliver of length L and height h
+loses log2(L / h) as its edge sums cancel down to its area.  _lost_bits
+measures either loss, and the table kernel widens its scale by that many
+bits, so a table keeps its accuracy wherever the polygon sits.
 
 A kernel pass (_Pass) runs in Python ints, from the vertices' mpf mantissas
 to exact edge sums: _edge_sums scales the polygon by a power of two into the
-square (-1, 1)^2 and sums in fixed point, with one walk per half.  The
-complex half's walk takes three multiplications to a complex product and
-never swaps, as B = conj(A); the real half's values are all real ints, one
-multiplication to a product.  A _Pass runs on its first call and keeps the
-sums.  A table half (_Half) over a pass rounds an entry the first time it is
-read, applying the prefactor and rounding each part once, to nearest, at the
+square (-1, 1)^2 and sums in fixed point.  The complex half's sums
+(_Columns) are built a column at a time, on the first read of one of the
+column's keys, as no column depends on another; a step takes three
+multiplications to a complex product.  The real half's walk runs over every
+key at once, and its values are all real ints, one multiplication to a
+product.  A _Pass calls _edge_sums on its first call and keeps the sums.  A
+table half (_Half) over a pass rounds an entry the first time it is read,
+applying the prefactor and rounding each part once, to nearest, at the
 table's precision, so the bits are those of an eager build in any read
 order.  One int function, _nearest, does every such rounding, to a pair
 (man, exp).  A half holds only pairs, and the package reads only pairs: the
@@ -33,22 +37,13 @@ cross_check and save_table read them, and load_table decodes a cache file
 into them.  Each read of an entry as an mpmath value builds it anew.
 
 A moment_table's two halves each run their pass on the first read of that
-half.  The Gram solves read only complex moments, about half of them, and
-the closed forms for rho_1 and rho_2 only real ones; cross_check, save_table
-and the moments subcommand read every entry.  _rounded_table builds a second
-table, at a lower precision, over the same two passes: rho certifies its
-digits against a table 64 bits finer and rounds the table it answers from
-out of the same sums.
-
-Inside _reusing_prior_member, which extremal._sweep runs its serial loop in,
-a complex walk takes from the polygon walked just before it, at the same
-degree and w, the monomial rows of each vertex whose ints match and the walk
-terms of each edge the two share, and then holds its own in their place in
-a plain dict, {(top, w): (rows, walks)}: one polygon's rows, and the terms
-of its edges whose two ends were vertices of the polygon before it.  Rows
-and terms are a pure function of a vertex's or an edge's ints, the degree
-and w, so the sums are the ints of a fresh walk; _edge_sums applies the
-scale 2^e after it.  Every walk outside that block runs fresh.
+half.  The degree-N Gram solves read only complex moments, those of columns
+m <= N + 1, about half of the keys, so their pass builds only those
+columns; the closed forms for rho_1 and rho_2 read only real ones.
+cross_check, save_table and the moments subcommand read every entry.
+_rounded_table builds a second table, at a lower precision, over the same
+two passes: rho certifies its digits against a table 64 bits finer and
+rounds the table it answers from out of the same sums.
 """
 
 from __future__ import annotations
@@ -56,11 +51,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import comb, lcm
-from operator import add
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
@@ -132,21 +124,16 @@ class MomentTable:
 
 # ---- Green's-theorem kernel ------------------------------------------------------
 
-def _edge_rows(verts, rows, held=None):
+def _edge_rows(verts, rows):
     """(start, end, start's rows, end's rows) for each edge of verts, rows
     the monomial table of a vertex.  Each vertex's table is built once, for
     the two edges that meet there, and the first vertex's is kept for the
-    last edge's end: n tables for n vertices, three alive at once.  A vertex
-    that held, a dict, maps to a table takes that table instead of a build."""
-    def table(vert):
-        found = held.get(vert) if held else None
-        return rows(*vert) if found is None else found
-
-    first = end = table(verts[0])
+    last edge's end: n tables for n vertices, three alive at once."""
+    first = end = rows(*verts[0])
     for k, vert in enumerate(verts):
         nxt = verts[(k + 1) % len(verts)]
         start = end
-        end = table(nxt) if k + 1 < len(verts) else first
+        end = rows(*nxt) if k + 1 < len(verts) else first
         yield vert, nxt, start, end
 
 
@@ -158,113 +145,97 @@ def _powers(x, count, w):
     return out
 
 
-def _complex_rows(x, y, deg, w):
-    """rows[d] = (re, im): the parts of |A|^(2b) A^(d-2b), the first half of
-    the row A^(d-b) conj(A)^b, for b <= d // 2 and d <= deg, A = x + iy at
-    scale 2^w."""
-    apow = [(1 << w, 0)]
-    for _ in range(deg):
-        ur, ui = apow[-1]
-        apow.append(((ur * x - ui * y) >> w, (ur * y + ui * x) >> w))
-    npow = _powers((x * x + y * y) >> w, deg // 2, w)
-    rows = []
-    for d in range(deg + 1):
-        pairs = list(zip(apow[d::-2], npow))
-        rows.append(([ur * nr >> w for (ur, _), nr in pairs],
-                     [ui * nr >> w for (_, ui), nr in pairs]))
-    return rows
-
-
 def _real_rows(x, y, deg, w):
     """rows[d][b] = x^(d-b) y^b for d <= deg at scale 2^w."""
     xpow, ypow = _powers(x, deg, w), _powers(y, deg, w)
     return [[u * v >> w for u, v in zip(xpow[d::-1], ypow)] for d in range(deg + 1)]
 
 
-# the store of the running _reusing_prior_member block, else None: a dict
-# {(top, w): (rows, walks)} holding the complex kernel work of the polygon
-# walked last, rows mapping each of its vertices, as int points, to the
-# vertex's _complex_rows and walks each of its edges (start, end) whose two
-# ends were vertices of the polygon before it to the edge's walk terms,
-# (re[s], im[s]) by anti-diagonal
-_prior = ContextVar("_prior", default=None)
+def _complex_powers(x, y, maxdeg, w):
+    """(apow, npow): A^k as (re, im) for k <= maxdeg + 1 and |A|^(2b) for
+    b <= maxdeg // 2 + 1, A = x + iy at scale 2^w, each truncated from the
+    last.  Column m's row at the vertex is A^(m+1-b) conj(A)^b, the parts
+    of apow[m + 1 - b] times npow[b]."""
+    apow = [(1 << w, 0)]
+    for _ in range(maxdeg + 1):
+        ur, ui = apow[-1]
+        apow.append(((ur * x - ui * y) >> w, (ur * y + ui * x) >> w))
+    return apow, _powers((x * x + y * y) >> w, maxdeg // 2 + 1, w)
 
 
-@contextmanager
-def _reusing_prior_member():
-    """Run the body with an empty store for its complex walks, emptied and
-    unset on the way out.  extremal._sweep runs its serial loop in one,
-    where consecutive members share vertices and edges; every other walk
-    runs fresh."""
-    store = {}
-    token = _prior.set(store)
-    try:
-        yield
-    finally:
-        _prior.reset(token)
-        store.clear()
-
-
-def _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im):
-    """Add one edge's terms to the complex half's sums (see _complex_walk),
-    from its int ends and their _complex_rows."""
+def _column_steps(start, end, size, w):
+    """The multiples (b c, b (c + d), b (d - c)) for b < size of the edge's
+    c + id = c0 = conj(A0) - r A0, r = dB / dA = conj(dA) / dA, for the
+    three-product form of a step; None for an edge below the fixed-point
+    unit, whose equal ends give zero sums."""
     (x0, y0), (x1, y1) = start, end
     dx, dy = x1 - x0, y1 - y0
     norm = dx * dx + dy * dy
-    if not norm:  # an edge below the fixed-point unit: equal ends, zero sums
-        return
-    # r = dB / dA = conj(dA) / dA
+    if not norm:
+        return None
     rr, ri = ((dx * dx - dy * dy) << w) // norm, (-2 * dx * dy << w) // norm
-    # (c, c + d, d - c) of c + id = j r, for the three-product form
-    jc = [j * rr for j in range(top + 1)]
-    jcpd = [j * (rr + ri) for j in range(top + 1)]
-    jdmc = [j * (ri - rr) for j in range(top + 1)]
-    for s in range(1, top + 1):
-        (re1, im1), (re0, im0) = rows1[s + 1], rows0[s + 1]
-        tr, ti = sums_re[s], sums_im[s]
-        den = s + 1  # i + 1, i = s - j the exponent of P
-        xr, xi = (re1[0] - re0[0]) // den, (im1[0] - im0[0]) // den
-        for j in range(1, len(tr) + 1):
-            den -= 1
-            k1 = jc[j] * (xr + xi)
-            xr, xi = ((re1[j] - re0[j] - ((k1 - xi * jcpd[j]) >> w)) // den,
-                      (im1[j] - im0[j] - ((k1 + xr * jdmc[j]) >> w)) // den)
-            tr[j - 1] += xr
-            ti[j - 1] += xi
+    cr, ci = x0 - ((rr * x0 - ri * y0) >> w), -y0 - ((rr * y0 + ri * x0) >> w)
+    return ([b * cr for b in range(size)], [b * (cr + ci) for b in range(size)],
+            [b * (ci - cr) for b in range(size)])
 
 
-def _complex_walk(verts, top, w):
-    """The complex half's sums by anti-diagonal s and n, as lists re[s][n]
-    and im[s][n] for n <= (s - 1) // 2; see _edge_sums.  B = conj(A), so
-    |dB| = |dA| and no edge swaps.  Inside _reusing_prior_member, the rows
-    and edge terms of the polygon walked before are taken, not recomputed."""
-    def zeros():
-        return [[0] * ((s + 1) // 2) for s in range(top + 1)]
+def _column_walk(m, rows0, rows1, steps, w, sums_re, sums_im):
+    """Add one edge's walk down column m to the column's sums: L(m, b) at
+    n = b - 1 for 1 <= b < len(rows0), from the column's rows at the edge's
+    ends and its _column_steps; see _edge_sums."""
+    (re0, im0), (re1, im1) = rows0, rows1
+    bc, bcpd, bdmc = steps
+    den = m + 1
+    xr, xi = (re1[0] - re0[0]) // den, (im1[0] - im0[0]) // den
+    for b in range(1, len(re0)):
+        den += 1
+        k1 = bc[b] * (xr + xi)
+        xr, xi = ((re1[b] - re0[b] + ((k1 - xi * bcpd[b]) >> w)) // den,
+                  (im1[b] - im0[b] + ((k1 + xr * bdmc[b]) >> w)) // den)
+        sums_re[b - 1] += xr
+        sums_im[b - 1] += xi
 
-    def rows(x, y):
-        return _complex_rows(x, y, top + 1, w)
 
-    sums_re, sums_im = zeros(), zeros()
-    store = _prior.get()
-    held, walks = ({}, {}) if store is None else store.get((top, w), ({}, {}))
-    kept_rows, kept_walks = {}, {}
-    for start, end, rows0, rows1 in _edge_rows(verts, rows, held):
-        kept_rows[start] = rows0
-        if not (start in held and end in held):  # an edge unlikely to recur
-            _complex_edge(start, end, rows0, rows1, top, w, sums_re, sums_im)
-            continue
-        terms = walks.get((start, end))
-        if terms is None:
-            terms = zeros(), zeros()
-            _complex_edge(start, end, rows0, rows1, top, w, *terms)
-        kept_walks[start, end] = terms
-        for sums, part in zip((sums_re, sums_im), terms):
-            for s in range(1, top + 1):
-                sums[s] = list(map(add, sums[s], part[s]))
-    if store is not None:
-        store.clear()
-        store[top, w] = kept_rows, kept_walks
-    return sums_re, sums_im
+class _Columns(Mapping):
+    """The complex half's edge sums, {(m, n): (re, im, exp)} for the keys of
+    _table_keys(maxdeg, "c"), built a column at a time: the first read of a
+    key of column m builds that column's rows at each vertex and its walk on
+    each edge, for every n at once; KeyError outside the half.  Columns do
+    not depend on each other, so a column's ints do not depend on which
+    were built before it.  len() and iteration run nothing."""
+
+    def __init__(self, verts, maxdeg: int, e: int, w: int):
+        self._maxdeg, self._e, self._w = maxdeg, e, w
+        self._powers = [_complex_powers(x, y, maxdeg, w) for x, y in verts]
+        self._steps = [_column_steps(start, end, maxdeg // 2 + 2, w)
+                       for start, end in zip(verts, verts[1:] + verts[:1])]
+        self._sums = {}
+
+    def _column(self, m):
+        w, height = self._w, min(m, self._maxdeg - m) + 2  # L(m, b) for b < height
+        rows = [([ur * nr >> w for (ur, _), nr in zip(apow[m + 1::-1], npow[:height])],
+                 [ui * nr >> w for (_, ui), nr in zip(apow[m + 1::-1], npow[:height])])
+                for apow, npow in self._powers]
+        sums_re, sums_im = [0] * (height - 1), [0] * (height - 1)
+        for rows0, rows1, steps in zip(rows, rows[1:] + rows[:1], self._steps):
+            if steps is not None:
+                _column_walk(m, rows0, rows1, steps, w, sums_re, sums_im)
+        for n, parts in enumerate(zip(sums_re, sums_im)):
+            self._sums[m, n] = *parts, self._e * (m + n + 2) - w
+
+    def __getitem__(self, key):
+        if key not in self._sums:  # a key of the half missing here: its column is unbuilt
+            m, n = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if not (type(m) is type(n) is int and 0 <= n <= min(m, self._maxdeg - m)):
+                raise KeyError(key)
+            self._column(m)
+        return self._sums[key]
+
+    def __iter__(self):
+        return iter(_table_keys(self._maxdeg, "c"))
+
+    def __len__(self) -> int:
+        return (self._maxdeg + 2) ** 2 // 4
 
 
 def _real_walk(verts, top, w):
@@ -294,19 +265,34 @@ def _real_walk(verts, top, w):
     return sums
 
 
-def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> dict:
-    """The edge sum of every key of one half (see _table_keys), as
+def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str) -> Mapping:
+    """The edge sum of every key of one half (see _table_keys), as a Mapping
     {(m, n): (re, im, exp)}: the sum is (re + i im) 2^exp, exactly.  With
     A = x + iy and B = x - iy (kind "c") or A = x and B = y (kind "I"),
     P = A_k + t dA and Q = B_k + t dB along the edge from vertex k to k + 1,
     and J(a, b) = integral_0^1 P^a Q^b dt, the edge sum of (m, n) is
     dA J(m, n + 1), and
-        (a+1) dA J(a, b) + b dB J(a+1, b-1) = [P^(a+1) Q^b]
-    between the edge's endpoints.  Each anti-diagonal a + b = s is walked from
-    J(s, 0), or from J(0, s) with A and B swapped if |dB| > |dA|; an error in
-    the first entry reaches the k-th times r^k / C(s, k), r = min/max(|dA|, |dB|).
-    The walk runs on L = dP J, so that (i+1) L(i, j) + j r L(i+1, j-1) =
-    [P^(i+1) Q^j] with r = dQ / dP; dA J is L, or r L when swapped.
+        (a+1) dA J(a, b) + b dB J(a+1, b-1) = E(a+1, b),
+    E(i, j) = [P^i Q^j] between the edge's endpoints.  The walks run on
+    L = dP J, so that (i+1) L(i, j) + j r L(i+1, j-1) = E(i+1, j) with
+    r = dQ / dP.
+
+    The real half (_real_walk) walks each anti-diagonal a + b = s from
+    L(s, 0), or from L(0, s) with A and B swapped if |dB| > |dA|; an error
+    in the first entry reaches the k-th times r^k / C(s, k),
+    r = min/max(|dA|, |dB|), and dA J is L, or r L when swapped.  The
+    complex half (_Columns) walks down each column m instead: Q = c0 + r P
+    with c0 = conj(A0) - r A0, the edge's Q at P = 0, so
+    J(m, b) = c0 J(m, b-1) + r J(m+1, b-1) and
+        (m + b + 1) L(m, b) = E(m+1, b) + b c0 L(m, b-1),
+    from L(m, 0) = E(m+1, 0) / (m+1); key (m, n) is L(m, n+1), as dA J = L.
+    Each key is reached from the one below it, and no column reads another,
+    so a column is built on the first read of one of its keys.  An error in
+    L(m, b-1) reaches L(m, b) times b |c0| / (m+b+1), which is at most
+    |c0| / 2, as b <= m + 1 on the stored keys; |c0| = 2 dist(0, the
+    edge's line) is below 2 sqrt(2) in the kernel's frame, so a step damps
+    an error on an edge whose line passes within 1 of the origin and at
+    most multiplies it by sqrt(2) on any other.
 
     The arithmetic is in ints.  Coordinates are divided by 2^e, e the top of
     p's integer frame, so each lies in (-1, 1), and held at scale 2^w with
@@ -314,28 +300,29 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     precision_bits + maxdeg + 32 working bits, 8 guard bits for the
     truncations, maxdeg + 2 for the monomials, which reach degree maxdeg + 2
     (a degree-d monomial can be 2^-d of the largest coordinate, itself as
-    small as 1/2), and the bits the sums cancel.  Each half has its own
-    walk.  A complex half (_complex_walk) never swaps, as |dB| = |dA|, and
-    reads each vertex's monomials only to b = d // 2; its step takes each
-    product (a + ib)(c + id) of x by j r in three multiplications,
-    k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c), with the three
-    multiples of j r per edge at hand.  In a real half (_real_walk) every
-    value is a real int: a monomial is one product, a step one product and
-    one floor division, and the swapped walk's r L one product.  Both are
-    exact in ints with the truncations of the four-product complex form, so
-    the sums are its sums."""
-    keys = _table_keys(maxdeg, kind)
+    small as 1/2), and the bits the sums cancel.  The truncation errors
+    can outgrow the 8 guard bits at high degree: against a pass 400 bits
+    wider, the complex sums of a sliver err by up to 826 units of 2^-w at
+    (maxdeg, precision_bits) = (36, 560) and 8.5e5 at (66, 920), yet keep
+    the working bits against the largest sum of their degree.  A complex
+    step takes the product (a + ib)(c + id) of L by b c0 in three
+    multiplications, k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c),
+    with the three multiples of b c0 per edge at hand; a vertex's monomial
+    A^(m+1-b) conj(A)^b is |A|^(2b) A^(m+1-2b), one complex power times a
+    real one.  In a real half every value is a real int: a monomial is one
+    product, a step one product and one floor division, and the swapped
+    walk's r L one product.  Both are exact in ints with the truncations of
+    the four-product complex form, so the sums are its sums."""
     frame = p._frame
     e = frame.top
     w = precision_bits + 2 * maxdeg + 42 + max(0, _lost_bits(frame))
     verts = [(geometry._fixed(x._mpf_, w - e), geometry._fixed(y._mpf_, w - e))
              for x, y in p.vertices]
     if kind == "c":
-        sums_re, sums_im = _complex_walk(verts, maxdeg + 1, w)
-        return {(m, n): (sums_re[m + n + 1][n], sums_im[m + n + 1][n], e * (m + n + 2) - w)
-                for m, n in keys}
+        return _Columns(verts, maxdeg, e, w)
     sums = _real_walk(verts, maxdeg + 1, w)
-    return {(m, n): (sums[m + n + 1][n], 0, e * (m + n + 2) - w) for m, n in keys}
+    return {(m, n): (sums[m + n + 1][n], 0, e * (m + n + 2) - w)
+            for m, n in _table_keys(maxdeg, kind)}
 
 
 def _nearest(num: int, den: int, exp: int, prec: int):
@@ -439,15 +426,17 @@ def _table_keys(maxdeg: int, kind: str):
 
 class _Pass:
     """One kernel pass: the edge sums of p's half kind to total degree
-    maxdeg, _edge_sums at precision_bits, run on the first call and kept.
-    Holds the polygon and the pass parameters, not a closure, so it pickles
-    before and after the pass; every table rounded from it shares it."""
+    maxdeg, _edge_sums at precision_bits, called on the first call and
+    kept.  A complex pass's sums build each column on its first read, so a
+    pass runs only as far as its tables read.  Holds the polygon and the
+    pass parameters, not a closure, so it pickles before, during and after
+    the pass; every table rounded from it shares it."""
 
     def __init__(self, p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str):
         self.p, self.maxdeg, self.precision_bits, self.kind = p, maxdeg, precision_bits, kind
         self.sums = None
 
-    def __call__(self) -> dict:
+    def __call__(self) -> Mapping:
         if self.sums is None:
             self.sums = _edge_sums(self.p, self.maxdeg, self.precision_bits, self.kind)
         return self.sums
@@ -461,7 +450,8 @@ class _Half(Mapping):
     c[m][n].  A half given a kernel, a _Pass, holds nothing at first and
     rounds each key's parts from the pass's edge sums on that key's first
     read: each part once, to nearest, at precision_bits by _nearest, so the
-    bits depend neither on the read order nor on the caller's context.
+    bits depend neither on the read order nor on the caller's context.  A
+    complex half's first read of a column builds that column of the pass.
     The package reads _parts; the Mapping builds an entry's mpmath value
     anew on each read.  len() and iteration answer from maxdeg, in one order."""
 
@@ -632,13 +622,15 @@ def save_table(t: MomentTable, path) -> None:
 
 
 def load_table(path) -> MomentTable:
-    """Read a table written by save_table.  ValueError for a malformed header
-    or record, for precision_bits below MIN_PRECISION_BITS, and unless each
-    section holds exactly the keys of a maxdeg >= 0 as save_table spells
-    them, counted first.  Every record is checked and decoded to parts here."""
+    """Read a table written by save_table.  ValueError for a version other
+    than the int CACHE_FORMAT_VERSION, a malformed header or record, for
+    precision_bits below MIN_PRECISION_BITS, and unless each section holds
+    exactly the keys of a maxdeg >= 0 as save_table spells them, counted
+    first.  Every record is checked and decoded to parts here."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != CACHE_FORMAT_VERSION:  # not true, not 1.0
         raise ValueError(f"unsupported moment cache version in {path}")
     precision_bits, maxdeg = doc.get("precision_bits"), doc.get("maxdeg")
     if not (isinstance(doc.get("fingerprint"), str) and type(precision_bits) is int

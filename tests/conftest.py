@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from polyrho import geometry, moments
@@ -40,15 +42,23 @@ def pentagon():
 
 @pytest.fixture
 def kernel_work(monkeypatch):
-    """{"rows": calls of moments._complex_rows, "edges": calls of
-    moments._complex_edge}, counted from here on: the complex kernel's
-    vertex-row builds and edge walks."""
-    count = {"rows": 0, "edges": 0}
-    for key, name in (("rows", "_complex_rows"), ("edges", "_complex_edge")):
-        def counted(*args, _inner=getattr(moments, name), _key=key):
-            count[_key] += 1
-            return _inner(*args)
-        monkeypatch.setattr(moments, name, counted)
+    """{"columns": a Counter of moments._column_walk calls by column m,
+    "real": calls of moments._real_walk}, counted from here on: the complex
+    kernel's walks, one per edge of each column built, and the real half's
+    passes."""
+    count = {"columns": Counter(), "real": 0}
+    column_walk, real_walk = moments._column_walk, moments._real_walk
+
+    def column(m, *args):
+        count["columns"][m] += 1
+        return column_walk(m, *args)
+
+    def real(*args):
+        count["real"] += 1
+        return real_walk(*args)
+
+    monkeypatch.setattr(moments, "_column_walk", column)
+    monkeypatch.setattr(moments, "_real_walk", real)
     return count
 
 

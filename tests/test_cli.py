@@ -356,14 +356,16 @@ def _keys_of_maxdeg_1_under_maxdeg_true(doc):
     lambda doc: doc["real"].update({"1,0": [1, "0x0", 0]}),
     lambda doc: doc["real"].update({"1,0": [0, "0x0", 5]}),
     _keys_of_maxdeg_1_under_maxdeg_true,
+    lambda doc: doc.update(version=True),
+    lambda doc: doc.update(version=1.0),
 ], ids=["exponent-true", "sign-float", "mantissa-without-prefix", "mantissa-padded-upper",
         "mantissa-underscored", "mantissa-even", "zero-signed", "zero-with-exponent",
-        "maxdeg-true"])
+        "maxdeg-true", "version-true", "version-float"])
 def test_a_cache_value_in_another_form_than_save_table_writes_is_bad_input(
         tmp_path, capsys, edit):
     # each edit spells a number another way than save_table does: I[0][0] = 1
     # as 1 x 2^true, -1, 1, 1, 16 x 2^-4 and 2 x 2^-1, zero signed or with an
-    # exponent, and the header's maxdeg 1 as true
+    # exponent, the header's maxdeg 1 as true and its version 1 as true or 1.0
     cache = tmp_path / "c.json"
     argv = ("--family", "windmill:2", "--moment-cache", str(cache))
     assert run_cli("moments", "--maxdeg", "4", *argv) == 0
@@ -703,7 +705,8 @@ def _pinned(name):
 # Output files written by the mpmath table kernel that the fixed-point kernel
 # replaced; a table that moved by more than roundoff changes these bytes.
 # The pentagon's rho_18 is the largest op of the benchmark's certify-high-n
-# workload.
+# workload.  Its rho_33 was written by the kernel that walked the complex
+# half along anti-diagonals, before the walk down columns.
 PINNED_PENTAGON_18 = _pinned("rho-pentagon-18.json")
 PINNED_WINDMILL_12 = (
     '{\n  "value": "0.03045599621190166941080754412659628903149316650267672568595978'
@@ -722,6 +725,7 @@ GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
 
 @pytest.mark.parametrize("argv,expected", [
     (("rho", "--family", "regular-ngon:5", "--n", "18"), PINNED_PENTAGON_18),
+    (("rho", "--family", "regular-ngon:5", "--n", "33"), _pinned("rho-pentagon-33.json")),
     (("rho", "--family", "windmill:2", "--n", "12"), PINNED_WINDMILL_12),
     (("sweep", "--family", "triangle-base:3", "--param", "lambda", "--range", "0.1:3",
       "--steps", "30", "--n", "2"), _pinned("sweep-triangle-base-30.csv")),
@@ -731,7 +735,7 @@ GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
      _pinned("moments-pentagon-12.csv")),
     (GRID_FAMILY_ARGV, _pinned("grid-pentagon-family-8.csv")),
     (GRID_BENCH_ARGV, _pinned("grid-pentagon-96-132-7.csv")),
-], ids=["rho-pentagon-18", "rho-windmill-12", "sweep-triangle-base",
+], ids=["rho-pentagon-18", "rho-pentagon-33", "rho-windmill-12", "sweep-triangle-base",
         "moments-pentagon-12-json", "moments-pentagon-12-csv",
         "grid-pentagon-family", "grid-pentagon-benchmark"])
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
@@ -819,6 +823,23 @@ def test_rho_runs_one_complex_kernel_pass(tmp_path, monkeypatch, capsys):
                    "--precision-bits", "1024") == 0
     assert passes == [("c", 1024 + cli._CHECK_EXTRA_BITS)]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_rho_builds_only_the_columns_its_gram_systems_read(kernel_work, capsys, n):
+    # the degree-N solves read columns m <= N + 1 of the degree-2N table; each
+    # of the pentagon's 5 edges walks each such column once, in one complex
+    # pass shared by the answer's table and the check's, and no real pass runs
+    assert run_cli("rho", "--family", "regular-ngon:5", "--n", str(n)) == 0
+    assert kernel_work == {"columns": {m: 5 for m in range(n + 2)}, "real": 0}
+    capsys.readouterr()
+
+
+def test_moments_builds_every_column(tmp_path, kernel_work):
+    maxdeg = 12
+    assert run_cli("moments", "--family", "regular-ngon:5", "--maxdeg", str(maxdeg),
+                   "--output", str(tmp_path / "m.json")) == 0
+    assert kernel_work == {"columns": {m: 5 for m in range(maxdeg + 1)}, "real": 1}
 
 
 def test_certified_rho_hashes_its_polygon_once(tmp_path, frame_work, capsys):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp
 
-from polyrho import cli, content, extremal, geometry, moments
+from polyrho import content, extremal, geometry, moments
 from polyrho.errors import (
     ApexDegenerate,
     ConstraintViolated,
@@ -474,65 +474,9 @@ def test_every_1d_sweep_needs_three_steps():
             sweep()
 
 
-def _watching_prior(monkeypatch):
-    """The store of every complex walk, checked after each walk to hold that
-    walk's polygon only, under its (top, w): its vertices' rows and, of its
-    edges, only ones between vertices of the polygon before it."""
-    seen = []
-    inner = moments._complex_walk
-
-    def walk(verts, top, w):
-        sums = inner(verts, top, w)
-        store = moments._prior.get()
-        if store is not None:
-            edges = set(zip(verts, verts[1:] + verts[:1]))
-            assert list(store) == [(top, w)]
-            rows, walks = store[top, w]
-            assert set(rows) == set(verts)
-            assert set(walks) <= edges
-            if seen and seen[-1][0] is store:
-                assert all(u in seen[-1][1] and v in seen[-1][1] for u, v in walks)
-            else:
-                assert not walks
-            seen.append((store, set(verts)))
-        return sums
-
-    monkeypatch.setattr(moments, "_complex_walk", walk)
-    return seen
-
-
-def _assert_store_gone(seen):
-    assert moments._prior.get() is None
-    for store, _ in seen:
-        assert store == {}
-
-
-def test_member_reuse_holds_one_member_and_ends_with_the_sweep(monkeypatch):
-    seen = _watching_prior(monkeypatch)
-    extremal.pentagon_grid((96.0, 132.0), (96.0, 132.0), 7, 2)
-    assert len(seen) == 21 and len({id(store) for store, _ in seen}) == 1
-    _assert_store_gone(seen)
-    # an infeasible grid walks nothing, and a member that raises ends the
-    # sweep; neither leaves a store behind
-    with pytest.raises(EmptyFeasibleSet):
-        extremal.pentagon_grid((165.0, 172.0), (165.0, 172.0), 3, 1)
-    _assert_store_gone(seen)
-    inner = content.rho_n
-
-    def failing(poly, n, prec):
-        if len(seen) == 24:
-            raise RuntimeError("member failed")
-        return inner(poly, n, prec)
-
-    monkeypatch.setattr(content, "rho_n", failing)
-    with pytest.raises(RuntimeError, match="member failed"):
-        extremal.sweep_fixed_base(3.0, (0.1, 3.0), 30, 2)
-    assert len(seen) == 24
-    _assert_store_gone(seen)
-
-
 @pytest.mark.parametrize("n", [5, 10])
 def test_grid_values_with_member_reuse_match_fresh_walks(monkeypatch, n):
+    # each grid value is the value of its point solved alone, outside a sweep
     points, values = _counting(monkeypatch, extremal, "_eval_point"), []
     inner = content.rho_n
 
@@ -543,28 +487,11 @@ def test_grid_values_with_member_reuse_match_fresh_walks(monkeypatch, n):
 
     monkeypatch.setattr(content, "rho_n", recorded)
     sweep = extremal.pentagon_grid((96.0, 132.0), (96.0, 132.0), 7, n)
-    reused = values[:]
+    swept = values[:]
     values.clear()
     fresh = [extremal._eval_point(*args) for args in list(points)]  # no sweep around them
-    assert len(reused) == 21 and reused == values
+    assert len(swept) == 21 and swept == values
     assert set(fresh) - {None} == set(sweep.values) - {None}
-
-
-def test_rho_after_a_sweep_walks_fresh_and_sweeps_do_not_share_work(kernel_work, capsys):
-    work = []
-    for _ in range(2):
-        extremal.sweep_fixed_base(3.0, (0.1, 3.0), 30, 2)
-        work.append(dict(kernel_work))
-        kernel_work.update(rows=0, edges=0)
-    # the second sweep reuses nothing of the first; both reuse within
-    assert work[0] == work[1] and work[0]["rows"] < work[0]["edges"] < 3 * 24
-    # rho's check pass and a direct solve of the sweep's last member walk
-    # every vertex and edge afresh
-    assert cli.main(["rho", "--family", "triangle-base:3,3", "--n", "2"]) == 0
-    assert kernel_work == {"rows": 3, "edges": 3}
-    content.rho_n(geometry._MEMBERS["triangle-base"][0]({"a": 3.0, "lambda": 3.0}), 2)
-    assert kernel_work == {"rows": 6, "edges": 6}
-    capsys.readouterr()
 
 
 def test_each_sweep_member_builds_its_frame_and_fingerprint_once(frame_work, monkeypatch):

@@ -10,7 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from polyrho import cli, content, extremal, geometry, moments
-from polyrho.errors import ConstraintViolated, InsufficientMoments, PrecisionTooLow
+from polyrho.errors import InsufficientMoments, PrecisionTooLow
 
 
 def test_low_order_square_moments(square):
@@ -269,33 +269,33 @@ _DEFERRED_POLYGONS = {
 
 
 # sha256 of repr(sorted(_edge_sums(...).items())) at the maxdeg and bits of
-# the certified rho's check tables (pentagon N=18, the others N=12 and N=10),
-# recorded from the kernel that took four multiplications per complex product;
-# then, from the kernel that walked both halves in one loop, the check table
-# of rho --n 33 on the pentagon, an edge below the fixed-point unit (the
-# thin-edge square), and verify's triangle, whose real half swaps on steep
-# edges at low degree
+# the certified rho's check tables (pentagon N=18 and N=33, the others N=12
+# and N=10), an edge below the fixed-point unit (the thin-edge square), and
+# verify's triangle, whose real half swaps on steep edges at low degree.  The
+# real pins were recorded from the kernel that took four multiplications per
+# complex product, and the complex ones from the walk down columns, whose
+# truncations differ from the anti-diagonal walk's in the last few bits
 _EDGE_SUM_SHA256 = {
     ("pentagon", 66, 920): {
-        "c": "16e2bfd2a402b0616c6c49b11d0506740db1f594ab7b81dcd2090202a7fe1467",
+        "c": "9b8891054c66e2f12556bf8325bdcf1a908b187a11c34515c57f623dbbb625cf",
         "I": "c431cde4b677256699ccb09252690fce0ba3270cb29613d7956452654a43c523"},
     ("thin-edge", 8, 256): {
-        "c": "a4138385fd088efe9fe164540df32f7c84434c643f817990b102be002e6f29a3",
+        "c": "e7944c5741e753808e3523a68d62c19ce83377f220baf0e639a7e0976dcf1334",
         "I": "d9dafe4a4a366641139b611409603a18695840f8395af90846f22c7bc9153d29"},
     ("triangle", 8, 256): {
-        "c": "802dc23190ad3a4bdca0c50ab081731ffdb6ed7c4bb9affa822c1611b295afb9",
+        "c": "13e00b4849bdc9d3a7a1c2d71df7cf47fa1c9cfa3244a0e85a218f05ebf52a49",
         "I": "ed062119ab79ff7c86d230013610e8c9a6d5390138030e97e53d491e70041a2b"},
     ("pentagon", 36, 560): {
-        "c": "f70b4204d998242982c8784badc62a206df83995d3526066e36941a6f1315332",
+        "c": "edf70542e13cf91fff2c3a35a25ae4c1a39b7867ee9531e31e9962a00873b4c8",
         "I": "01c68cc3e221ad9fa932b9578e80bd88c75ba1a3cfa293e60ab9639162152d58"},
     ("windmill-2", 24, 416): {
-        "c": "1f8aa96bcc73a8b1247073a06f7d86977a484ab8f230cf2daa9fb53b05f0998c",
+        "c": "c1118961e74601dc52d567b64a3c1917f624dcc1a20d7a9ac9f51a77bf6d7fa6",
         "I": "916739fb5c78d4616330b2d8a2f4f0b96d7a8b7956dd59519e4d015dd1e5d27a"},
     ("star-8-3", 24, 416): {
-        "c": "9849681643c1bddf0c96a2f42ec93496c3e31806bd625b59382ac3bf84297d0b",
+        "c": "54db8563a45c1387557b81a2fa8ef63482c9074f87051a6d848f5df284a1a5e3",
         "I": "fee9890d2dcd38abcc78ce75550704d6d623066997fbcedf7a4fb10fffa03817"},
     ("far-triangle", 20, 368): {
-        "c": "ef8a4a1ca8b29c08b39767e972b572f71c8a5992acb6f409036df477e5cf439a",
+        "c": "3572ad5f93dbe4e63aca64a67cdda0124bf9c04f505fa28b776ae7cfcb23cd98",
         "I": "9ceb62a229a2a8daf24f05bcf80fd9c2a658b36ba191f903b1b7d1539b7348c4"},
 }
 _PINNED_POLYGONS = dict(_DEFERRED_POLYGONS, **{
@@ -321,6 +321,41 @@ def test_real_half_sums_have_zero_imaginary_parts(name):
     assert sums and all(im == 0 for _, im, _ in sums.values())
 
 
+_COLUMN_WALK_POLYGONS = {
+    # long edges whose lines pass near the origin and a short one 0.9 from it
+    "sliver": lambda: geometry.polygon_new([(-0.9, -0.9), (0.95, 0.9), (-0.9, -0.85)]),
+    # edges whose lines lie 0.5 and 0.99 from the origin, |c0| up to 1.98
+    "corner-square": lambda: geometry.polygon_new(
+        [(0.5, 0.5), (0.99, 0.5), (0.99, 0.99), (0.5, 0.99)]),
+    "far-triangle": _DEFERRED_POLYGONS["far-triangle"],
+}
+
+
+@pytest.mark.parametrize("maxdeg,bits", [(36, 560), (66, 920)])
+@pytest.mark.parametrize("name", list(_COLUMN_WALK_POLYGONS))
+def test_column_walk_errors_against_a_wider_pass(name, maxdeg, bits):
+    # against a pass 400 bits wider, in units of 2^-w.  A step down a column
+    # multiplies an error by at most |c0| / 2 < sqrt(2), and the errors of
+    # the monomials it reads grow with their degree: the largest, the
+    # sliver's, were 826 at maxdeg 36 and 8.5e5 at 66 when the walk came in
+    # (the anti-diagonal walk's: 72 and 1.25e5), past the 8 guard bits, so
+    # the bound is 2^10 and 2^20 units.  Each sum still keeps the working
+    # bits, bits + maxdeg + 32, against the largest sum of its total degree
+    poly = _COLUMN_WALK_POLYGONS[name]()
+    sums = moments._edge_sums(poly, maxdeg, bits, "c")
+    wide = moments._edge_sums(poly, maxdeg, bits + 400, "c")
+    errors, largest = {}, {}
+    for (m, n), (re, im, exp) in sums.items():
+        wide_re, wide_im, wide_exp = wide[(m, n)]
+        assert wide_exp == exp - 400
+        err = max(abs((re << 400) - wide_re), abs((im << 400) - wide_im))
+        errors[m + n] = max(errors.get(m + n, 0), err)
+        largest[m + n] = max(largest.get(m + n, 0), abs(wide_re), abs(wide_im))
+    assert max(errors.values()) <= 2 ** ((maxdeg - 6) // 3 + 400)
+    for d, err in errors.items():
+        assert err << (bits + maxdeg + 32) <= largest[d], d
+
+
 @pytest.mark.parametrize("maxdeg,bits", [(8, 256), (26, 352)])
 @pytest.mark.parametrize("name", list(_DEFERRED_POLYGONS))
 def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg, bits):
@@ -332,6 +367,11 @@ def test_deferred_halves_have_the_bits_of_an_eager_build(tmp_path, name, maxdeg,
         with mp.workprec(first_read_bits or mp.prec):  # None: the caller's context
             _first_reads(t, maxdeg)
         _assert_same_bits(t, ref)
+    # a column's ints do not depend on the columns built before it
+    t = moments.moment_table(poly, maxdeg, bits)
+    for m, n in sorted(moments._table_keys(maxdeg, "c"), reverse=True):
+        t.c(m, n)
+    _assert_same_bits(t, ref)
 
     back = pickle.loads(pickle.dumps(moments.moment_table(poly, maxdeg, bits)))
     _assert_same_bits(back, ref)
@@ -558,6 +598,15 @@ def test_missing_entry_raises(square):
         t.real(5, 0)
 
 
+def test_a_key_outside_the_complex_half_raises_and_builds_no_column(kernel_work, square):
+    sums = moments._edge_sums(square, 4, 256, "c")
+    for key in [(5, 0), (3, 2), (1, 2), (-1, 0), (1.0, 0), (True, 0), "c", (1, 0, 0)]:
+        with pytest.raises(KeyError):
+            sums[key]
+    assert kernel_work["columns"] == {}
+    assert sums[(2, 2)] and kernel_work["columns"] == {2: 4}
+
+
 def test_cross_check_residual_small(any_polygon):
     t = moments.moment_table(any_polygon, 8)
     assert moments.cross_check(t) < mp.mpf(2) ** (-t.precision_bits + 20)
@@ -584,20 +633,22 @@ def test_cross_check_flags_tampered_table(square):
 
 # sha256 of repr(cross_check(t)._mpf_) for tables at (maxdeg, bits) and
 # their _rounded_table copies 64 bits coarser, recorded when cross_check
-# summed the entries' mpmath values rather than the halves' int parts
+# summed the entries' mpmath values rather than the halves' int parts.  The
+# pentagon's and windmill's were re-recorded with the column walk: their
+# residuals come from entries that are zero by symmetry and hold kernel noise
 _CROSS_CHECK_SHA256 = {
     ("pentagon", 8, 256, "table"):
-        "e2a45bec90870e54924c907b06bf41ac724fb6a6f43bc508c104872968cf267b",
+        "54d5cc2d00ec6d2b2a5efe662ab68a4b34191f706a44781114228d0b9dfe9e77",
     ("pentagon", 8, 256, "rounded"):
         "c73d0bb86f23bc25442bb41e0a24652f4778acd2c77499d2fb12b5406e046400",
     ("pentagon", 26, 352, "table"):
         "f80352e436a2094d0527b39c5bf224758d38c01e5ad57995e85dbd1575681fbf",
     ("pentagon", 26, 352, "rounded"):
-        "83b2daa2abd3e554fb07092f1f5d736d33877e5da641c94e3a2f441a1843519d",
+        "f081a928c0b75312bf63524fc17ed2cf25a9c4b1fb6cafacc45408234d167024",
     ("windmill-2", 8, 256, "table"):
-        "661b51b423d6ad034dfc6c294981695179add649bf524e1de3e658269702b42f",
+        "7de27d9e01cc727d174bb5831e5d82c3e466bc2926279deab57bdcca9ad9f768",
     ("windmill-2", 8, 256, "rounded"):
-        "ec5dbf48867ca400d7059f0aef527e59cc238c94654045907da3c6a3ccc3a44d",
+        "a561607cdb40181764d6b6f98f904e6ee98aace06414287e85438fa3d3c41c9c",
     ("windmill-2", 26, 352, "table"):
         "1f8eb991a0ecc6af6c18183c0de027df43a79685346c5cc68e4cd5d294845c05",
     ("windmill-2", 26, 352, "rounded"):
@@ -820,55 +871,3 @@ def test_table_fingerprint_depends_on_polygon_and_precision(square, triangle):
     assert moments.table_fingerprint(square, 256) != moments.table_fingerprint(square, 320)
     assert moments.moment_table(square, 4).fingerprint == \
         moments.table_fingerprint(square, moments.DEFAULT_PRECISION_BITS)
-
-
-def _pentagon_row(theta, phis):
-    """The pentagon members at theta and each of phis that builds."""
-    members = []
-    for phi in phis:
-        try:
-            members.append(geometry._MEMBERS["pentagon"][0]({"theta_deg": theta, "phi_deg": phi}))
-        except ConstraintViolated:
-            pass
-    return members
-
-
-def _triangle_base_members():
-    """The members of the triangle-base:3 sweep over lambda in 0.1:3, 30 steps."""
-    family = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
-    return [geometry._MEMBERS["triangle-base"][0](family.params(lam))
-            for lam in extremal._linspace(0.1, 3.0, 30)]
-
-
-@pytest.mark.parametrize("members,n", [
-    (lambda: _pentagon_row(102.0, extremal._linspace(96.0, 132.0, 7)), 5),
-    (lambda: _pentagon_row(114.0, extremal._linspace(96.0, 132.0, 7)), 10),
-    (_triangle_base_members, 2),
-], ids=["pentagon-row-n5", "pentagon-row-n10", "triangle-base-sweep"])
-def test_reused_walks_give_the_sums_of_fresh_ones(kernel_work, members, n):
-    polys = members()
-    maxdeg, bits = content._gram_degree(n), moments.precision_for_degree(n)
-    fresh = [moments._edge_sums(p, maxdeg, bits, "c") for p in polys]
-    kernel_work.update(rows=0, edges=0)
-    with moments._reusing_prior_member():
-        reused = [moments._edge_sums(p, maxdeg, bits, "c") for p in polys]
-    assert reused == fresh
-    # consecutive members share an edge, so the reuse is not vacuous
-    assert kernel_work["rows"] < kernel_work["edges"] < sum(len(p) for p in polys)
-
-
-def test_walks_at_another_top_or_width_reuse_nothing(kernel_work):
-    # the vertex (0, 0) is the int point (0, 0) at every width, but its rows
-    # are not: a member walked at another (top, w) takes nothing from the last
-    poly = _triangle_base_members()[3]
-    walks = [(4, 256), (4, 320), (10, 320), (4, 256)]
-    fresh = [moments._edge_sums(poly, maxdeg, bits, "c") for maxdeg, bits in walks]
-    kernel_work.update(rows=0, edges=0)
-    with moments._reusing_prior_member():
-        reused = [moments._edge_sums(poly, maxdeg, bits, "c") for maxdeg, bits in walks]
-        assert kernel_work == {"rows": 12, "edges": 12}
-        # at the same (top, w) again: the rows, then the edges' terms too
-        again = [moments._edge_sums(poly, 4, 256, "c") for _ in range(2)]
-    assert reused == fresh
-    assert again == fresh[:1] * 2
-    assert kernel_work == {"rows": 12, "edges": 15}
