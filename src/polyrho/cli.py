@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -17,6 +16,8 @@ import sys
 import time
 
 from mpmath import mp
+from mpmath.libmp import (fone, from_man_exp, mpc_abs, mpf_abs, mpf_gt, mpf_lt, mpf_mul,
+                          round_nearest, to_str)
 
 from . import content, extremal, geometry, moments
 from .errors import GeometryError, NumericalError
@@ -170,40 +171,63 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     moments._check_precision(prec)  # before the cache is read
     table = _table(cfg, poly, cfg.maxdeg, prec,
                    lambda: moments.moment_table(poly, cfg.maxdeg, prec))
-    dps = _digits_for_bits(prec)
-    rows = [(m, n, table.c(m, n), table.real(m, n))
-            for m, n in sorted(k for k in table.complex_entries if k[0] + k[1] <= cfg.maxdeg)]
-    # a part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)
-    # is zero up to roundoff and prints as 0, not as roundoff digits
-    scale = {}
-    for m, n, c, i in rows:
-        scale[m + n] = max(scale.get(m + n, 1), abs(c), abs(i))
-    roundoff = mp.mpf(2) ** (16 - prec)
-
-    def parts(m, n, c, i):
-        return ["0" if abs(x) < roundoff * scale[m + n] else mp.nstr(x, dps)
-                for x in (c.real, c.imag, i)]
-
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        buf.write("m,n,c_re,c_im,I\n")
-        for m, n, c, i in rows:
-            buf.write(",".join([str(m), str(n), *parts(m, n, c, i)]) + "\n")
-        payload = buf.getvalue()
-    else:
-        entries = []
-        for m, n, c, i in rows:
-            c_re, c_im, i_part = parts(m, n, c, i)
-            entries.append({"m": m, "n": n, "c": [c_re, c_im], "I": i_part})
-        doc = {
-            "fingerprint": table.fingerprint,
-            "maxdeg": cfg.maxdeg,
-            "precision_bits": table.precision_bits,
-            "entries": entries,
-        }
-        payload = json.dumps(doc, indent=2) + "\n"
-    _write_text(cfg.output, payload)
+    _write_text(cfg.output, _moments_text(table, cfg.maxdeg, cfg.fmt))
     return 0
+
+
+def _moments_text(table, maxdeg: int, fmt: str) -> str:
+    """The moments output of table's entries with m + n <= maxdeg, as the
+    bytes json.dumps(doc, indent=2) writes or as CSV, written from the
+    halves' int parts.
+
+    A part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)
+    is zero up to roundoff and prints as 0, not as roundoff digits.  Each
+    |entry|, |part| and threshold is rounded to nearest at the ambient
+    mp.prec, as the mpmath view's abs() and * round them.  Each part of
+    c[m][n], m >= n, is formatted once, as nstr formats its view; c[n][m]'s
+    strings are c[m][n]'s with the imaginary sign toggled."""
+    prec, dps = mp.prec, _digits_for_bits(table.precision_bits)
+    i_keys = moments._table_keys(maxdeg, "I")  # the output's rows, in sorted order
+    c_raw = {}
+    for key in moments._table_keys(maxdeg, "c"):
+        rm, re, im, ie = table.complex_entries._parts(key)
+        c_raw[key] = (from_man_exp(rm, re), from_man_exp(im, ie))
+    i_raw = {key: from_man_exp(*table.real_entries._parts(key)) for key in i_keys}
+    sizes = [(key, mpc_abs(z, prec, round_nearest)) for key, z in c_raw.items()]
+    sizes += [(key, mpf_abs(x, prec, round_nearest)) for key, x in i_raw.items()]
+    scale = {}
+    for (m, n), size in sizes:
+        if mpf_gt(size, scale.get(m + n, fone)):
+            scale[m + n] = size
+    roundoff = from_man_exp(1, 16 - table.precision_bits)
+    limit = [mpf_mul(roundoff, scale.get(d, fone), prec, round_nearest)
+             for d in range(maxdeg + 1)]
+
+    def text(x, d):
+        if mpf_lt(mpf_abs(x, prec, round_nearest), limit[d]):
+            return "0"
+        return to_str(x, dps)
+
+    c_text = {(m, n): (text(re, m + n), text(im, m + n)) for (m, n), (re, im) in c_raw.items()}
+    rows = []
+    for m, n in i_keys:
+        if m >= n:
+            re, im = c_text[m, n]
+        else:  # c[m][n] = conj(c[n][m])
+            re, im = c_text[n, m]
+            if im != "0":
+                im = im[1:] if im[0] == "-" else "-" + im
+        rows.append((m, n, re, im, text(i_raw[m, n], m + n)))
+    if fmt == "csv":
+        return "m,n,c_re,c_im,I\n" + "".join(f"{m},{n},{re},{im},{i}\n"
+                                              for m, n, re, im, i in rows)
+    # the layout of json.dumps(doc, indent=2); the strings need no escapes
+    entries = ",\n".join(
+        f'    {{\n      "m": {m},\n      "n": {n},\n      "c": [\n        "{re}",\n'
+        f'        "{im}"\n      ],\n      "I": "{i}"\n    }}'
+        for m, n, re, im, i in rows)
+    return (f'{{\n  "fingerprint": {json.dumps(table.fingerprint)},\n  "maxdeg": {maxdeg},\n'
+            f'  "precision_bits": {table.precision_bits},\n  "entries": [\n{entries}\n  ]\n}}\n')
 
 
 def _emit_sweep(sweep, cfg: argparse.Namespace) -> None:

@@ -33,8 +33,9 @@ table's precision, so the bits are those of an eager build in any read
 order.  One int function, _nearest, does every such rounding, to a pair
 (man, exp).  A half holds only pairs, and the package reads only pairs: the
 Gram solve shifts them into its fixed point (MomentTable._c_parts),
-cross_check and save_table read them, and load_table decodes a cache file
-into them.  Each read of an entry as an mpmath value builds it anew.
+cross_check, save_table and the moments subcommand's output read them, and
+load_table decodes a cache file into them.  Each read of an entry as an
+mpmath value builds it anew.
 
 A moment_table's two halves each run their pass on the first read of that
 half.  The degree-N Gram solves read only complex moments, those of columns
@@ -151,18 +152,6 @@ def _real_rows(x, y, deg, w):
     return [[u * v >> w for u, v in zip(xpow[d::-1], ypow)] for d in range(deg + 1)]
 
 
-def _complex_powers(x, y, maxdeg, w):
-    """(apow, npow): A^k as (re, im) for k <= maxdeg + 1 and |A|^(2b) for
-    b <= maxdeg // 2 + 1, A = x + iy at scale 2^w, each truncated from the
-    last.  Column m's row at the vertex is A^(m+1-b) conj(A)^b, the parts
-    of apow[m + 1 - b] times npow[b]."""
-    apow = [(1 << w, 0)]
-    for _ in range(maxdeg + 1):
-        ur, ui = apow[-1]
-        apow.append(((ur * x - ui * y) >> w, (ur * y + ui * x) >> w))
-    return apow, _powers((x * x + y * y) >> w, maxdeg // 2 + 1, w)
-
-
 def _column_steps(start, end, size, w):
     """The multiples (b c, b (c + d), b (d - c)) for b < size of the edge's
     c + id = c0 = conj(A0) - r A0, r = dB / dA = conj(dA) / dA, for the
@@ -206,16 +195,25 @@ class _Columns(Mapping):
 
     def __init__(self, verts, maxdeg: int, e: int, w: int):
         self._maxdeg, self._e, self._w = maxdeg, e, w
-        self._powers = [_complex_powers(x, y, maxdeg, w) for x, y in verts]
+        # per vertex A = x + iy: x, y, |A|^2, and the lists of A^k as (re, im)
+        # and of |A|^(2b), each power truncated from the last and the lists
+        # extended only as far as a built column reads them
+        self._powers = [(x, y, (x * x + y * y) >> w, [(1 << w, 0)], [1 << w]) for x, y in verts]
         self._steps = [_column_steps(start, end, maxdeg // 2 + 2, w)
                        for start, end in zip(verts, verts[1:] + verts[:1])]
         self._sums = {}
 
     def _column(self, m):
         w, height = self._w, min(m, self._maxdeg - m) + 2  # L(m, b) for b < height
-        rows = [([ur * nr >> w for (ur, _), nr in zip(apow[m + 1::-1], npow[:height])],
-                 [ui * nr >> w for (_, ui), nr in zip(apow[m + 1::-1], npow[:height])])
-                for apow, npow in self._powers]
+        rows = []  # each vertex's parts of A^(m+1) conj(A)^b = A^(m+1-b) |A|^(2b), b < height
+        for x, y, norm, apow, npow in self._powers:
+            while len(apow) <= m + 1:
+                ur, ui = apow[-1]
+                apow.append(((ur * x - ui * y) >> w, (ur * y + ui * x) >> w))
+            while len(npow) < height:
+                npow.append(npow[-1] * norm >> w)
+            rows.append(([ur * nr >> w for (ur, _), nr in zip(apow[m + 1::-1], npow[:height])],
+                         [ui * nr >> w for (_, ui), nr in zip(apow[m + 1::-1], npow[:height])]))
         sums_re, sums_im = [0] * (height - 1), [0] * (height - 1)
         for rows0, rows1, steps in zip(rows, rows[1:] + rows[:1], self._steps):
             if steps is not None:
@@ -308,7 +306,7 @@ def _edge_sums(p: geometry.Polygon, maxdeg: int, precision_bits: int, kind: str)
     step takes the product (a + ib)(c + id) of L by b c0 in three
     multiplications, k1 = c(a + b), re = k1 - b(c + d), im = k1 + a(d - c),
     with the three multiples of b c0 per edge at hand; a vertex's monomial
-    A^(m+1-b) conj(A)^b is |A|^(2b) A^(m+1-2b), one complex power times a
+    A^(m+1) conj(A)^b is |A|^(2b) A^(m+1-b), one complex power times a
     real one.  In a real half every value is a real int: a monomial is one
     product, a step one product and one floor division, and the swapped
     walk's r L one product.  Both are exact in ints with the truncations of
@@ -581,9 +579,13 @@ def cross_check(t: MomentTable):
 # ---- cache files ----------------------------------------------------------------
 
 def _num_to_json(man: int, exp: int):
-    """The record (sign, hex mantissa, exponent) of man 2^exp, normalized."""
-    sign, man, exp, _ = from_man_exp(man, exp)
-    return [int(sign), hex(int(man)), int(exp)]
+    """The record (sign, hex mantissa, exponent) of man 2^exp, normalized:
+    the mantissa odd, its trailing zero bits moved into the exponent, or
+    [0, "0x0", 0] for zero."""
+    if not man:
+        return [0, "0x0", 0]
+    zeros = (man & -man).bit_length() - 1
+    return [int(man < 0), hex(abs(man) >> zeros), exp + zeros]
 
 
 def _parts_from_json(rec):

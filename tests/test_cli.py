@@ -151,6 +151,86 @@ def test_moments_output_ignores_cache_degree(tmp_path, capsys):
                 assert abs(mp.mpf(got) - mp.mpf(want)) <= tol
 
 
+def _moments_text_by_view(table, maxdeg, fmt):
+    """The moments output rendered through the tables' mpmath view and
+    json.dumps(doc, indent=2): the reference for cli._moments_text."""
+    prec = table.precision_bits
+    dps = cli._digits_for_bits(prec)
+    rows = [(m, n, table.c(m, n), table.real(m, n))
+            for m, n in sorted(k for k in table.complex_entries if k[0] + k[1] <= maxdeg)]
+    scale = {}
+    for m, n, c, i in rows:
+        scale[m + n] = max(scale.get(m + n, 1), abs(c), abs(i))
+    roundoff = mp.mpf(2) ** (16 - prec)
+
+    def parts(m, n, c, i):
+        return ["0" if abs(x) < roundoff * scale[m + n] else mp.nstr(x, dps)
+                for x in (c.real, c.imag, i)]
+
+    if fmt == "csv":
+        return "m,n,c_re,c_im,I\n" + "".join(
+            ",".join([str(m), str(n), *parts(m, n, c, i)]) + "\n" for m, n, c, i in rows)
+    entries = []
+    for m, n, c, i in rows:
+        c_re, c_im, i_part = parts(m, n, c, i)
+        entries.append({"m": m, "n": n, "c": [c_re, c_im], "I": i_part})
+    doc = {"fingerprint": table.fingerprint, "maxdeg": maxdeg,
+           "precision_bits": table.precision_bits, "entries": entries}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("maxdeg", [2, 9, 20])
+@pytest.mark.parametrize("bits", [64, 256, 500])
+@pytest.mark.parametrize("source", ["star-file", "windmill:2", "triangle-base:3,1.2"])
+def test_moments_text_matches_the_view_rendering(tmp_path, source, maxdeg, bits):
+    # the zero test rounds at the ambient precision, so the text is compared
+    # at the default 53 bits and inside narrower and wider contexts
+    if source == "star-file":
+        path = tmp_path / "star.txt"
+        geometry.write_polygon(geometry.random_star_polygon(8, 3), path)
+        poly = geometry.read_polygon(path)
+    else:
+        poly = cli._parse_family(source).build()
+    table = moments.moment_table(poly, maxdeg, bits)
+    for context in (mp.prec, 30, 200):
+        with mp.workprec(context):
+            for fmt in ("json", "csv"):
+                assert cli._moments_text(table, maxdeg, fmt) == \
+                    _moments_text_by_view(table, maxdeg, fmt)
+
+
+def test_moments_zero_test_rounds_at_the_ambient_precision():
+    # Re c[1][0] sits 2^-40 below its degree's threshold 2^(16 - 64): it is
+    # below it at 53 bits and rounds onto it at 30, where it prints
+    maxdeg, bits = 2, 64
+    complex_parts = {key: (0, 0, 0, 0) for key in moments._table_keys(maxdeg, "c")}
+    complex_parts[1, 0] = ((1 << 40) - 1, 16 - bits - 40, 0, 0)
+    real_parts = {key: (0, 0) for key in moments._table_keys(maxdeg, "I")}
+    real_parts[0, 0] = (1, 0)
+    table = moments.MomentTable("0", maxdeg, bits, moments._Half(maxdeg, "c", complex_parts),
+                                moments._Half(maxdeg, "I", real_parts))
+    texts = {}
+    for context in (30, 53):
+        with mp.workprec(context):
+            texts[context] = cli._moments_text(table, maxdeg, "csv")
+            assert texts[context] == _moments_text_by_view(table, maxdeg, "csv")
+    assert "1,0,0,0,0" in texts[53].splitlines()
+    assert "1,0,0,0,0" not in texts[30].splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moments_from_a_deeper_cache_matches_the_view_rendering(tmp_path, capsys, fmt):
+    star = tmp_path / "star.txt"
+    geometry.write_polygon(geometry.random_star_polygon(8, 3), star)
+    cache, out = tmp_path / "cache.json", tmp_path / "out"
+    argv = ("moments", "--polygon", str(star), "--precision-bits", "300",
+            "--moment-cache", str(cache), "--format", fmt, "--output", str(out))
+    assert run_cli(*argv, "--maxdeg", "20") == 0
+    assert run_cli(*argv, "--maxdeg", "9") == 0  # a hit on the degree-20 table
+    assert out.read_text() == _moments_text_by_view(moments.load_table(cache), 9, fmt)
+    capsys.readouterr()
+
+
 def test_sweep_writes_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--family", "triangle-base:3", "--param", "lambda",
@@ -721,6 +801,10 @@ GRID_FAMILY_ARGV = ("pentagon-grid", "--theta", "30:170", "--phi", "30:170",
                     "--steps", "8", "--n", "2")
 GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
                    "--steps", "7", "--n", "5")
+# The pentagon's imaginary parts print as 0 almost everywhere; this
+# triangle's print 84 negative values, so a wrong sign in c[n][m] shows.
+MOMENTS_TRIANGLE_ARGV = ("moments", "--family", "triangle-base:3,1.2", "--maxdeg", "11",
+                         "--precision-bits", "300")
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -733,10 +817,13 @@ GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
      _pinned("moments-pentagon-12.json")),
     (("moments", "--family", "regular-ngon:5", "--maxdeg", "12", "--format", "csv"),
      _pinned("moments-pentagon-12.csv")),
+    (MOMENTS_TRIANGLE_ARGV, _pinned("moments-triangle-base-11.json")),
+    (MOMENTS_TRIANGLE_ARGV + ("--format", "csv"), _pinned("moments-triangle-base-11.csv")),
     (GRID_FAMILY_ARGV, _pinned("grid-pentagon-family-8.csv")),
     (GRID_BENCH_ARGV, _pinned("grid-pentagon-96-132-7.csv")),
 ], ids=["rho-pentagon-18", "rho-pentagon-33", "rho-windmill-12", "sweep-triangle-base",
         "moments-pentagon-12-json", "moments-pentagon-12-csv",
+        "moments-triangle-base-11-json", "moments-triangle-base-11-csv",
         "grid-pentagon-family", "grid-pentagon-benchmark"])
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"

@@ -770,6 +770,28 @@ def test_saved_cache_bytes_are_pinned(tmp_path, triangle):
         "bda2b114ed75d827fccbd45034fdbbf5ade13f618285fd85cb1bc41037e87778"
 
 
+def _num_to_json_by_mpmath(man, exp):
+    """The cache record as mpmath normalizes man 2^exp: the reference for
+    _num_to_json's int normalization."""
+    sign, man, exp, _ = from_man_exp(man, exp)
+    return [int(sign), hex(int(man)), int(exp)]
+
+
+def test_num_to_json_normalizes_as_mpmath_does():
+    rng = random.Random(33)
+    cases = [(0, 0), (0, -500), (0, 7), (1, 0), (-1, 0), (2, -1), (-2, 3),
+             (1 << 900, -1000), (-(1 << 64), 10 ** 6), (3 << 255, -(10 ** 6))]
+    for _ in range(20000):
+        man = rng.getrandbits(rng.randrange(1, 700)) << rng.choice([0, 1, 8, rng.randrange(300)])
+        exp = rng.choice([0, rng.randrange(-2000, 2000), rng.randrange(-10 ** 9, 10 ** 9)])
+        cases.append((-man if rng.random() < 0.5 else man, exp))
+    for man, exp in cases:
+        record = moments._num_to_json(man, exp)
+        assert record == _num_to_json_by_mpmath(man, exp)
+        back, e = moments._parts_from_json(record)  # the record reads back as its number
+        assert (back << (e - exp) == man) if man else (back, e) == (0, 0)
+
+
 def test_cache_rejects_unknown_version(tmp_path, square):
     t = moments.moment_table(square, 4)
     path = tmp_path / "table.json"
