@@ -25,6 +25,11 @@ from .errors import GeometryError, NumericalError
 # rho certifies its digits against a second table and solve this many bits up
 _CHECK_EXTRA_BITS = 64
 
+# the precision at which the digits rho certifies and the zero test of the
+# moments output are computed, whatever mpmath context the caller holds: the
+# 53 bits of a fresh mpmath context, where the polyrho command runs
+_OUTPUT_BITS = 53
+
 
 def _int_at_least(low: int):
     """argparse type for an integer option with a lower bound; a value below
@@ -104,11 +109,12 @@ def _digits_for_bits(bits: int) -> int:
 
 def _certified_digits(v1, v2, prec: int) -> int:
     cap = _digits_for_bits(prec)
-    diff = abs(v1 - v2)
-    if diff == 0:
-        return cap
-    rel = diff / max(abs(v1), abs(v2))
-    return max(0, min(cap, int(-mp.log10(rel))))
+    with mp.workprec(_OUTPUT_BITS):
+        diff = abs(v1 - v2)
+        if diff == 0:
+            return cap
+        rel = diff / max(abs(v1), abs(v2))
+        return max(0, min(cap, int(-mp.log10(rel))))
 
 
 def _write_text(path, text) -> None:
@@ -182,11 +188,12 @@ def _moments_text(table, maxdeg: int, fmt: str) -> str:
 
     A part below 2^(16 - bits) x max(largest |entry| of its total degree, 1)
     is zero up to roundoff and prints as 0, not as roundoff digits.  Each
-    |entry|, |part| and threshold is rounded to nearest at the ambient
-    mp.prec, as the mpmath view's abs() and * round them.  Each part of
+    |entry|, |part| and threshold is rounded to nearest at _OUTPUT_BITS, as
+    the mpmath view's abs() and * round them at that precision, so the bytes
+    do not depend on the caller's context.  Each part of
     c[m][n], m >= n, is formatted once, as nstr formats its view; c[n][m]'s
     strings are c[m][n]'s with the imaginary sign toggled."""
-    prec, dps = mp.prec, _digits_for_bits(table.precision_bits)
+    prec, dps = _OUTPUT_BITS, _digits_for_bits(table.precision_bits)
     i_keys = moments._table_keys(maxdeg, "I")  # the output's rows, in sorted order
     c_raw = {}
     for key in moments._table_keys(maxdeg, "c"):

@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import mul, sub
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
 
 from . import geometry, moments
 from .errors import AreaNotNormalized, GramNotPD, InsufficientMoments
@@ -74,7 +74,8 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     c[1][1].
 
     M's lower triangle is read row by row, each entry as the int parts
-    (re_man, re_exp, im_man, im_exp) of t._c_parts: rows i <= n hold
+    (re_man, re_exp, im_man, im_exp) of t.complex_entries._parts, every key
+    being in the table once _check_degree has passed: rows i <= n hold
     G[i][j] = c[j][i], the last conj(b[k]) = c[k+1][0] and t = c[1][1],
     whose imaginary part is dropped.
 
@@ -90,7 +91,13 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     with W's a + b and L's c + d and d - c kept beside their rows; exact in
     ints.  The last pivot of the bordered system is t - b* G^{-1} b, rounded
     once to prec bits.  Raises GramNotPD on a non-positive diagonal entry or
-    pivot of G, or a negative residual.
+    pivot of G, or a negative residual, each sign read off the int.
+
+    cond is the ratio of G's largest pivot to its least, each rounded once to
+    nearest at prec + 32 bits, divided at prec + 32 bits and converted to a
+    float, both to nearest.  The two are chosen among the int pivots, by
+    exact comparison at one common scale; rounding is monotonic, so they are
+    the largest and the least of all the pivots so rounded.
 
     The last pivot is t minus the sum over k <= N of the last row's
     W[N+1][k] conj(L[N+1][k]) = |L[N+1][k]|^2 D_k >= 0, and the sum cut after
@@ -100,8 +107,9 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
     has W's sign), so the rhos are non-increasing.  Each is rounded only when
     the iterator reaches it."""
     _check_degree(t, n)
-    rows = [[t._c_parts(j, i) for j in range(i + 1)] for i in range(n + 1)]
-    rows.append([t._c_parts(k + 1, 0) for k in range(n + 1)] + [t._c_parts(1, 1)[:2] + (0, 0)])
+    parts = t.complex_entries._parts
+    rows = [[parts((j, i)) for j in range(i + 1)] for i in range(n + 1)]
+    rows.append([parts((k + 1, 0)) for k in range(n + 1)] + [parts((1, 1))[:2] + (0, 0)])
     dim = n + 1
     w = prec + _GUARD_BITS
     diag = [row[-1][:2] for row in rows]
@@ -112,8 +120,8 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
                             "polygon degenerate or precision exhausted")
     exps = [-((exp + man.bit_length()) >> 1) for man, exp in diag]
 
-    def unscaled(pivot, k, bits):  # pivot k as an mpf, rounded once to bits
-        return mp.make_mpf(from_man_exp(pivot, -w - 2 * exps[k], bits, round_nearest))
+    def unscaled(pivot, k, bits):  # pivot k as a raw mpf, rounded once to bits
+        return from_man_exp(pivot, -w - 2 * exps[k], bits, round_nearest)
 
     def fixed(man, exp):  # man 2^exp truncated toward zero
         if exp >= 0:
@@ -127,41 +135,56 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
         m_re.append([fixed(rm, re + sh) for (rm, re, _, _), sh in zip(row, shifts)])
         m_im.append([fixed(im, ie + sh) for (_, _, im, ie), sh in zip(row, shifts)])
     # row i of W = L D as w_re[i], w_im[i] and w_sum[i] = w_re + w_im; row j
-    # of L as l_re[j], l_minus[j] = l_re - l_im and l_plus[j] = l_re + l_im
-    w_re, w_im, w_sum = [[] for _ in rows], [[] for _ in rows], [[] for _ in rows]
+    # of L as l_re[j], l_minus[j] = l_re - l_im and l_plus[j] = l_re + l_im.
+    # Column 0 of W is M's, its sums being empty
+    w_re = [[row[0]] for row in m_re]
+    w_im = [[0]] + [[row[0]] for row in m_im[1:]]
+    w_sum = [[a[0] + b[0]] for a, b in zip(w_re, w_im)]
     l_re, l_minus, l_plus = [[] for _ in rows], [[] for _ in rows], [[] for _ in rows]
     pivots = []
-    for j in range(dim + 1):
-        lr, lm, lp = l_re[j], l_minus[j], l_plus[j]
-        for i in range(j, dim + 1):
-            # W[i][j] = M[i][j] - sum_k W[i][k] conj(L[j][k]), the sum at
-            # scale 2^(2w): with a + ib = W and c + id = conj(L), d = -l_im
-            k1 = sum(map(mul, w_sum[i], lr))
-            wr = m_re[i][j] - ((k1 - sum(map(mul, w_im[i], lm))) >> w)
-            wi = 0 if i == j else m_im[i][j] - ((k1 - sum(map(mul, w_re[i], lp))) >> w)
-            w_re[i].append(wr)
-            w_im[i].append(wi)
-            w_sum[i].append(wr + wi)
+    for j in range(dim):
         d = w_re[j][j]
-        pivots.append(d)
-        if j < dim and not d > 0:
-            raise GramNotPD(f"Gram pivot {j} is {mp.nstr(unscaled(d, j, prec), 6)}; "
+        if not d > 0:
+            raise GramNotPD(f"Gram pivot {j} is {mp.nstr(mp.make_mpf(unscaled(d, j, prec)), 6)}; "
                             "polygon degenerate or precision exhausted")
+        pivots.append(d)
         for i in range(j + 1, dim + 1):
             a, b = (w_re[i][j] << w) // d, (w_im[i][j] << w) // d
             l_re[i].append(a)
             l_minus[i].append(a - b)
             l_plus[i].append(a + b)
-    value = unscaled(pivots.pop(), dim, prec)
-    if value < 0:
+        # column j + 1 of W, from row j + 1 of L, now whole
+        lr, lm, lp = l_re[j + 1], l_minus[j + 1], l_plus[j + 1]
+        for i in range(j + 1, dim + 1):
+            # W[i][j+1] = M[i][j+1] - sum_k W[i][k] conj(L[j+1][k]), the sum
+            # at scale 2^(2w): with a + ib = W and c + id = conj(L), d = -l_im
+            k1 = sum(map(mul, w_sum[i], lr))
+            wr = m_re[i][j + 1] - ((k1 - sum(map(mul, w_im[i], lm))) >> w)
+            wi = 0 if i == j + 1 else m_im[i][j + 1] - ((k1 - sum(map(mul, w_re[i], lp))) >> w)
+            w_re[i].append(wr)
+            w_im[i].append(wi)
+            w_sum[i].append(wr + wi)
+    last = w_re[dim][dim]
+    value = mp.make_mpf(unscaled(last, dim, prec))
+    if last < 0:
         raise GramNotPD(
             f"negative residual {mp.nstr(value, 6)} at {prec} bits; precision exhausted")
     # the real part of W conj(L), k1 - b(c + d), term by term
     terms = map(sub, map(mul, w_sum[dim], l_re[dim]), map(mul, w_im[dim], l_minus[dim]))
-    rhos = (unscaled(m_re[dim][dim] - (acc >> w), dim, prec) for acc in accumulate(terms))
-    pivots = [unscaled(d, k, prec + 32) for k, d in enumerate(pivots)]
-    with mp.workprec(prec + 32):
-        return value, float(max(pivots) / min(pivots)), rhos
+    rhos = (mp.make_mpf(unscaled(m_re[dim][dim] - (acc >> w), dim, prec))
+            for acc in accumulate(terms))
+    # pivot k is d_k 2^(-w - 2 e_k): at the common scale 2^(w + 2 top) it is
+    # d_k 2^(2 (top - e_k)), an int, so the largest and the least are found
+    # exactly, and as rounding is monotonic they are the largest and the
+    # least of the pivots each rounded to prec + 32 bits
+    top = max(exps[:dim])
+    common = [p << 2 * (top - e) for p, e in zip(pivots, exps)]
+    hi = max(range(dim), key=common.__getitem__)
+    lo = min(range(dim), key=common.__getitem__)
+    bits = prec + 32
+    ratio = mpf_div(unscaled(pivots[hi], hi, bits), unscaled(pivots[lo], lo, bits),
+                    bits, round_nearest)
+    return value, to_float(ratio, rnd=round_nearest), rhos
 
 
 def _resolve(p, n, precision_bits, table):

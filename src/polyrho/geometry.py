@@ -19,7 +19,10 @@ one scale 2^low, the top exponent, the exact twice signed area) and its
 fingerprint, each computed once; moments and extremal read them from the
 polygon instead of rebuilding them.
 _MEMBERS says which named families build_family normalizes; sweeps solve
-those members as constructed and divide by their area squared.
+those members as constructed and divide by their area squared.  The family
+constructors take each angle's radians and cos/sin from bounded caches,
+keyed by the angle's bits and the working precision and rounding, so the
+members of a grid or sweep compute each distinct angle once.
 write_polygon writes enough digits for read_polygon to return the same bits.
 """
 
@@ -29,11 +32,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_float, from_man_exp, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_float, from_int, from_man_exp, from_str,
+                          mpf_cos_sin, mpf_div, mpf_mul, mpf_pi, mpf_sub, round_nearest)
 
 from .errors import (
     AngleOutOfRange,
@@ -53,6 +57,40 @@ GEOMETRY_MIN_BITS = 320
 
 def _wp() -> int:
     return max(mp.prec, GEOMETRY_MIN_BITS)
+
+
+# A grid's members share its rows' and columns' angles, a sweep's members
+# its fixed angle.  Each cache keeps the bits mpmath's arithmetic gives at
+# the precision and rounding of its key; _angle_radians and _angle_cos_sin
+# key them by the caller's context.
+
+@lru_cache(maxsize=1024)
+def _radians(deg, prec: int, rounding):
+    """deg * pi / 180 as mpf arithmetic rounds it, as an mpf; deg a raw mpf."""
+    rad = mpf_div(mpf_mul(deg, mpf_pi(prec, rounding), prec, rounding), from_int(180),
+                  prec, rounding)
+    return mp.make_mpf(rad)
+
+
+@lru_cache(maxsize=1024)
+def _cos_sin(rad, prec: int, rounding):
+    """mp.cos_sin of the raw mpf rad, as a pair of mpfs."""
+    c, s = mpf_cos_sin(rad, prec, rounding)
+    return mp.make_mpf(c), mp.make_mpf(s)
+
+
+@lru_cache(maxsize=16)
+def _chain_eps(prec: int, rounding):
+    """mp.mpf("1e-12"), _pentagon_chain's degeneracy threshold."""
+    return mp.make_mpf(from_str("1e-12", prec, rounding))
+
+
+def _angle_radians(deg):
+    return _radians(mp.mpf(deg)._mpf_, *mp._prec_rounding)
+
+
+def _angle_cos_sin(rad):
+    return _cos_sin(rad._mpf_, *mp._prec_rounding)
 
 
 class _Frame(NamedTuple):
@@ -169,6 +207,9 @@ def _check_simple(p: Polygon):
                 raise NotSimple(f"edges {i} and {j} intersect")
 
 
+_NONFINITE = (finf, fninf, fnan)
+
+
 def _polygon(verts) -> Polygon:
     """polygon_new's O(V) checks, on mpf pairs; vertices keep their bits.
     The zero-area test and the orientation come from the exact area of the
@@ -177,7 +218,7 @@ def _polygon(verts) -> Polygon:
     and the twice signed area, with the points reversed and the area
     negated along with the vertices for clockwise input."""
     for i, (x, y) in enumerate(verts):
-        if not (mp.isfinite(x) and mp.isfinite(y)):
+        if x._mpf_ in _NONFINITE or y._mpf_ in _NONFINITE:
             raise GeometryError(f"vertex {i} is not finite: {mp.nstr(x, 8)}, {mp.nstr(y, 8)}")
     if len(verts) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")
@@ -327,7 +368,7 @@ def make_triangle_fixed_angle(theta, a) -> Polygon:
             raise NonpositiveBase(f"side length must be positive, got {a}")
         zero = mp.mpf(0)
         corner = (zero, zero)
-        c, s = mp.cos_sin(theta)
+        c, s = _angle_cos_sin(theta)
         apex = (-2 * c / (a * s), 2 / a)
         far = (-a, zero)
         gx = (corner[0] + apex[0] + far[0]) / 3
@@ -366,17 +407,18 @@ def _pentagon_chain(theta, phi) -> Polygon:
         for name, ang in (("theta", theta), ("phi", phi)):
             if not 0 < ang < mp.pi:
                 raise AngleOutOfRange(f"{name} must lie in (0, pi), got {ang}")
-        v1 = mp.cos_sin(theta)
-        c, s = mp.cos_sin(phi)
+        v1 = _angle_cos_sin(theta)
+        c, s = _angle_cos_sin(phi)
         v2 = (1 - c, s)
         dx, dy = v2[0] - v1[0], v2[1] - v1[1]
         d2 = dx * dx + dy * dy
         d = mp.sqrt(d2)
+        eps = _chain_eps(*mp._prec_rounding)
         # degeneracy wins over the inequality constraints: at either boundary
         # the sign of the violated inequality is pure roundoff
-        if d < mp.mpf("1e-12"):
+        if d < eps:
             raise ApexDegenerate("free endpoints coincide; pentagon collapses")
-        if abs(2 - d) < mp.mpf("1e-12"):
+        if abs(2 - d) < eps:
             raise ApexDegenerate("apex falls on the closing chord")
         if d2 > 4:
             raise ConstraintViolated(
@@ -598,8 +640,8 @@ def _mirror_apex(a, lam):
 
 def _pentagon_member(params) -> Polygon:
     with mp.workprec(_wp()):
-        th = mp.mpf(params["theta_deg"]) * mp.pi / 180
-        ph = mp.mpf(params["phi_deg"]) * mp.pi / 180
+        th = _angle_radians(params["theta_deg"])
+        ph = _angle_radians(params["phi_deg"])
     return _pentagon_chain(th, ph)
 
 

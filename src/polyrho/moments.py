@@ -32,7 +32,7 @@ applying the prefactor and rounding each part once, to nearest, at the
 table's precision, so the bits are those of an eager build in any read
 order.  One int function, _nearest, does every such rounding, to a pair
 (man, exp).  A half holds only pairs, and the package reads only pairs: the
-Gram solve shifts them into its fixed point (MomentTable._c_parts),
+Gram solve shifts the complex half's _parts into its fixed point,
 cross_check, save_table and the moments subcommand's output read them, and
 load_table decodes a cache file into them.  Each read of an entry as an
 mpmath value builds it anew.
@@ -110,10 +110,6 @@ class MomentTable:
 
     def real(self, m: int, n: int):
         return self._entry(self.real_entries.__getitem__, "I", m, n)
-
-    def _c_parts(self, m: int, n: int):
-        """c(m, n) as its int parts (re_man, re_exp, im_man, im_exp)."""
-        return self._entry(self.complex_entries._parts, "c", m, n)
 
     def _entry(self, read, name, m, n):
         try:

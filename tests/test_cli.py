@@ -8,6 +8,7 @@ from decimal import Decimal
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from polyrho import cli, content, extremal, geometry, moments
 
@@ -183,8 +184,8 @@ def _moments_text_by_view(table, maxdeg, fmt):
 @pytest.mark.parametrize("bits", [64, 256, 500])
 @pytest.mark.parametrize("source", ["star-file", "windmill:2", "triangle-base:3,1.2"])
 def test_moments_text_matches_the_view_rendering(tmp_path, source, maxdeg, bits):
-    # the zero test rounds at the ambient precision, so the text is compared
-    # at the default 53 bits and inside narrower and wider contexts
+    # the zero test rounds at 53 bits whatever the caller's context, so the
+    # text inside narrower and wider contexts is the view's at 53 bits
     if source == "star-file":
         path = tmp_path / "star.txt"
         geometry.write_polygon(geometry.random_star_polygon(8, 3), path)
@@ -192,30 +193,113 @@ def test_moments_text_matches_the_view_rendering(tmp_path, source, maxdeg, bits)
     else:
         poly = cli._parse_family(source).build()
     table = moments.moment_table(poly, maxdeg, bits)
-    for context in (mp.prec, 30, 200):
-        with mp.workprec(context):
-            for fmt in ("json", "csv"):
-                assert cli._moments_text(table, maxdeg, fmt) == \
-                    _moments_text_by_view(table, maxdeg, fmt)
+    for fmt in ("json", "csv"):
+        with mp.workprec(53):
+            expected = _moments_text_by_view(table, maxdeg, fmt)
+        for context in (mp.prec, 30, 200):
+            with mp.workprec(context):
+                assert cli._moments_text(table, maxdeg, fmt) == expected
 
 
-def test_moments_zero_test_rounds_at_the_ambient_precision():
-    # Re c[1][0] sits 2^-40 below its degree's threshold 2^(16 - 64): it is
-    # below it at 53 bits and rounds onto it at 30, where it prints
-    maxdeg, bits = 2, 64
-    complex_parts = {key: (0, 0, 0, 0) for key in moments._table_keys(maxdeg, "c")}
+def _table_with_a_part_below_its_threshold(table):
+    """table's entries to maxdeg 2, with Re c[1][0] 2^-40 below its degree's
+    threshold 2^(16 - bits) x 1: below it at 53 bits, while rounded to 30
+    bits it lands on it and the view at 30 bits prints its digits."""
+    maxdeg, bits = 2, table.precision_bits
+    complex_parts = {key: table.complex_entries._parts(key)
+                     for key in moments._table_keys(maxdeg, "c")}
     complex_parts[1, 0] = ((1 << 40) - 1, 16 - bits - 40, 0, 0)
-    real_parts = {key: (0, 0) for key in moments._table_keys(maxdeg, "I")}
-    real_parts[0, 0] = (1, 0)
-    table = moments.MomentTable("0", maxdeg, bits, moments._Half(maxdeg, "c", complex_parts),
-                                moments._Half(maxdeg, "I", real_parts))
-    texts = {}
-    for context in (30, 53):
+    real_parts = {key: table.real_entries._parts(key) for key in moments._table_keys(maxdeg, "I")}
+    return moments.MomentTable(table.fingerprint, maxdeg, bits,
+                               moments._Half(maxdeg, "c", complex_parts),
+                               moments._Half(maxdeg, "I", real_parts))
+
+
+def test_moments_zero_test_rounds_at_53_bits_in_any_context():
+    zeros = {key: (0, 0, 0, 0) for key in moments._table_keys(2, "c")}
+    ones = {key: (1, 0) if key == (0, 0) else (0, 0) for key in moments._table_keys(2, "I")}
+    table = _table_with_a_part_below_its_threshold(moments.MomentTable(
+        "0", 2, 64, moments._Half(2, "c", zeros), moments._Half(2, "I", ones)))
+    with mp.workprec(53):
+        expected = _moments_text_by_view(table, 2, "csv")
+    with mp.workprec(30):
+        assert _moments_text_by_view(table, 2, "csv") != expected
+    assert "1,0,0,0,0" in expected.splitlines()
+    for context in (30, 53, 200):
         with mp.workprec(context):
-            texts[context] = cli._moments_text(table, maxdeg, "csv")
-            assert texts[context] == _moments_text_by_view(table, maxdeg, "csv")
-    assert "1,0,0,0,0" in texts[53].splitlines()
-    assert "1,0,0,0,0" not in texts[30].splitlines()
+            assert cli._moments_text(table, 2, "csv") == expected
+
+
+def _run_in_contexts(argv, out):
+    """The bytes cli.main writes for argv at the default context and inside
+    mp.workprec(30) and (200)."""
+    texts = []
+    for context in (None, 30, 200):
+        if context is None:
+            assert run_cli(*argv, "--output", str(out)) == 0
+        else:
+            with mp.workprec(context):
+                assert run_cli(*argv, "--output", str(out)) == 0
+        texts.append(out.read_bytes())
+    return texts
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho", "--family", "windmill:2", "--n", "3"),
+    ("rho", "--family", "triangle-base:3,1.2", "--n", "12", "--format", "csv"),
+    ("moments", "--family", "triangle-base:3,1.2", "--maxdeg", "11", "--precision-bits", "300"),
+    ("moments", "--family", "windmill:2", "--maxdeg", "9", "--precision-bits", "64",
+     "--format", "csv"),
+], ids=["rho-windmill-3", "rho-triangle-base-12-csv", "moments-triangle-base-11",
+        "moments-windmill-9-csv"])
+def test_outputs_do_not_depend_on_the_callers_context(tmp_path, capsys, argv):
+    texts = _run_in_contexts(argv, tmp_path / "out")
+    assert texts[1:] == texts[:1] * 2
+    capsys.readouterr()
+
+
+def test_moments_from_a_cache_do_not_depend_on_the_callers_context(tmp_path, capsys):
+    # a cache holding a part that the zero test reads as 0 at 53 bits but,
+    # rounded at 30, as digits
+    poly = cli._parse_family("windmill:2").build()
+    cache = tmp_path / "cache.json"
+    moments.save_table(_table_with_a_part_below_its_threshold(
+        moments.moment_table(poly, 2, 64)), cache)
+    texts = _run_in_contexts(("moments", "--family", "windmill:2", "--maxdeg", "2",
+                              "--precision-bits", "64", "--moment-cache", str(cache),
+                              "--format", "csv"), tmp_path / "out")
+    assert "1,0,0,0,0" in texts[0].decode().splitlines()
+    assert texts[1:] == texts[:1] * 2
+    capsys.readouterr()
+
+
+def test_certified_digits_do_not_depend_on_the_callers_context(tmp_path, capsys):
+    # a cache whose c[1][1] moves the answered rho_2 off the check's by a
+    # relative 10^-5 (1 + 2^-40): 4 digits agree, and -log10 of that ratio,
+    # 5 - 4e-13, is 5 once the ratio is rounded to 30 bits
+    poly = cli._parse_family("windmill:2").build()
+    n, prec = 2, moments.precision_for_degree(2)
+    table = moments.moment_table(poly, 2 * n, prec)
+    rho = content.rho_n(poly, n, prec, table=table).value
+    complex_parts = {key: table.complex_entries._parts(key)
+                     for key in moments._table_keys(2 * n, "c")}
+    with mp.workprec(prec + 64):
+        ratio = mp.mpf(10) ** -5 * (1 + mp.mpf(2) ** -40)
+        man, exp = complex_parts[1, 1][:2]
+        moved = mp.make_mpf(from_man_exp(man, exp)) + rho * ratio / (1 - ratio)
+    with mp.workprec(prec):
+        sign, man, exp, _ = (+moved)._mpf_
+    complex_parts[1, 1] = (-man if sign else man, exp, 0, 0)
+    real_parts = {key: table.real_entries._parts(key) for key in moments._table_keys(2 * n, "I")}
+    cache = tmp_path / "cache.json"
+    moments.save_table(moments.MomentTable(
+        table.fingerprint, 2 * n, prec, moments._Half(2 * n, "c", complex_parts),
+        moments._Half(2 * n, "I", real_parts)), cache)
+    texts = _run_in_contexts(("rho", "--family", "windmill:2", "--n", str(n),
+                              "--moment-cache", str(cache)), tmp_path / "out")
+    assert json.loads(texts[0])["certified_digits"] == 4
+    assert texts[1:] == texts[:1] * 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -805,6 +889,12 @@ GRID_BENCH_ARGV = ("pentagon-grid", "--theta", "96:132", "--phi", "96:132",
 # triangle's print 84 negative values, so a wrong sign in c[n][m] shows.
 MOMENTS_TRIANGLE_ARGV = ("moments", "--family", "triangle-base:3,1.2", "--maxdeg", "11",
                          "--precision-bits", "300")
+# The benchmark's other two sweep kinds: a fixed angle, whose cos/sin every
+# member shares, and the windmill's parameter.
+SWEEP_TRIANGLE_ANGLE_ARGV = ("sweep", "--family", "triangle-angle:1.2", "--param", "a",
+                             "--range", "0.9:2.8", "--steps", "9", "--n", "2")
+SWEEP_WINDMILL_ARGV = ("sweep", "--family", "windmill", "--param", "a", "--range", "0.75:4",
+                       "--steps", "9", "--n", "2")
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -821,10 +911,13 @@ MOMENTS_TRIANGLE_ARGV = ("moments", "--family", "triangle-base:3,1.2", "--maxdeg
     (MOMENTS_TRIANGLE_ARGV + ("--format", "csv"), _pinned("moments-triangle-base-11.csv")),
     (GRID_FAMILY_ARGV, _pinned("grid-pentagon-family-8.csv")),
     (GRID_BENCH_ARGV, _pinned("grid-pentagon-96-132-7.csv")),
+    (SWEEP_TRIANGLE_ANGLE_ARGV, _pinned("sweep-triangle-angle-9.csv")),
+    (SWEEP_WINDMILL_ARGV, _pinned("sweep-windmill-9.csv")),
 ], ids=["rho-pentagon-18", "rho-pentagon-33", "rho-windmill-12", "sweep-triangle-base",
         "moments-pentagon-12-json", "moments-pentagon-12-csv",
         "moments-triangle-base-11-json", "moments-triangle-base-11-csv",
-        "grid-pentagon-family", "grid-pentagon-benchmark"])
+        "grid-pentagon-family", "grid-pentagon-benchmark",
+        "sweep-triangle-angle", "sweep-windmill"])
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"
     assert run_cli(*argv, "--output", str(out)) == 0

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from polyrho import content, geometry, moments
 from polyrho.errors import AreaNotNormalized, GramNotPD, InsufficientMoments, PrecisionTooLow
@@ -373,3 +374,97 @@ def test_explicit_precision_respected(square, triangle):
     # 0 is an explicit precision like any other, not a request for the default
     with pytest.raises(PrecisionTooLow):
         content.rho_n(square, 2, precision_bits=0)
+
+
+def _fixed_point_pivots(t, n, prec):
+    """(pivots, exps, w): G's pivots as _ldl_solve's ints at scale 2^w,
+    pivot k worth pivots[k] 2^(-w - 2 exps[k]), from a plain factorization
+    of the same fixed-point system: each entry shifted as the solve shifts
+    it, four multiplications to a complex product, one shift per sum."""
+    w, dim, parts = prec + content._GUARD_BITS, n + 1, t.complex_entries._parts
+    exps = [-((exp + man.bit_length()) >> 1) for man, exp in
+            (parts((k, k))[:2] for k in range(dim))]
+
+    def fixed(man, exp):
+        if exp >= 0:
+            return man << exp
+        return man >> -exp if man >= 0 else -(-man >> -exp)
+
+    lower, factor, pivots = {}, {}, []  # W = L D and L, as (re, im) ints
+    for j in range(dim):
+        for i in range(j, dim):
+            rm, re, im, ie = parts((j, i))  # G[i][j] = c[j][i]
+            shift = w + exps[i] + exps[j]
+            acc_re = acc_im = 0
+            for k in range(j):  # W[i][k] conj(L[j][k])
+                (a, b), (c, d) = lower[i, k], factor[j, k]
+                acc_re += a * c + b * d
+                acc_im += b * c - a * d
+            lower[i, j] = (fixed(rm, re + shift) - (acc_re >> w),
+                           0 if i == j else fixed(im, ie + shift) - (acc_im >> w))
+        pivots.append(lower[j, j][0])
+        for i in range(j + 1, dim):
+            a, b = lower[i, j]
+            factor[i, j] = ((a << w) // pivots[j], (b << w) // pivots[j])
+    return pivots, exps, w
+
+
+def _condition_by_every_pivot(t, n, prec):
+    """The condition estimate as the solve formed it before it picked the
+    extreme pivots among its ints: every pivot rounded to an mpf at
+    prec + 32 bits, then float(max / min) at prec + 32 bits."""
+    pivots, exps, w = _fixed_point_pivots(t, n, prec)
+    with mp.workprec(prec + 32):
+        rounded = [mp.make_mpf(from_man_exp(d, -w - 2 * e, prec + 32, round_nearest))
+                   for d, e in zip(pivots, exps)]
+        return float(max(rounded) / min(rounded))
+
+
+_CONDITION_POLYGONS = (
+    [(f"star-{v}", lambda v=v: geometry.random_star_polygon(v, seed=10 + v)) for v in range(3, 10)]
+    + [(f"windmill-{a}", lambda a=a: geometry.make_windmill(a)) for a in (0.6, 2, 7)]
+    + [(f"pentagon-{th}-{ph}", lambda th=th, ph=ph: geometry._pentagon_member(
+        {"theta_deg": th, "phi_deg": ph})) for th, ph in ((96, 132), (108, 108), (150, 60))])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+def test_condition_estimate_is_the_ratio_of_the_rounded_extreme_pivots(n):
+    # at the policy's precision and 64 bits finer, as rho solves them
+    for name, build in _CONDITION_POLYGONS:
+        poly = build()
+        for prec in (moments.precision_for_degree(n), moments.precision_for_degree(n) + 64):
+            table = moments.moment_table(poly, content._gram_degree(n), prec)
+            got = content.rho_n(poly, n, table=table).condition_estimate
+            assert repr(got) == repr(_condition_by_every_pivot(table, n, prec)), (name, prec)
+
+
+def test_condition_estimate_with_tied_pivots():
+    # G = diag(2, 8, 2, 8): pivots 1 and 3 tie for the largest, 0 and 2 for
+    # the least, and the estimate is 4, while the scaled diagonal, and so
+    # every int pivot, is 1/2.  b[k] = c[0][k+1] is G[0][k+1] but for b[3];
+    # t = c[1][1] is G[1][1]
+    n, prec = 3, 256
+    diag = {0: (1, 1), 1: (1, 3), 2: (1, 1), 3: (1, 3)}
+    complex_parts = {(m, k): diag[m] + (0, 0) if m == k and m in diag else (0, 0, 0, 0)
+                     for m, k in moments._table_keys(2 * n, "c")}
+    complex_parts[4, 0] = (1, -3, 1, -4)  # b[3] = conj(c[4][0])
+    table = moments.MomentTable("0", 2 * n, prec, moments._Half(2 * n, "c", complex_parts),
+                                moments._Half(2 * n, "I", {}))
+    pivots, _, w = _fixed_point_pivots(table, n, prec)
+    assert pivots == [1 << (w - 1)] * 4
+    _, cond, _ = content._ldl_solve(table, n, prec)
+    assert repr(cond) == repr(_condition_by_every_pivot(table, n, prec)) == "4.0"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_condition_estimate_of_a_polygon_whose_pivots_tie(n):
+    # the right isosceles triangle with legs 3 about its centroid: c[0][0] =
+    # c[1][1] = 9/2 and c[1][0] = 0, so pivots 0 and 1 are equal
+    poly = geometry.polygon_new([(-1, -1), (2, -1), (-1, 2)])
+    for prec in (256, 320):
+        table = moments.moment_table(poly, 2 * n, prec)
+        pivots, exps, _ = _fixed_point_pivots(table, n, prec)
+        common = [d << 2 * (max(exps) - e) for d, e in zip(pivots, exps)]
+        assert common[0] == common[1]
+        _, cond, _ = content._ldl_solve(table, n, prec)
+        assert repr(cond) == repr(_condition_by_every_pivot(table, n, prec))

@@ -593,3 +593,67 @@ def test_similarity_maps_reject_what_they_can_break(triangle):
         geometry.rotate(triangle, "nan")
     with pytest.raises(GeometryError, match="not finite"):
         geometry.scale(triangle, "inf")
+
+
+def _without_angle_caches(patch):
+    """Make the angle caches compute anew on every call, by the mpmath
+    arithmetic they keep: the members as built before they were cached."""
+    def radians(deg, prec, rounding):
+        with mp.workprec(prec):
+            return mp.make_mpf(deg) * mp.pi / 180
+
+    def cos_sin(rad, prec, rounding):
+        with mp.workprec(prec):
+            return mp.cos_sin(mp.make_mpf(rad))
+
+    def chain_eps(prec, rounding):
+        with mp.workprec(prec):
+            return mp.mpf("1e-12")
+
+    patch.setattr(geometry, "_radians", radians)
+    patch.setattr(geometry, "_cos_sin", cos_sin)
+    patch.setattr(geometry, "_chain_eps", chain_eps)
+
+
+def _angle_family_members():
+    """The raw vertices, or the error, of each member of the benchmark's
+    7x7 pentagon grid and of a 9-step triangle-angle sweep, as sweeps build
+    them."""
+    def raw(make, params):
+        try:
+            return [(x._mpf_, y._mpf_) for x, y in make(params).vertices]
+        except GeometryError as exc:
+            return type(exc), str(exc)
+
+    degrees = [96 + 6 * i for i in range(7)]
+    pentagon, _ = geometry._MEMBERS["pentagon"]
+    triangle, _ = geometry._MEMBERS["triangle-angle"]
+    return ([raw(pentagon, {"theta_deg": th, "phi_deg": ph}) for th in degrees for ph in degrees]
+            + [raw(triangle, {"theta": 1.2, "a": 0.9 + 0.2375 * i}) for i in range(9)])
+
+
+def test_cached_angles_give_the_members_built_without_them():
+    with pytest.MonkeyPatch.context() as patch:
+        _without_angle_caches(patch)
+        expected = _angle_family_members()
+        with mp.workprec(400):
+            expected_400 = _angle_family_members()
+    built = [i for i, member in enumerate(expected) if isinstance(member, list)]
+    assert len(built) == 38 + 9
+    # every member built moves with the precision, so none can take a
+    # 320-bit angle into a 400-bit build unseen
+    assert all(expected[i] != expected_400[i] for i in built)
+    caches = (geometry._radians, geometry._cos_sin, geometry._chain_eps)
+    for cache in caches:
+        cache.cache_clear()
+    assert _angle_family_members() == expected  # filling the caches
+    assert _angle_family_members() == expected  # warm
+    misses = [cache.cache_info().misses for cache in caches]
+    with mp.workprec(400):
+        assert _angle_family_members() == expected_400
+    # seven degree values, the same on both axes, and the triangle's angle:
+    # every one a new entry at 400 bits
+    assert [cache.cache_info().misses - m for cache, m in zip(caches, misses)] == [7, 8, 1]
+    for cache in caches:
+        cache.cache_clear()
+    assert _angle_family_members() == expected
