@@ -126,12 +126,11 @@ def _write_text(path, text) -> None:
 
 
 def cmd_rho(cfg: argparse.Namespace) -> int:
+    # checked before the polygon is read, the cache is read and the check's
+    # table at prec + 64 is built
+    prec = moments._working_bits(cfg.precision_bits, cfg.n)
     poly = _load_polygon(cfg)
-    prec = (moments.precision_for_degree(cfg.n) if cfg.precision_bits is None
-            else cfg.precision_bits)
     t0 = time.perf_counter()
-    # before the cache is read, and before the check's table at prec + 64 does
-    moments._check_precision(prec)
     # the check solves on a fresh kernel pass _CHECK_EXTRA_BITS finer, run on
     # its first read, after the cache's, and never cached, so error in a cached
     # table shows.  On a miss the table at prec is rounded from that pass's
@@ -171,10 +170,8 @@ def cmd_rho(cfg: argparse.Namespace) -> int:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
+    prec = moments._working_bits(cfg.precision_bits)  # before the polygon and cache are read
     poly = _load_polygon(cfg)
-    prec = (moments.DEFAULT_PRECISION_BITS if cfg.precision_bits is None
-            else cfg.precision_bits)
-    moments._check_precision(prec)  # before the cache is read
     table = _table(cfg, poly, cfg.maxdeg, prec,
                    lambda: moments.moment_table(poly, cfg.maxdeg, prec))
     _write_text(cfg.output, _moments_text(table, cfg.maxdeg, cfg.fmt))

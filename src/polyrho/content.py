@@ -188,24 +188,25 @@ def _ldl_solve(t: moments.MomentTable, n: int, prec: int):
 
 
 def _resolve(p, n, precision_bits, table):
-    if n < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {n}")
-    if table is not None:
-        prec = table.precision_bits if precision_bits is None else precision_bits
-        if table.fingerprint != moments.table_fingerprint(p, prec):
-            raise ValueError(
-                f"moment table {table.fingerprint} was not built for this polygon "
-                f"at {prec} bits")
-        return prec, table
-    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
-    return prec, moments.moment_table(p, _gram_degree(n), prec)
+    if table is not None and precision_bits is None:
+        precision_bits = table.precision_bits
+    prec = moments._working_bits(precision_bits, n)
+    if table is None:
+        return prec, moments.moment_table(p, _gram_degree(n), prec)
+    if table.fingerprint != moments.table_fingerprint(p, prec):
+        raise ValueError(
+            f"moment table {table.fingerprint} was not built for this polygon "
+            f"at {prec} bits")
+    return prec, table
 
 
 def rho_n(p: geometry.Polygon, n: int, precision_bits=None, table=None) -> RhoResult:
     """rho_N = c[1][1] - rhs* G^{-1} rhs by one fixed-point LDL* solve.
 
-    A given table must have been built for p at the working precision
-    (precision_bits, else the table's own); ValueError otherwise."""
+    The degree and the working precision (precision_bits, else the table's
+    own, else the policy's for n) are checked first, by
+    moments._working_bits; a given table must have been built for p at that
+    precision, ValueError otherwise."""
     prec, table = _resolve(p, n, precision_bits, table)
     value, cond, _ = _ldl_solve(table, n, prec)
     return RhoResult(value, n, prec, cond, METHOD_CHOLESKY)

@@ -139,8 +139,9 @@ def _linspace(lo: float, hi: float, steps: int):
 def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
     """rho_N at each point of grid (tuples of the family's free values), run
     serially or, for parallelism > 1, on a process pool, at precision_bits
-    or else the policy's for n, checked (PrecisionTooLow) before any member
-    is built or any pool started.
+    or else the policy's for n.  Both are checked by moments._working_bits
+    (TypeError, ValueError, PrecisionTooLow) before any member is built or
+    any pool started.
 
     Each point solves the family's member as constructed, before the
     normalize that FamilySpec.build applies to the pentagon and triangle-base
@@ -157,8 +158,7 @@ def _sweep(family, grid, n, precision_bits, parallelism) -> SweepResult:
     earlier grid point, by exact equality, takes that point's value (None
     included) instead of being evaluated: rho_N is the same on both.
     """
-    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
-    moments._check_precision(prec)
+    prec = moments._working_bits(precision_bits, n)
     todo = []   # the points evaluated, in grid order
     slots = []  # each grid point's index in todo
     seen = {}   # grid point -> its index in todo
@@ -239,8 +239,10 @@ def maximize_1d(family: geometry.FamilySpec, lo, hi, n: int, tol=1e-6,
     convergence puts the point far closer).  The class is the sign of the last
     f'' and first_derivative_residual is the last |f'|, taken before that step.
     NoBracketFound: the scan finds no extremum, or an iterate leaves its
-    bracket or has not settled after a fixed number of steps.  PrecisionTooLow,
-    like the ValueErrors of bad arguments, comes before any member is built.
+    bracket or has not settled after a fixed number of steps.  The degree
+    and precision are checked as in the sweeps (moments._working_bits):
+    their TypeError, ValueError or PrecisionTooLow, like the ValueErrors of
+    the other arguments, comes before any member is built.
 
     Unlike the sweeps, this solves FamilySpec.build's member: the Newton
     differences and first_derivative_residual read rho at working precision,
@@ -262,8 +264,7 @@ def _newton_points(family, lo, hi, n, tol, steps, precision_bits):
         raise ValueError(f"tol must be positive, got {tol}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    prec = moments.precision_for_degree(n) if precision_bits is None else precision_bits
-    moments._check_precision(prec)
+    prec = moments._working_bits(precision_bits, n)
     cache = {}
 
     def f(x):

@@ -45,6 +45,11 @@ cross_check, save_table and the moments subcommand read every entry.
 _rounded_table builds a second table, at a lower precision, over the same
 two passes: rho certifies its digits against a table 64 bits finer and
 rounds the table it answers from out of the same sums.
+
+_working_bits is the one place a request's working precision is decided
+and checked, with its degree: moment_table, _exact_moment, content's
+solves, the rho and moments subcommands, the sweeps and maximize_1d each
+call it before any polygon is read or any table, member or pool is made.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb, lcm
+from operator import index
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
@@ -73,10 +79,20 @@ def precision_for_degree(n: int) -> int:
     return max(DEFAULT_PRECISION_BITS, 24 * n + 64)
 
 
-def _check_precision(precision_bits: int) -> None:
-    if precision_bits < MIN_PRECISION_BITS:
+def _working_bits(precision_bits, n=None) -> int:
+    """A request's working precision, checked before any of its work:
+    precision_bits, else precision_for_degree(n) for a degree-n request and
+    DEFAULT_PRECISION_BITS for a table with no degree.  TypeError for a
+    degree or precision that is not an integer (operator.index), ValueError
+    for a negative degree, PrecisionTooLow below MIN_PRECISION_BITS."""
+    if n is not None and index(n) < 0:
+        raise ValueError(f"polynomial degree must be >= 0, got {n}")
+    if precision_bits is None:
+        return DEFAULT_PRECISION_BITS if n is None else precision_for_degree(n)
+    if index(precision_bits) < MIN_PRECISION_BITS:
         raise PrecisionTooLow(
             f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
+    return precision_bits
 
 
 def table_fingerprint(p: geometry.Polygon, precision_bits: int) -> str:
@@ -367,7 +383,7 @@ def _exact_moment(p: geometry.Polygon, m: int, n: int, kind: str, precision_bits
     so with L = lcm(1..m+n+2) the edge sum is S 2^(low (m+n+2)) / L for a
     Gaussian int S.  Per edge, each k takes small multiples of the m+1 terms
     A0^(m-j) dA^j and one big product with B0^(n+1-k) dB^k."""
-    _check_precision(precision_bits)
+    precision_bits = _working_bits(precision_bits)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be nonnegative")
     frame = p._frame
@@ -513,9 +529,9 @@ def moment_table(p: geometry.Polygon, maxdeg: int,
     computed for m >= n and filled by conjugation, so Hermitian symmetry
     holds exactly.
     """
-    if maxdeg < 2:
+    if index(maxdeg) < 2:
         raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
-    _check_precision(precision_bits)
+    precision_bits = _working_bits(precision_bits)
     return _table_over([_Pass(p, maxdeg, precision_bits, kind) for kind in ("c", "I")],
                        precision_bits)
 
@@ -536,8 +552,7 @@ def _rounded_table(t: MomentTable, precision_bits: int) -> MomentTable:
     exact edge sums of t's kernel passes, which both tables share.  The sums
     carry the accuracy of the first table's precision, so a part can differ
     from a separate build at precision_bits, but only where that build's
-    kernel error shows."""
-    _check_precision(precision_bits)
+    kernel error shows.  precision_bits is taken as checked."""
     return _table_over([t.complex_entries._pass, t.real_entries._pass], precision_bits)
 
 

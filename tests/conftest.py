@@ -76,3 +76,29 @@ def frame_work(monkeypatch):
             return _inner(*args)
         monkeypatch.setattr(geometry, name, counted)
     return count
+
+
+@pytest.fixture
+def front_door_work(monkeypatch):
+    """{"members": member builds through geometry._MEMBERS, "build":
+    FamilySpec.build calls, "edge_sums": moments._edge_sums calls, "pools":
+    ProcessPoolExecutor starts}, counted from here on: the work a request
+    does once its arguments have passed its checks."""
+    import concurrent.futures
+
+    count = {"members": 0, "build": 0, "edge_sums": 0, "pools": 0}
+
+    def counting(key, inner):
+        def counted(*args, **kwargs):
+            count[key] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for kind, (make, normalized) in list(geometry._MEMBERS.items()):
+        monkeypatch.setitem(geometry._MEMBERS, kind, (counting("members", make), normalized))
+    monkeypatch.setattr(geometry.FamilySpec, "build",
+                        counting("build", geometry.FamilySpec.build))
+    monkeypatch.setattr(moments, "_edge_sums", counting("edge_sums", moments._edge_sums))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        counting("pools", concurrent.futures.ProcessPoolExecutor))
+    return count

@@ -551,6 +551,19 @@ def test_an_infeasible_grid_below_the_least_precision_is_a_numerical_failure(cap
     assert "precision_bits must be >= 64, got 8\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("rho", "--n", "2"), ("moments",)])
+@pytest.mark.parametrize("source", [("--family", "windmill:-1"),
+                                    ("--polygon", "no-such-polygon.txt")])
+def test_precision_is_checked_before_the_polygon_is_read(tmp_path, capsys, command, source):
+    # input wrong twice, a bad polygon and a precision below 64, is a
+    # numerical failure, as for sweep and pentagon-grid
+    cache = tmp_path / "c.json"
+    assert run_cli(*command, *source, "--precision-bits", "8",
+                   "--moment-cache", str(cache)) == 3
+    assert "precision_bits must be >= 64, got 8\n" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_a_grid_below_the_least_precision_starts_no_pool(monkeypatch):
     import concurrent.futures
 

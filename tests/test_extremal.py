@@ -253,12 +253,42 @@ def test_pentagon_grid_empty_region_raises():
         extremal.pentagon_grid((165.0, 172.0), (165.0, 172.0), 3, 1)
 
 
-def test_maximize_checks_precision_before_building_a_member(monkeypatch):
+def test_maximize_checks_precision_before_building_a_member(monkeypatch, front_door_work):
     builds = _counting(monkeypatch, geometry.FamilySpec, "build")
     spec = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
     with pytest.raises(PrecisionTooLow, match="got 8$"):
         extremal.maximize_1d(spec, 0, 3, 2, precision_bits=8)
     assert builds == []
+    # and the degree, and that both are integers
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1$"):
+        extremal.maximize_1d(spec, 0, 3, -1)
+    with pytest.raises(TypeError):
+        extremal.maximize_1d(spec, 0, 3, 2, precision_bits=300.5)
+    assert builds == []
+    assert front_door_work == {"members": 0, "build": 0, "edge_sums": 0, "pools": 0}
+
+
+_TRIANGLE_BASE_3 = geometry.FamilySpec("triangle-base", (("a", 3.0),), ("lambda",))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda square: extremal.pentagon_grid((104, 112), (104, 112), 2, -1), ValueError),
+    (lambda square: extremal.pentagon_grid((104, 112), (104, 112), 2, -1, parallelism=2),
+     ValueError),
+    (lambda square: extremal.sweep_family(_TRIANGLE_BASE_3, 0.5, 2.5, 3, 2,
+                                          precision_bits=300.5, parallelism=2), TypeError),
+    (lambda square: content.rho_n(square, 2, precision_bits=300.5), TypeError),
+    (lambda square: moments.moment_table(square, 4, 256.0), TypeError),
+    (lambda square: moments.moment_table(square, 4.0), TypeError),
+], ids=["grid-negative-n", "grid-negative-n-pool", "sweep-fractional-bits-pool",
+        "rho-fractional-bits", "table-float-bits", "table-float-maxdeg"])
+def test_front_doors_check_degree_and_precision_before_any_work(square, front_door_work,
+                                                                call, error):
+    # a degree below 0 or a degree, precision or maxdeg that is not an
+    # integer raises before any member, kernel pass or pool
+    with pytest.raises(error):
+        call(square)
+    assert front_door_work == {"members": 0, "build": 0, "edge_sums": 0, "pools": 0}
 
 
 def test_maximize_finds_windmill_minimum():
