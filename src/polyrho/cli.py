@@ -58,23 +58,15 @@ def _parse_range(text: str) -> tuple:
 
 def _parse_family(text: str, free_names=()) -> geometry.FamilySpec:
     """Parse 'kind:v1,v2' with values for the non-free parameters in their
-    declared order."""
+    declared order; FamilySpec checks the kind and the names."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in geometry.FAMILY_PARAMS:
-        raise ValueError(
-            f"unknown family {kind!r}; known: {', '.join(sorted(geometry.FAMILY_PARAMS))}")
-    names = geometry.FAMILY_PARAMS[kind]
-    for free in free_names:
-        if free not in names:
-            raise ValueError(f"family {kind!r} has no parameter {free!r} (it has {names})")
-    fixed_names = [nm for nm in names if nm not in free_names]
-    vals = [v.strip() for v in rest.split(",") if v.strip()] if rest else []
+    fixed_names = [nm for nm in geometry.FAMILY_PARAMS.get(kind, ()) if nm not in free_names]
+    vals = [v.strip() for v in rest.split(",") if v.strip()]
+    spec = geometry.FamilySpec(kind, tuple(zip(fixed_names, map(float, vals))), tuple(free_names))
     if len(vals) != len(fixed_names):
-        raise ValueError(
-            f"family {kind!r} needs values for {fixed_names}, got {len(vals)}")
-    fixed = tuple((nm, float(v)) for nm, v in zip(fixed_names, vals))
-    return geometry.FamilySpec(kind, fixed, tuple(free_names))
+        raise ValueError(f"family {kind!r} needs values for {fixed_names}, got {len(vals)}")
+    return spec
 
 
 def _load_polygon(cfg: argparse.Namespace) -> geometry.Polygon:

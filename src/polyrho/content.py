@@ -275,13 +275,15 @@ def rho1_closed(p: geometry.Polygon, precision_bits: int = moments.DEFAULT_PRECI
     """rho_1 = 4 (I20 I02 - I11^2) / (I20 + I02) about the centroid.
 
     Recenters internally; area is used as-is (the formula is valid for any
-    area, unlike the rho_2 closed form).
+    area, unlike the rho_2 closed form).  The precision, None for
+    DEFAULT_PRECISION_BITS, is checked first, by moments._working_bits.
     """
-    with mp.workprec(precision_bits + 32):
-        t = moments.moment_table(_centered(p), 2, precision_bits)
+    prec = moments._working_bits(precision_bits)
+    with mp.workprec(prec + 32):
+        t = moments.moment_table(_centered(p), 2, prec)
         i20, i02, i11 = t.real(2, 0), t.real(0, 2), t.real(1, 1)
         value = 4 * (i20 * i02 - i11 ** 2) / (i20 + i02)
-    with mp.workprec(precision_bits):
+    with mp.workprec(prec):
         return +value
 
 
@@ -290,13 +292,15 @@ def rho2_closed(p: geometry.Polygon, precision_bits: int = moments.DEFAULT_PRECI
 
     The rational expression is not homogeneous across its terms, so area
     normalization is the caller's job; off-center input is recentered here.
+    The precision is checked first, as in rho1_closed, then the area.
     """
-    with mp.workprec(precision_bits + 32):
+    prec = moments._working_bits(precision_bits)
+    with mp.workprec(prec + 32):
         if abs(geometry.area(p) - 1) > AREA_TOLERANCE:
             raise AreaNotNormalized(
                 f"rho2 closed form needs area 1 to {mp.nstr(AREA_TOLERANCE, 2)}, "
                 f"got {mp.nstr(geometry.area(p), 12)}")
-        t = moments.moment_table(_centered(p), 4, precision_bits)
+        t = moments.moment_table(_centered(p), 4, prec)
         i20, i02, i11 = t.real(2, 0), t.real(0, 2), t.real(1, 1)
         i40, i04, i22 = t.real(4, 0), t.real(0, 4), t.real(2, 2)
         i30, i03 = t.real(3, 0), t.real(0, 3)
@@ -312,5 +316,5 @@ def rho2_closed(p: geometry.Polygon, precision_bits: int = moments.DEFAULT_PRECI
         den = ((i03 + i21) ** 2 + (i12 + i30) ** 2
                + (i02 + i20) * (-i04 + 4 * i11 ** 2 + (i02 - i20) ** 2 - 2 * i22 - i40))
         value = 4 * num / den
-    with mp.workprec(precision_bits):
+    with mp.workprec(prec):
         return +value

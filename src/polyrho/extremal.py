@@ -114,13 +114,12 @@ class CriticalPointReport:
 
 def _eval_point(args):
     """The float value of one sweep point, None where infeasible: rho_N of
-    the family's member as constructed, divided by A^2 where build would
-    normalize the member, A its exact area rounded once to prec bits (see
-    _sweep)."""
+    the member as the family's constructor builds it (FamilySpec._member),
+    divided by A^2 where build would normalize the member, A its exact area
+    rounded once to prec bits (see _sweep)."""
     family, vals, n, prec = args
-    make, normalized = geometry._MEMBERS[family.kind]
     try:
-        poly = make(family.params(*vals))
+        poly, normalized = family._member(*vals)
     except _INFEASIBLE:
         return None
     value = content.rho_n(poly, n, prec).value._mpf_

@@ -18,8 +18,10 @@ Each polygon keeps its exact integer frame (_Frame: the vertices as ints at
 one scale 2^low, the top exponent, the exact twice signed area) and its
 fingerprint, each computed once; moments and extremal read them from the
 polygon instead of rebuilding them.
-_MEMBERS says which named families build_family normalizes; sweeps solve
-those members as constructed and divide by their area squared.  The family
+_FAMILIES is the one table of named families: each kind's parameter names,
+its constructor, called with their values in that order, and whether
+FamilySpec.build normalizes the member; sweeps solve the normalized members
+as constructed and divide by their area squared.  The family
 constructors take each angle's radians and cos/sin from bounded caches,
 keyed by the angle's bits and the working precision and rounding, so the
 members of a grid or sweep compute each distinct angle once.
@@ -565,15 +567,6 @@ def write_polygon(p: Polygon, path) -> None:
 
 # ---- parametric family dispatch -------------------------------------------------
 
-FAMILY_PARAMS = {
-    "windmill": ("a",),
-    "triangle-base": ("a", "lambda"),
-    "triangle-angle": ("theta", "a"),
-    "pentagon": ("theta_deg", "phi_deg"),
-    "regular-ngon": ("n",),
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named polygon family with some parameters fixed and the rest free.
@@ -581,6 +574,8 @@ class FamilySpec:
     Free parameters are the sweep axes; build() takes their values positionally
     in the order listed in `free`.  Angles are radians except the pentagon
     family, which is parameterized in degrees to match its usual presentation.
+    The spec is checked when made: ValueError for an unknown kind, a name the
+    family lacks, or names that do not cover its parameters exactly once.
     """
 
     kind: str
@@ -588,12 +583,18 @@ class FamilySpec:
     free: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in FAMILY_PARAMS:
-            raise ValueError(f"unknown family {self.kind!r}; known: {sorted(FAMILY_PARAMS)}")
-        names = FAMILY_PARAMS[self.kind]
+        if self.kind not in _FAMILIES:
+            raise ValueError(
+                f"unknown family {self.kind!r}; known: {', '.join(sorted(_FAMILIES))}")
+        names = _FAMILIES[self.kind][0]
         got = tuple(n for n, _ in self.fixed) + tuple(self.free)
+        for name in got:
+            if name not in names:
+                raise ValueError(
+                    f"family {self.kind!r} has no parameter {name!r} (it has {names})")
         if sorted(got) != sorted(names):
-            raise ValueError(f"family {self.kind!r} takes parameters {names}, got {got}")
+            raise ValueError(f"family {self.kind!r} takes parameters {names}, each fixed "
+                             f"or free once; got {got}")
 
     def params(self, *free_values) -> dict:
         if len(free_values) != len(self.free):
@@ -602,8 +603,16 @@ class FamilySpec:
         out.update(zip(self.free, free_values))
         return out
 
+    def _member(self, *free_values):
+        """(member, normalized): the member at free_values as the family's
+        constructor builds it, and whether build normalizes it."""
+        names, make, normalized = _FAMILIES[self.kind]
+        params = self.params(*free_values)
+        return make(*(params[name] for name in names)), normalized
+
     def build(self, *free_values) -> Polygon:
-        return build_family(self.kind, self.params(*free_values))
+        poly, normalized = self._member(*free_values)
+        return normalize(poly) if normalized else poly
 
     def twin(self, *free_values):
         """The free values of this member's mirror image, or None.
@@ -638,36 +647,32 @@ def _mirror_apex(a, lam):
     return None
 
 
-def _pentagon_member(params) -> Polygon:
+def _pentagon_member(theta_deg, phi_deg) -> Polygon:
     with mp.workprec(_wp()):
-        th = _angle_radians(params["theta_deg"])
-        ph = _angle_radians(params["phi_deg"])
+        th, ph = _angle_radians(theta_deg), _angle_radians(phi_deg)
     return _pentagon_chain(th, ph)
 
 
-def _regular_member(params) -> Polygon:
-    if not float(params["n"]).is_integer():
-        raise GeometryError(f"regular-ngon takes an integer n, got {params['n']}")
-    return make_regular_ngon(int(params["n"]))
+def _regular_member(n) -> Polygon:
+    if not float(n).is_integer():
+        raise GeometryError(f"regular-ngon takes an integer n, got {n}")
+    return make_regular_ngon(int(n))
 
 
-# kind -> (the family's member as constructed, from a params dict; whether
-# build_family returns normalize of that member rather than the member).
-# The members left as they are have unit area by construction.
-_MEMBERS = {
-    "windmill": (lambda params: make_windmill(params["a"]), False),
-    "triangle-base": (lambda params: make_triangle_fixed_base(params["a"], params["lambda"]),
-                      True),
-    "triangle-angle": (lambda params: make_triangle_fixed_angle(params["theta"], params["a"]),
-                       False),
-    "pentagon": (_pentagon_member, True),
-    "regular-ngon": (_regular_member, False),
+# kind -> (the parameter names, in the order the constructor takes them; the
+# constructor; whether FamilySpec.build returns normalize of its member
+# rather than the member).  The members left as they are have unit area by
+# construction.
+_FAMILIES = {
+    "windmill": (("a",), make_windmill, False),
+    "triangle-base": (("a", "lambda"), make_triangle_fixed_base, True),
+    "triangle-angle": (("theta", "a"), make_triangle_fixed_angle, False),
+    "pentagon": (("theta_deg", "phi_deg"), _pentagon_member, True),
+    "regular-ngon": (("n",), _regular_member, False),
 }
+
+FAMILY_PARAMS = {kind: names for kind, (names, _, _) in _FAMILIES.items()}
 
 
 def build_family(kind: str, params: dict) -> Polygon:
-    if kind not in _MEMBERS:
-        raise ValueError(f"unknown family {kind!r}")
-    make, normalized = _MEMBERS[kind]
-    poly = make(params)
-    return normalize(poly) if normalized else poly
+    return FamilySpec(kind, tuple(params.items())).build()

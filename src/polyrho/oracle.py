@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -144,8 +145,9 @@ def oracle_rho_n(p: geometry.Polygon, n: int) -> float:
     to r (eps = 2^-52), so to first order the relative error of |r|^2 is at
     most 2 (N+2) eps |f| / |r|; measured errors stayed under half that bound.
     Raises IllConditioned when the value is not finite or the bound exceeds
-    1e-9: a small polygon far from the origin has a large |f| / |r|."""
-    if n < 0:
+    1e-9: a small polygon far from the origin has a large |f| / |r|.  A
+    degree that is not an integer is a TypeError before any work."""
+    if index(n) < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n}")
     z, w = _mesh_nodes(triangulate(p), 2 * n + 2)
     sw = np.sqrt(w)

@@ -80,7 +80,7 @@ def frame_work(monkeypatch):
 
 @pytest.fixture
 def front_door_work(monkeypatch):
-    """{"members": member builds through geometry._MEMBERS, "build":
+    """{"members": member builds through geometry._FAMILIES, "build":
     FamilySpec.build calls, "edge_sums": moments._edge_sums calls, "pools":
     ProcessPoolExecutor starts}, counted from here on: the work a request
     does once its arguments have passed its checks."""
@@ -94,8 +94,9 @@ def front_door_work(monkeypatch):
             return inner(*args, **kwargs)
         return counted
 
-    for kind, (make, normalized) in list(geometry._MEMBERS.items()):
-        monkeypatch.setitem(geometry._MEMBERS, kind, (counting("members", make), normalized))
+    for kind, (names, make, normalized) in list(geometry._FAMILIES.items()):
+        monkeypatch.setitem(geometry._FAMILIES, kind,
+                            (names, counting("members", make), normalized))
     monkeypatch.setattr(geometry.FamilySpec, "build",
                         counting("build", geometry.FamilySpec.build))
     monkeypatch.setattr(moments, "_edge_sums", counting("edge_sums", moments._edge_sums))

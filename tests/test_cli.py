@@ -418,6 +418,20 @@ def test_exit_codes_for_bad_input(tmp_path):
                    "--moment-cache", str(cache)) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rho", "--family", "nope:1"), "unknown family 'nope'; known: pentagon, regular-ngon"),
+    (("sweep", "--family", "triangle-base:3", "--param", "bogus", "--range", "0:1",
+      "--steps", "3"), "family 'triangle-base' has no parameter 'bogus'"),
+    (("rho", "--family", "windmill:1,9"), "family 'windmill' needs values for ['a'], got 2"),
+    (("rho", "--family", "triangle-base:3"),
+     "family 'triangle-base' takes parameters ('a', 'lambda'), each fixed or free once; "
+     "got ('a',)"),
+], ids=["unknown-kind", "param-names-nothing", "extra-value", "missing-value"])
+def test_family_errors_are_usage_errors_that_name_the_problem(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_moments_maxdeg_below_2_is_a_usage_error(capsys):
     assert run_cli("moments", "--family", "windmill:2", "--maxdeg", "1") == 2
     assert "argument --maxdeg: must be >= 2, got 1" in capsys.readouterr().err

@@ -376,6 +376,25 @@ def test_explicit_precision_respected(square, triangle):
         content.rho_n(square, 2, precision_bits=0)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda tri, mill: content.rho1_closed(tri, 8), PrecisionTooLow),
+    (lambda tri, mill: content.rho1_closed(tri, 300.5), TypeError),
+    (lambda tri, mill: content.rho2_closed(tri, 8), PrecisionTooLow),  # area 0.4 too
+    (lambda tri, mill: content.rho2_closed(mill, 8), PrecisionTooLow),
+], ids=["rho1-8-bits", "rho1-fractional-bits", "rho2-8-bits-off-area", "rho2-8-bits"])
+def test_closed_forms_check_precision_before_any_work(triangle, frame_work, call, error):
+    windmill = geometry.make_windmill(2)
+    frame_work.update(image=0, area=0, fingerprint=0)
+    with pytest.raises(error):
+        call(triangle, windmill)
+    assert frame_work["image"] == 0
+
+
+def test_closed_forms_take_none_for_the_default_precision(square):
+    assert content.rho1_closed(square, None) == content.rho1_closed(square)
+    assert content.rho2_closed(square, None) == content.rho2_closed(square)
+
+
 def _fixed_point_pivots(t, n, prec):
     """(pivots, exps, w): G's pivots as _ldl_solve's ints at scale 2^w,
     pivot k worth pivots[k] 2^(-w - 2 exps[k]), from a plain factorization
@@ -423,8 +442,8 @@ def _condition_by_every_pivot(t, n, prec):
 _CONDITION_POLYGONS = (
     [(f"star-{v}", lambda v=v: geometry.random_star_polygon(v, seed=10 + v)) for v in range(3, 10)]
     + [(f"windmill-{a}", lambda a=a: geometry.make_windmill(a)) for a in (0.6, 2, 7)]
-    + [(f"pentagon-{th}-{ph}", lambda th=th, ph=ph: geometry._pentagon_member(
-        {"theta_deg": th, "phi_deg": ph})) for th, ph in ((96, 132), (108, 108), (150, 60))])
+    + [(f"pentagon-{th}-{ph}", lambda th=th, ph=ph: geometry._pentagon_member(th, ph))
+       for th, ph in ((96, 132), (108, 108), (150, 60))])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])

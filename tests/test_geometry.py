@@ -466,6 +466,13 @@ def test_build_family_rejects_an_unknown_kind():
         geometry.build_family("nope", {})
 
 
+def test_build_family_rejects_a_missing_or_an_extra_key():
+    with pytest.raises(ValueError, match=r"takes parameters \('a', 'lambda'\)"):
+        geometry.build_family("triangle-base", {"a": 3})
+    with pytest.raises(ValueError, match="family 'windmill' has no parameter 'b'"):
+        geometry.build_family("windmill", {"a": 2, "b": 1})
+
+
 def test_triangle_fixed_angle_rejects_a_nonpositive_side():
     with pytest.raises(NonpositiveBase):
         geometry.make_triangle_fixed_angle(1, 0)
@@ -619,17 +626,17 @@ def _angle_family_members():
     """The raw vertices, or the error, of each member of the benchmark's
     7x7 pentagon grid and of a 9-step triangle-angle sweep, as sweeps build
     them."""
-    def raw(make, params):
+    def raw(make, *params):
         try:
-            return [(x._mpf_, y._mpf_) for x, y in make(params).vertices]
+            return [(x._mpf_, y._mpf_) for x, y in make(*params).vertices]
         except GeometryError as exc:
             return type(exc), str(exc)
 
     degrees = [96 + 6 * i for i in range(7)]
-    pentagon, _ = geometry._MEMBERS["pentagon"]
-    triangle, _ = geometry._MEMBERS["triangle-angle"]
-    return ([raw(pentagon, {"theta_deg": th, "phi_deg": ph}) for th in degrees for ph in degrees]
-            + [raw(triangle, {"theta": 1.2, "a": 0.9 + 0.2375 * i}) for i in range(9)])
+    _, pentagon, _ = geometry._FAMILIES["pentagon"]
+    _, triangle, _ = geometry._FAMILIES["triangle-angle"]
+    return ([raw(pentagon, th, ph) for th in degrees for ph in degrees]
+            + [raw(triangle, 1.2, 0.9 + 0.2375 * i) for i in range(9)])
 
 
 def test_cached_angles_give_the_members_built_without_them():

@@ -5,6 +5,20 @@ from polyrho import content, geometry, moments, oracle
 from polyrho.errors import IllConditioned, NumericalError
 
 
+def test_oracle_checks_its_degree_before_triangulating(square, monkeypatch):
+    calls = []
+
+    def triangulate(p, _inner=oracle.triangulate):
+        calls.append(p)
+        return _inner(p)
+    monkeypatch.setattr(oracle, "triangulate", triangulate)
+    with pytest.raises(TypeError):
+        oracle.oracle_rho_n(square, 2.0)
+    with pytest.raises(ValueError):
+        oracle.oracle_rho_n(square, -1)
+    assert calls == []
+
+
 def test_triangulate_covers_polygon(any_polygon):
     mesh = oracle.triangulate(any_polygon)
     assert len(mesh.triangles) == len(any_polygon) - 2
